@@ -11,8 +11,6 @@ from topoattn import (
     capped_exact_diagrams,
     pairwise_euclidean,
     path_sublevel_h0,
-    reduce_boundary_matrix,
-    rips_filtration,
     vectorize_diagram,
 )
 
@@ -27,19 +25,21 @@ def show(title, dgm):
 # A unit square: four components merge pairwise at edge length 1, and the
 # boundary loop lives until the diagonals fill the square at sqrt(2).
 square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-dgm = reduce_boundary_matrix(rips_filtration(pairwise_euclidean(square), max_dim=2, max_edge=np.inf))
+dgm = capped_exact_diagrams(pairwise_euclidean(square))
 show("unit square", dgm)
 
 # An equilateral triangle has no loop: the 2-simplex enters at the same
 # scale as its edges, so the cycle dies the instant it is born.
 tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
-show("equilateral triangle", reduce_boundary_matrix(rips_filtration(pairwise_euclidean(tri), 2, np.inf)))
+show("equilateral triangle", capped_exact_diagrams(pairwise_euclidean(tri)))
 
-# Twelve points on a circle: one robust H1 bar.
+# Twelve points on a circle: one robust H1 bar. Exact persistence takes at
+# most 28 points (EXACT_POINT_CAP); the local residual runs it on 8- and
+# 16-point subwindows.
 theta = np.linspace(0, 2 * np.pi, 12, endpoint=False)
 circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-dgm = capped_exact_diagrams(pairwise_euclidean(circle), edge_quantile=1.0)
-show("12-point circle (capped exact path)", dgm.in_dim(1))
+dgm = capped_exact_diagrams(pairwise_euclidean(circle))
+show("12-point circle", dgm.in_dim(1))
 print("  H1 vector:", np.round(vectorize_diagram(dgm, dim=1), 4))
 
 # Sublevel H0 of a 1-D signal: each local minimum births a component that

@@ -7,8 +7,7 @@ shows how the channels react to the loop structure.
 
 import numpy as np
 
-from topoattn import KernelSpec, aet_bias, aet_calibrate, pairwise_euclidean
-from topoattn.topo_bias import bias_stacks
+from topoattn import KernelSpec, aet_calibrate, bias_stacks, pairwise_euclidean
 
 rng = np.random.default_rng(0)
 n = 24
@@ -41,5 +40,5 @@ print(f"\ntoken 0 strongest H1 partner: token {partner} at distance {d.values[0,
 
 # AET bias is a sum of token-contribution outer products (PSD before the
 # diagonal is zeroed), so it concentrates on directionally coherent tokens.
-b_aet = aet_bias(loop, aet_params).values
+b_aet = stacks_loop["AET"][0]
 print(f"AET bias range on the loop: [{b_aet.min():.3f}, {b_aet.max():.3f}]")

@@ -53,7 +53,6 @@ from .datasets import (
 )
 from .errors import (
     CalibrationMissing,
-    CapExceeded,
     DatasetSkipped,
     InvalidInput,
     InvalidParameter,
@@ -64,7 +63,6 @@ from .errors import (
 from .geometry import (
     DistanceMatrix,
     KernelSpec,
-    PointCloud,
     gaussian_kernel_matrix,
     hilbert_distance_matrix,
     median_nonzero_distance,
@@ -80,16 +78,11 @@ from .local_residual import (
     guarded_blend,
     local_contrast,
     local_diagrams,
-    local_representation,
 )
 from .persistence import (
-    Filtration,
     PersistenceDiagram,
     capped_exact_diagrams,
-    lifetime_summary,
     path_sublevel_h0,
-    reduce_boundary_matrix,
-    rips_filtration,
     vectorize_diagram,
 )
 from .protocol import (
@@ -104,20 +97,12 @@ from .protocol import (
     run_mode_detailed,
     select_by_validation,
     target_sanity_check,
-    zeng_baseline,
 )
 from .topo_bias import (
     AetParams,
-    BiasMatrix,
     CHANNELS,
-    aet_bias,
     aet_calibrate,
     bias_stacks,
-    h0_smooth_bias,
-    h1_cycle_bias,
-    h2_shell_bias,
-    rkhs_bias,
-    soft_adjacency,
 )
 
 __version__ = "0.1.0"

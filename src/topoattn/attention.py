@@ -16,8 +16,10 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import CalibrationMissing, InvalidInput, TrainingDiverged
-from .geometry import KernelSpec, _as_tokens, pairwise_euclidean
-from .topo_bias import AetParams, EUCLIDEAN_CHANNELS, RKHS_CHANNELS, bias_stacks, exact_channel_values, rkhs_bias
+from .geometry import KernelSpec, _as_tokens
+# kept only so that bench/tracer.py can wrap attention.pairwise_euclidean
+from .geometry import pairwise_euclidean  # noqa: F401
+from .topo_bias import AetParams, RKHS_CHANNELS, bias_stacks
 
 #: Ridge penalty grid searched on the validation split.
 RIDGE_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 50.0, 100.0)
@@ -69,7 +71,6 @@ class TopologyMode:
     channels: tuple[str, ...]
     strength_source: str  # "none" | "static-grid" | "learned-eta"
     metric: str  # "euclidean" | "rkhs" | "hybrid" | "none"
-    exactness: str = "smooth"
     with_residual: bool = False
 
 
@@ -392,26 +393,10 @@ def window_bias_stack(
     channels: tuple[str, ...],
     aet_params: AetParams | None = None,
     kernel_spec: KernelSpec | None = None,
-    exactness: str = "smooth",
 ) -> dict[str, np.ndarray]:
-    """Bias stack for one window; exact mode routes through capped diagrams."""
-    if exactness == "smooth":
-        stacks = bias_stacks(tokens[None], channels, aet_params=aet_params, kernel_spec=kernel_spec)
-        return {c: stacks[c][0] for c in channels}
-    out: dict[str, np.ndarray] = {}
-    d = pairwise_euclidean(tokens)
-    for channel in channels:
-        if channel in EUCLIDEAN_CHANNELS and channel != "AET":
-            out[channel] = exact_channel_values(d, int(channel[-1]))
-        elif channel == "AET":
-            if aet_params is None:
-                raise CalibrationMissing("AET channel requested without calibrated parameters")
-            out[channel] = bias_stacks(tokens[None], ("AET",), aet_params=aet_params)["AET"][0]
-        elif channel in RKHS_CHANNELS:
-            if kernel_spec is None:
-                raise CalibrationMissing("KH channel requested without a kernel bandwidth")
-            out[channel] = rkhs_bias(tokens, kernel_spec, channel, mode="exact").values
-    return out
+    """Bias stack for one window: the batched constructors on a stack of one."""
+    stacks = bias_stacks(tokens[None], channels, aet_params=aet_params, kernel_spec=kernel_spec)
+    return {c: stacks[c][0] for c in channels}
 
 
 def predict(cloud, model: ForecastModel) -> float:
@@ -427,8 +412,7 @@ def predict(cloud, model: ForecastModel) -> float:
     base = attention_logits(tokens, model.attn)
     if active:
         stack = window_bias_stack(
-            tokens, active, aet_params=model.aet_params,
-            kernel_spec=model.kernel_spec, exactness=model.mode.exactness,
+            tokens, active, aet_params=model.aet_params, kernel_spec=model.kernel_spec,
         )
         logits = biased_logits(base, stack, {c: model.strengths[c] for c in active})
     else:

@@ -17,10 +17,6 @@ class NumericalError(TopoAttnError):
     """A numerically impossible intermediate value was encountered."""
 
 
-class CapExceeded(TopoAttnError):
-    """A point cloud is too large for uncapped exact persistence."""
-
-
 class TrainingDiverged(TopoAttnError):
     """Temperature training produced a non-finite loss."""
 

@@ -20,30 +20,6 @@ from .errors import InvalidInput, InvalidParameter, NumericalError
 DEGENERATE_SIGMA = 1e-6
 
 
-@dataclass(frozen=True)
-class PointCloud:
-    """One input window as an N x p token matrix (rows are tokens)."""
-
-    tokens: np.ndarray
-    window_id: int = 0
-
-    def __post_init__(self):
-        tokens = np.asarray(self.tokens, dtype=np.float64)
-        if tokens.ndim != 2 or tokens.shape[0] < 2:
-            raise InvalidInput(f"token matrix must be N x p with N >= 2, got shape {tokens.shape}")
-        if not np.all(np.isfinite(tokens)):
-            raise InvalidInput("token matrix contains non-finite entries")
-        object.__setattr__(self, "tokens", tokens)
-
-    @property
-    def n_tokens(self) -> int:
-        return self.tokens.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.tokens.shape[1]
-
-
 @dataclass
 class DistanceMatrix:
     """Symmetric pairwise distance matrix plus its median scale.
@@ -55,7 +31,6 @@ class DistanceMatrix:
 
     values: np.ndarray
     sigma: float = field(default=0.0)
-    metric_tag: str = "euclidean"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -79,8 +54,6 @@ class KernelSpec:
 
 
 def _as_tokens(cloud) -> np.ndarray:
-    if isinstance(cloud, PointCloud):
-        return cloud.tokens
     tokens = np.asarray(cloud, dtype=np.float64)
     if tokens.ndim != 2 or tokens.shape[0] < 2:
         raise InvalidInput(f"token matrix must be N x p with N >= 2, got shape {tokens.shape}")
@@ -92,14 +65,14 @@ def _as_tokens(cloud) -> np.ndarray:
 def pairwise_euclidean(cloud) -> DistanceMatrix:
     """Euclidean distance matrix of a token cloud.
 
-    Accepts a :class:`PointCloud` or a plain N x p array. The result is
-    exactly symmetric with a zero diagonal.
+    Accepts an N x p token array with N >= 2 and finite entries. The
+    result is exactly symmetric with a zero diagonal.
     """
     tokens = _as_tokens(cloud)
     values = cdist(tokens, tokens)
     values = 0.5 * (values + values.T)
     np.fill_diagonal(values, 0.0)
-    return DistanceMatrix(values=values, metric_tag="euclidean")
+    return DistanceMatrix(values=values)
 
 
 def gaussian_kernel_matrix(cloud, spec: KernelSpec) -> np.ndarray:
@@ -117,7 +90,7 @@ def gaussian_kernel_matrix(cloud, spec: KernelSpec) -> np.ndarray:
     return kernel
 
 
-def hilbert_distance_matrix(kernel: np.ndarray, bandwidth: float | None = None) -> DistanceMatrix:
+def hilbert_distance_matrix(kernel: np.ndarray) -> DistanceMatrix:
     """Kernel-induced Hilbert distance d_H = sqrt(k_ii + k_jj - 2 k_ij).
 
     For a unit-diagonal kernel this is sqrt(2 - 2 K[i,j]), bounded by
@@ -131,8 +104,7 @@ def hilbert_distance_matrix(kernel: np.ndarray, bandwidth: float | None = None) 
     values = np.sqrt(np.maximum(sq, 0.0))
     values = 0.5 * (values + values.T)
     np.fill_diagonal(values, 0.0)
-    tag = "hilbert" if bandwidth is None else f"hilbert({bandwidth:g})"
-    return DistanceMatrix(values=values, metric_tag=tag)
+    return DistanceMatrix(values=values)
 
 
 def median_nonzero_distance(values) -> float:

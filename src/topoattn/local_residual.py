@@ -7,7 +7,9 @@ negation, Euclidean H1/H2, and the three kernel-Hilbert diagrams. Their
 finite-lifetime vectors plus subwindow statistics feed a train-only
 attention projection whose pooled output (and contrast statistics) drive
 a local Ridge head. A guard blends the local prediction into the global
-one only when validation RMSE improves by a relative margin.
+one only when the blend lowers the global validation RMSE by more than
+DELTA_LOC * max(1, global validation RMSE): an absolute 0.005 while that
+RMSE is below 1, a 0.5% relative margin above it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from scipy.spatial.distance import cdist
 
 from .attention import RIDGE_GRID, RidgeModel, ridge_fit, ridge_predict
 from .errors import CalibrationMissing, InvalidInput
-from .geometry import KernelSpec, _as_tokens
+from .geometry import KernelSpec
 from .persistence import (
     DIAGRAM_VECTOR_LEN,
     PersistenceDiagram,
@@ -147,7 +149,7 @@ def local_diagrams(subwindow, spec: KernelSpec, distances: np.ndarray | None = N
         distances = cdist(tokens, tokens)
         distances = 0.5 * (distances + distances.T)
         np.fill_diagonal(distances, 0.0)
-    dgm = capped_exact_diagrams(distances, edge_quantile=1.0)
+    dgm = capped_exact_diagrams(distances)
     kh = PersistenceDiagram(_hilbert_map(dgm.bars, spec.bandwidth))
     return {
         "d0_plus": d0_plus,
@@ -387,18 +389,6 @@ def local_representation_matrix(
     return np.concatenate([pooled, contrast_stats], axis=-1)
 
 
-def local_representation(
-    phi_elements: np.ndarray,
-    projection: LocalProjection,
-    contrast_scores: np.ndarray,
-    contrast_stats: np.ndarray,
-) -> np.ndarray:
-    """Single-window form of :func:`local_representation_matrix`."""
-    return local_representation_matrix(
-        phi_elements[None], projection, contrast_scores[None], contrast_stats[None]
-    )[0]
-
-
 # ---------------------------------------------------------------------------
 # local head
 
@@ -484,36 +474,6 @@ def fit_local_head(
         projection=projection,
         ridge=ridge,
     )
-
-
-# ---------------------------------------------------------------------------
-# attention-logit form of the local score (documented alternative path)
-
-
-def local_logit_bias(window, cover: Cover, spec: KernelSpec) -> np.ndarray:
-    """Local score as an additive N x N logit bias (mask-embedded local biases).
-
-    Alternative to the residual-prediction form: per cover element the
-    smooth local channel biases are embedded back into the full window via
-    the element masks, weighted by a contrast-driven softmax over elements.
-    Not used by the evaluated registry modes.
-    """
-    from .topo_bias import bias_stacks  # local import to avoid cycle at module load
-
-    tokens = _as_tokens(window)
-    n = tokens.shape[0]
-    blocks, stats = local_block_tensor(tokens[None], cover, spec)
-    scores, _ = contrast_features(blocks)
-    gamma = np.exp(scores[0] - scores[0].max())
-    gamma = gamma / gamma.sum()
-    out = np.zeros((n, n))
-    for weight, el in zip(gamma, cover.elements):
-        sub = tokens[el.start : el.stop]
-        stacks = bias_stacks(sub[None], ("H0", "H1", "H2", "KH0", "KH1", "KH2"), kernel_spec=spec)
-        local_sum = sum(stacks[c][0] for c in stacks)
-        out[el.start : el.stop, el.start : el.stop] += weight * local_sum
-    np.fill_diagonal(out, 0.0)
-    return 0.5 * (out + out.T)
 
 
 # ---------------------------------------------------------------------------

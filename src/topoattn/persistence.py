@@ -1,4 +1,4 @@
-"""Exact capped Vietoris-Rips persistence (H0-H2) and 1-D sublevel H0.
+"""Exact Vietoris-Rips persistence (H0-H2) of small clouds and 1-D sublevel H0.
 
 The boundary-matrix reduction is the standard GF(2) column algorithm with
 columns stored as Python integers (bitsets), which keeps the XOR chain in
@@ -14,23 +14,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import CapExceeded, InvalidParameter
+from .errors import InvalidParameter
 from .geometry import DistanceMatrix
 
-#: Point-count cap for exact full-window persistence.
+#: Point-count cap for exact persistence.
 EXACT_POINT_CAP = 28
-#: Default maximum-edge quantile for the capped exact path.
-EXACT_EDGE_QUANTILE = 0.60
-#: Additive guard in the lifetime-summary denominator.
-LIFETIME_EPS = 1e-9
-
-
-@dataclass
-class Filtration:
-    """Sorted simplex list: (vertex tuple, filtration value)."""
-
-    simplices: list[tuple[tuple[int, ...], float]]
-    max_dim: int
 
 
 @dataclass
@@ -50,61 +38,6 @@ class PersistenceDiagram:
 
     def __len__(self) -> int:
         return len(self.bars)
-
-
-def _distance_values(D) -> np.ndarray:
-    if isinstance(D, DistanceMatrix):
-        return D.values
-    return np.asarray(D, dtype=np.float64)
-
-
-def rips_filtration(D, max_dim: int, max_edge: float) -> Filtration:
-    """Vietoris-Rips filtration up to ``max_dim``-dimensional simplices.
-
-    A simplex enters at the maximum pairwise distance of its vertices;
-    simplices whose value exceeds ``max_edge`` are excluded. Vertices
-    enter at 0. Simplices are returned sorted by (value, dimension,
-    lexicographic vertices) so that faces precede cofaces.
-    """
-    if max_dim not in (1, 2, 3):
-        raise InvalidParameter(f"max_dim must be 1, 2 or 3, got {max_dim}")
-    if not max_edge > 0.0:
-        raise InvalidParameter(f"max_edge must be > 0, got {max_edge}")
-    values = _distance_values(D)
-    n = values.shape[0]
-    if n > 40 and max_dim == 3:
-        raise CapExceeded(
-            f"{n} points with max_dim=3 exceeds the exact-reduction budget; "
-            "use capped_exact_diagrams"
-        )
-    adj = values <= max_edge
-    np.fill_diagonal(adj, False)
-
-    simplices: list[tuple[tuple[int, ...], float]] = [((i,), 0.0) for i in range(n)]
-    frontier: list[tuple[tuple[int, ...], float]] = []
-    for i in range(n):
-        row = values[i]
-        for j in np.nonzero(adj[i])[0]:
-            if j > i:
-                frontier.append(((i, int(j)), float(row[j])))
-    simplices.extend(frontier)
-
-    for _ in range(2, max_dim + 1):
-        new_frontier: list[tuple[tuple[int, ...], float]] = []
-        for verts, val in frontier:
-            mask = adj[verts[0]].copy()
-            for v in verts[1:]:
-                mask &= adj[v]
-            mask[: verts[-1] + 1] = False
-            for w in np.nonzero(mask)[0]:
-                w = int(w)
-                new_val = max(val, float(values[list(verts), w].max()))
-                new_frontier.append((verts + (w,), new_val))
-        simplices.extend(new_frontier)
-        frontier = new_frontier
-
-    simplices.sort(key=lambda s: (s[1], len(s[0]), s[0]))
-    return Filtration(simplices=simplices, max_dim=max_dim)
 
 
 def _reduce_bitset_columns(columns: list[int]) -> list[tuple[int, int]]:
@@ -143,32 +76,6 @@ def _bars_from_reduction(columns, pairs, values, dims, max_hom_dim) -> Persisten
     return PersistenceDiagram(bars=bars)
 
 
-def reduce_boundary_matrix(filtration: Filtration) -> PersistenceDiagram:
-    """Standard GF(2) persistence pairing of a sorted filtration.
-
-    Returns bars for homology dimensions 0 .. max_dim - 1. Bars with
-    death equal to birth are discarded; essential classes get death
-    ``numpy.inf`` (one infinite H0 bar per connected component).
-    """
-    simplices = filtration.simplices
-    index = {verts: i for i, (verts, _) in enumerate(simplices)}
-
-    columns: list[int] = []
-    for verts, _ in simplices:
-        if len(verts) == 1:
-            columns.append(0)
-            continue
-        col = 0
-        for face in combinations(verts, len(verts) - 1):
-            col |= 1 << index[face]
-        columns.append(col)
-
-    pairs = _reduce_bitset_columns(columns)
-    values = [v for _, v in simplices]
-    dims = [len(verts) - 1 for verts, _ in simplices]
-    return _bars_from_reduction(columns, pairs, values, dims, filtration.max_dim - 1)
-
-
 # static combinatorial structure of the full complex on n points, cached per n
 _FULL_CACHE: dict[int, tuple] = {}
 
@@ -199,14 +106,21 @@ def _full_complex_static(n: int):
     return _FULL_CACHE[n]
 
 
-def _full_complex_diagrams(values: np.ndarray) -> PersistenceDiagram:
-    """Exact H0-H2 bars of the full (untruncated) Rips filtration.
+def capped_exact_diagrams(D) -> PersistenceDiagram:
+    """Exact H0-H2 bars of the full Vietoris-Rips filtration of at most 28 points.
 
-    Equivalent to reduce_boundary_matrix(rips_filtration(values, 3, inf))
-    but with the combinatorial structure cached per point count and the
-    filtration values computed vectorized.
+    Every simplex up to dimension 3 enters at the maximum pairwise
+    distance of its vertices. The combinatorial structure is cached per
+    point count and the filtration values are computed vectorized.
+    Clouds above :data:`EXACT_POINT_CAP` points raise
+    :class:`InvalidParameter`.
     """
+    values = D.values if isinstance(D, DistanceMatrix) else np.asarray(D, dtype=np.float64)
     n = values.shape[0]
+    if n > EXACT_POINT_CAP:
+        raise InvalidParameter(
+            f"{n} points exceed the exact-persistence cap of {EXACT_POINT_CAP}"
+        )
     dims, pair_idx, face_pos = _full_complex_static(n)
     iu = np.triu_indices(n, k=1)
     condensed = np.concatenate([values[iu], [0.0]])
@@ -227,51 +141,6 @@ def _full_complex_diagrams(values: np.ndarray) -> PersistenceDiagram:
         columns.append(col)
     pairs = _reduce_bitset_columns(columns)
     return _bars_from_reduction(columns, pairs, vals[order], dims[order], 2)
-
-
-def maxmin_landmarks(values: np.ndarray, count: int, seed: int) -> np.ndarray:
-    """Deterministic farthest-point subset of ``count`` indices (sorted)."""
-    n = values.shape[0]
-    rng = np.random.default_rng(seed)
-    start = int(rng.integers(n))
-    selected = [start]
-    min_dist = values[start].copy()
-    while len(selected) < count:
-        nxt = int(np.argmax(min_dist))
-        selected.append(nxt)
-        np.minimum(min_dist, values[nxt], out=min_dist)
-    return np.sort(np.asarray(selected, dtype=np.intp))
-
-
-def capped_exact_diagrams(
-    D,
-    cap: int = EXACT_POINT_CAP,
-    edge_quantile: float = EXACT_EDGE_QUANTILE,
-    seed: int = 0,
-) -> PersistenceDiagram:
-    """Exact H0-H2 persistence on an (optionally) capped point subset.
-
-    Clouds above ``cap`` points are reduced to a maxmin (farthest-point)
-    landmark subset seeded by ``seed``; the maximum edge is the
-    ``edge_quantile`` quantile of the subset's pairwise distances.
-    """
-    if cap < 4:
-        raise InvalidParameter(f"cap must be >= 4, got {cap}")
-    if not 0.0 < edge_quantile <= 1.0:
-        raise InvalidParameter(f"edge_quantile must be in (0, 1], got {edge_quantile}")
-    values = _distance_values(D)
-    n = values.shape[0]
-    if n > cap:
-        idx = maxmin_landmarks(values, cap, seed)
-        values = values[np.ix_(idx, idx)]
-    iu = np.triu_indices(values.shape[0], k=1)
-    max_edge = float(np.quantile(values[iu], edge_quantile)) if iu[0].size else 1.0
-    if max_edge <= 0.0:
-        max_edge = np.inf if not np.any(values[iu] > 0) else float(values[iu][values[iu] > 0].min())
-    if iu[0].size and max_edge >= float(values[iu].max()):
-        return _full_complex_diagrams(values)  # cached fast path, identical bars
-    filtration = rips_filtration(values, max_dim=3, max_edge=max_edge)
-    return reduce_boundary_matrix(filtration)
 
 
 def path_sublevel_h0(series) -> PersistenceDiagram:
@@ -327,16 +196,6 @@ def path_sublevel_h0(series) -> PersistenceDiagram:
     bars.append((birth[root][0], np.inf, 0))
     bars.sort(key=lambda b: (b[0], b[1]))
     return PersistenceDiagram(bars=bars)
-
-
-def lifetime_summary(dgm: PersistenceDiagram, dim: int, D) -> float:
-    """log(1 + sum of finite dim-``dim`` lifetimes / (median distance + eps))."""
-    if isinstance(D, DistanceMatrix):
-        sigma = D.sigma
-    else:
-        sigma = float(D)
-    lifetimes = dgm.finite_lifetimes(dim)
-    return float(np.log1p(lifetimes.sum() / (sigma + LIFETIME_EPS)))
 
 
 #: Length of the per-diagram feature vector.

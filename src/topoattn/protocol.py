@@ -41,7 +41,7 @@ from .datasets import (
     chronological_split,
     fit_scaler,
 )
-from .errors import CalibrationMissing, InvalidInput
+from .errors import CalibrationMissing, InvalidInput, TopoAttnError
 from .geometry import KernelSpec, pairwise_euclidean
 from .local_residual import (
     H0_BLOCKS,
@@ -91,7 +91,7 @@ def build_mode_registry() -> list[TopologyMode]:
     modes.append(TopologyMode("learned_eta_hybrid", CHANNELS, "learned-eta", "hybrid"))
     residual = [
         TopologyMode(m.mode_id + "_resid", m.channels, m.strength_source, m.metric,
-                     m.exactness, with_residual=True)
+                     with_residual=True)
         for m in modes
         if m.mode_id != "zeng_local_h0"
     ]
@@ -604,72 +604,11 @@ def _run_zeng(ctx, mode, seed, calibration, train_idx, val_idx, test_idx, train_
     return result, y_test
 
 
-def zeng_baseline(ctx: SplitContext, seed: int, calibration: CellCalibration) -> RunResult:
-    """Convenience wrapper running the registry's Zeng-style baseline mode."""
-    mode = next(m for m in MODE_REGISTRY if m.mode_id == "zeng_local_h0")
-    return run_mode(ctx, mode, seed, calibration)
-
-
 def select_by_validation(results: list[RunResult]) -> RunResult:
     """Argmin validation RMSE; ties break by registry order (classical first)."""
     if not results:
         raise InvalidInput("no candidate results to select from")
     return min(results, key=lambda r: (r.val_rmse, MODE_ORDER.get(r.mode_id, 99)))
-
-
-def validation_blend(ctx: SplitContext, seed: int, calibration: CellCalibration) -> RunResult:
-    """Convex blend of classical and the best static-topology predictions.
-
-    The blend weight comes from the same alpha grid as the guarded
-    residual, selected on validation without the margin guard. Offered as
-    an extra-registry mode family (mode id ``validation_blend``).
-    """
-    from .local_residual import ALPHA_GRID
-
-    train_idx = list(ctx.train_range)
-    val_idx = list(ctx.val_range)
-    test_idx = list(ctx.test_range)
-    y = ctx.ds.targets
-    train_y, val_y = y[train_idx], y[val_idx]
-
-    global_cache: dict = {}
-    _, feats_c, ridge_c, _ = _fit_global_stage(
-        ctx, MODE_REGISTRY[0], seed, train_idx, val_idx, train_y, val_y
-    )
-    static_rows = []
-    static_fits = {}
-    for mode in MODE_REGISTRY:
-        if mode.strength_source != "static-grid" or mode.with_residual:
-            continue
-        result, _ = run_mode_detailed(ctx, mode, seed, calibration, global_cache=global_cache)
-        static_rows.append(result)
-    best_static = select_by_validation(static_rows)
-    strengths, feats_s, ridge_s, _ = global_cache[(best_static.mode_id, seed)]
-
-    yc_val = ridge_predict(ridge_c, feats_c[val_idx])
-    ys_val = ridge_predict(ridge_s, feats_s[val_idx])
-    best_alpha, best_rmse = 0.0, np.inf
-    for alpha in ALPHA_GRID:
-        rmse = _rmse((1 - alpha) * yc_val + alpha * ys_val, val_y)
-        if rmse < best_rmse:
-            best_alpha, best_rmse = alpha, rmse
-    yc_test = ridge_predict(ridge_c, feats_c[test_idx])
-    ys_test = ridge_predict(ridge_s, feats_s[test_idx])
-    y_test = (1 - best_alpha) * yc_test + best_alpha * ys_test
-    test_targets = y[test_idx]
-    return RunResult(
-        dataset=ctx.ds.name,
-        mode_id="validation_blend",
-        seed=seed,
-        split_offset=ctx.offset,
-        val_rmse=best_rmse,
-        test_rmse=_rmse(y_test, test_targets),
-        test_mae=_mae(y_test, test_targets),
-        alpha_loc=best_alpha,
-        penalty=ridge_s.penalty,
-        strengths={k: float(v) for k, v in strengths.items()},
-        ledger_hash=calibration.content_hash,
-    )
 
 
 def target_sanity_check(ds: WindowedDataset) -> tuple[bool, str]:
@@ -801,6 +740,12 @@ def _run_split_block(
             payload = dict(sink[chosen.mode_id])
             payload["y_test_true"] = [float(v) for v in test_targets]
             selected_payloads[(name, seed, offset)] = payload
+        # ledger immutability: the hash recorded before the runs must still
+        # describe the calibration after them
+        if calibration.compute_hash() != calibration.content_hash:
+            raise TopoAttnError(
+                f"calibration of {name} seed {seed} offset {offset!r} mutated during runs"
+            )
     return results, ledgers, skipped, selected_payloads
 
 
@@ -868,9 +813,6 @@ def run_campaign(
             skipped.update(block_skipped)
             selected_payloads.update(block_selected)
             for k, calib in ledgers.items():
-                # ledger immutability: the hash recorded before the runs must
-                # still describe the calibration after them
-                assert calib.compute_hash() == calib.content_hash, "calibration mutated during runs"
                 ledger_payloads[k] = (calib.serialize(), calib.content_hash)
 
     merged: dict[tuple, RunResult] = {r.key(): r for r in existing} if existing else {}

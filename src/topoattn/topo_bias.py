@@ -1,10 +1,10 @@
 """Global attention-bias constructors: smooth H0/H1/H2 surrogates, the
-anchored Euler-transform channel, exact-summary channels, and RKHS twins.
+anchored Euler-transform channel, and their kernel-Hilbert twins.
 
-Every constructor returns a symmetric, zero-diagonal, finite N x N matrix
-meant to be added to attention logits. The math is implemented once in
-batched form over a stack of windows; the public per-window operations
-wrap the batch of size one.
+Every channel is a symmetric, zero-diagonal, finite N x N matrix meant to
+be added to attention logits. The math is implemented once in batched
+form over a stack of windows (:func:`bias_stacks`); a single window is a
+stack of one.
 """
 
 from __future__ import annotations
@@ -15,16 +15,9 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import InvalidInput
-from .geometry import (
-    DEGENERATE_SIGMA,
-    DistanceMatrix,
-    KernelSpec,
-    _as_tokens,
-    gaussian_kernel_matrix,
-    hilbert_distance_matrix,
-    pairwise_euclidean,
-)
-from .persistence import capped_exact_diagrams, lifetime_summary
+from .geometry import DEGENERATE_SIGMA, KernelSpec, _as_tokens, pairwise_euclidean
+# kept only so that bench/tracer.py can wrap topo_bias.capped_exact_diagrams
+from .persistence import capped_exact_diagrams  # noqa: F401
 
 #: Channel identifiers, in registry order.
 CHANNELS = ("H0", "H1", "H2", "AET", "KH0", "KH1", "KH2")
@@ -38,24 +31,6 @@ H0_SCALES = (0.5, 1.0, 2.0)
 H1_SCALES = (0.70, 1.0, 1.40)
 #: Soft-adjacency temperature, in units of the adjacency scale.
 SOFT_TAU_FACTOR = 0.1
-
-
-@dataclass
-class BiasMatrix:
-    """One channel's N x N additive logit bias."""
-
-    channel: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(v)):
-            raise InvalidInput(f"bias channel {self.channel} has non-finite entries")
-        if not np.array_equal(v, v.T):
-            raise InvalidInput(f"bias channel {self.channel} is not symmetric")
-        if np.any(np.diag(v) != 0.0):
-            raise InvalidInput(f"bias channel {self.channel} has a nonzero diagonal")
-        self.values = v
 
 
 @dataclass
@@ -83,15 +58,6 @@ class AetParams:
     @property
     def n_thresholds(self) -> int:
         return self.thresholds.shape[1]
-
-
-@dataclass
-class ShellStats:
-    """Centered token radii, robust radius scale, and local sparsity."""
-
-    radii: np.ndarray
-    radius_scale: float
-    sparsity: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -196,56 +162,6 @@ def _aet_values(tokens: np.ndarray, d: np.ndarray, sigma: np.ndarray, params: Ae
     return _symmetrize(bias)
 
 
-# ---------------------------------------------------------------------------
-# per-window spec operations
-
-
-def _dist(D) -> tuple[np.ndarray, float]:
-    if isinstance(D, DistanceMatrix):
-        return D.values, D.sigma
-    D = pairwise_euclidean(D)
-    return D.values, D.sigma
-
-
-def h0_smooth_bias(D) -> BiasMatrix:
-    """Weighted multiscale radial affinity (connectivity surrogate)."""
-    d, sigma = _dist(D)
-    return BiasMatrix("H0", _h0_values(d, np.float64(sigma)))
-
-
-def soft_adjacency(D, eps: float, tau: float) -> np.ndarray:
-    """Logistic soft adjacency A[i,j] = logistic((eps - d_ij)/tau), zero diagonal."""
-    if tau <= 0:
-        raise InvalidInput(f"soft adjacency temperature must be > 0, got {tau}")
-    d, _ = _dist(D)
-    return _soft_adjacency_values(d, np.float64(eps), np.float64(tau))
-
-
-def h1_cycle_bias(D) -> BiasMatrix:
-    """Two-hop cycle-closing evidence averaged over three adjacency scales."""
-    d, sigma = _dist(D)
-    if d.shape[0] < 3:
-        raise InvalidInput("cycle bias needs at least 3 tokens")
-    return BiasMatrix("H1", _h1_values(d, np.float64(sigma)))
-
-
-def shell_stats(D, cloud) -> ShellStats:
-    """Centered radii, MAD radius scale and sigma-ball sparsity of a cloud."""
-    d, sigma = _dist(D)
-    tokens = _as_tokens(cloud)
-    radii, scale, sparsity = _shell_stats(d, tokens, np.float64(sigma))
-    return ShellStats(radii=radii, radius_scale=float(scale), sparsity=sparsity)
-
-
-def h2_shell_bias(D, cloud) -> BiasMatrix:
-    """Shell proxy pairing similar centered radii with local sparsity."""
-    d, sigma = _dist(D)
-    tokens = _as_tokens(cloud)
-    if d.shape[0] < 3:
-        raise InvalidInput("shell bias needs at least 3 tokens")
-    return BiasMatrix("H2", _h2_values(d, tokens, np.float64(sigma)))
-
-
 def aet_calibrate(train_clouds, n_directions: int = 8, n_thresholds: int = 8, seed: int = 0) -> AetParams:
     """Fit AET directions, thresholds and temperatures on training windows.
 
@@ -295,87 +211,8 @@ def aet_calibrate(train_clouds, n_directions: int = 8, n_thresholds: int = 8, se
     )
 
 
-def aet_bias(cloud, params: AetParams, D=None) -> BiasMatrix:
-    """Anchored Euler-transform bias: token-contribution outer products."""
-    tokens = _as_tokens(cloud)
-    if D is None:
-        D = pairwise_euclidean(tokens)
-    d, sigma = _dist(D)
-    return BiasMatrix("AET", _aet_values(tokens, d, np.float64(sigma), params))
-
-
-def soft_graph_euler(cloud, params: AetParams, D=None) -> np.ndarray:
-    """Differentiable graph-Euler statistic per (direction, threshold).
-
-    chi[r,q] = sum_i m_irq - sum_{i<j} a_ij m_irq m_jrq.
-    """
-    tokens = _as_tokens(cloud)
-    if D is None:
-        D = pairwise_euclidean(tokens)
-    d, sigma = _dist(D)
-    eps = params.adjacency_scale if sigma <= DEGENERATE_SIGMA else sigma
-    adj = _soft_adjacency_values(d, np.float64(eps), np.float64(SOFT_TAU_FACTOR * eps))
-    proj = tokens @ params.directions.T
-    m = expit((params.thresholds[None, :, :] - proj[:, :, None]) / params.temperature)
-    vertex_term = m.sum(axis=0)
-    pair_full = np.einsum("irq,ij,jrq->rq", m, adj, m)
-    return vertex_term - 0.5 * pair_full
-
-
-def exact_channel_values(D, dim: int, cap: int = 28, edge_quantile: float = 0.60, seed: int = 0) -> np.ndarray:
-    """Exact-persistence channel: lifetime-weighted affinity at the diagram scale.
-
-    The capped exact diagram's dim-``dim`` bars set a dominant scale (the
-    lifetime-weighted mean bar midpoint); the bias is the z-scored Gaussian
-    affinity at that scale, scaled by the lifetime summary. No finite bars
-    produce the zero matrix.
-    """
-    d, _ = _dist(D)
-    dgm = capped_exact_diagrams(d, cap=cap, edge_quantile=edge_quantile, seed=seed)
-    bars = [(b, dd) for (b, dd, k) in dgm.bars if k == dim and np.isfinite(dd)]
-    if not bars:
-        return np.zeros_like(d)
-    births = np.array([b for b, _ in bars])
-    deaths = np.array([dd for _, dd in bars])
-    lifetimes = deaths - births
-    scale = float(np.average(0.5 * (births + deaths), weights=lifetimes))
-    if scale <= 0:
-        scale = float(np.average(deaths, weights=lifetimes))
-    if scale <= 0:
-        return np.zeros_like(d)
-    weight = lifetime_summary(dgm, dim, DistanceMatrix(values=d))
-    return _symmetrize(weight * _zscore_off_batch(np.exp(-(d * d) / (2.0 * scale**2))))
-
-
-def rkhs_bias(cloud, spec: KernelSpec, channel: str, mode: str = "smooth") -> BiasMatrix:
-    """Kernel-Hilbert channel: the matching constructor run on d_H.
-
-    ``mode="smooth"`` reuses the H0/H1/H2 surrogates with the Hilbert
-    distance in place of the Euclidean one; ``mode="exact"`` derives the
-    bias from capped exact diagrams of d_H.
-    """
-    if channel not in RKHS_CHANNELS:
-        raise InvalidInput(f"rkhs_bias channel must be one of {RKHS_CHANNELS}, got {channel}")
-    tokens = _as_tokens(cloud)
-    kernel = gaussian_kernel_matrix(tokens, spec)
-    d_h = hilbert_distance_matrix(kernel, spec.bandwidth)
-    dim = int(channel[-1])
-    if mode == "smooth":
-        if dim == 0:
-            values = _h0_values(d_h.values, np.float64(d_h.sigma))
-        elif dim == 1:
-            values = _h1_values(d_h.values, np.float64(d_h.sigma))
-        else:
-            values = _h2_values(d_h.values, tokens, np.float64(d_h.sigma))
-    elif mode == "exact":
-        values = exact_channel_values(d_h, dim)
-    else:
-        raise InvalidInput(f"rkhs_bias mode must be 'smooth' or 'exact', got {mode}")
-    return BiasMatrix(channel, values)
-
-
 # ---------------------------------------------------------------------------
-# batched stack construction for campaigns
+# batched stack construction
 
 
 def bias_stacks(

@@ -22,7 +22,7 @@ from topoattn.datasets import (
     ims_health_indicator,
 )
 from topoattn.attention import temperature_loss_and_grads, init_attention_params
-from topoattn.persistence import reduce_boundary_matrix, rips_filtration
+from topoattn.persistence import capped_exact_diagrams
 from topoattn.protocol import (
     CampaignCache,
     MODE_REGISTRY,
@@ -78,7 +78,7 @@ def test_criterion_01_persistence_oracle_equivalence():
         n = int(rng.integers(3, 9))
         p = int(rng.choice([2, 3]))
         d = euclidean_matrix(rng.normal(size=(n, p)))
-        ours = reduce_boundary_matrix(rips_filtration(d, 3, np.inf)).bars
+        ours = capped_exact_diagrams(d).bars
         oracle = naive_reduction_oracle(d)
         assert ours == oracle, f"bar mismatch on trial {trial} (n={n}, p={p})"
     elapsed = time.perf_counter() - start
@@ -88,16 +88,16 @@ def test_criterion_01_persistence_oracle_equivalence():
 
 def test_criterion_02_known_shape_diagrams():
     square = euclidean_matrix([[0, 0], [1, 0], [1, 1], [0, 1]])
-    h1 = reduce_boundary_matrix(rips_filtration(square, 2, np.inf)).in_dim(1).bars
+    h1 = capped_exact_diagrams(square).in_dim(1).bars
     assert len(h1) == 1
     assert abs(h1[0][0] - 1.0) <= 1e-9 and abs(h1[0][1] - np.sqrt(2.0)) <= 1e-9
 
     two = euclidean_matrix([[0.0], [0.37]])
-    h0 = reduce_boundary_matrix(rips_filtration(two, 1, np.inf)).bars
+    h0 = capped_exact_diagrams(two).bars
     assert h0 == [(0.0, 0.37, 0), (0.0, np.inf, 0)]
 
     triangle = euclidean_matrix([[0, 0], [1, 0], [0.5, np.sqrt(3) / 2]])
-    assert reduce_boundary_matrix(rips_filtration(triangle, 2, np.inf)).in_dim(1).bars == []
+    assert capped_exact_diagrams(triangle).in_dim(1).bars == []
     report(2, "unit square H1=(1, sqrt2), two-point H0, empty equilateral H1")
 
 

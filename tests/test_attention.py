@@ -317,16 +317,3 @@ class TestPredict:
         model.aet_params = aet_calibrate([rng.normal(size=(8, 2)) for _ in range(3)], seed=0)
         value = predict(rng.normal(size=(8, 2)), model)
         assert np.isfinite(value)
-
-    def test_exact_mode_prediction(self):
-        rng = np.random.default_rng(23)
-        window = rng.normal(size=(8, 2))
-        smooth = self.make_model({"H1": 0.5}, ("H1",))
-        exact = ForecastModel(
-            mode=TopologyMode("exact_h1", ("H1",), "static-grid", "euclidean", exactness="exact"),
-            attn=smooth.attn, strengths={"H1": 0.5}, ridge=smooth.ridge,
-            kernel_spec=smooth.kernel_spec,
-        )
-        v_exact = predict(window, exact)
-        assert np.isfinite(v_exact)
-        assert v_exact != predict(window, smooth)

@@ -9,7 +9,6 @@ from topoattn.errors import InvalidInput, InvalidParameter, NumericalError
 from topoattn.geometry import (
     DEGENERATE_SIGMA,
     KernelSpec,
-    PointCloud,
     gaussian_kernel_matrix,
     hilbert_distance_matrix,
     median_nonzero_distance,
@@ -50,11 +49,12 @@ class TestPairwiseEuclidean:
 
     def test_point_cloud_validation(self):
         with pytest.raises(InvalidInput):
-            PointCloud(np.zeros((1, 3)))
+            pairwise_euclidean(np.zeros((1, 3)))
         with pytest.raises(InvalidInput):
-            PointCloud(np.array([[np.inf, 0.0], [0.0, 0.0]]))
-        cloud = PointCloud(np.zeros((2, 3)), window_id=4)
-        assert cloud.n_tokens == 2 and cloud.dim == 3
+            pairwise_euclidean(np.zeros(4))
+        with pytest.raises(InvalidInput):
+            pairwise_euclidean(np.array([[np.inf, 0.0], [0.0, 0.0]]))
+        assert pairwise_euclidean(np.zeros((2, 3))).n == 2
 
 
 class TestGaussianKernel:

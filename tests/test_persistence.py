@@ -1,20 +1,19 @@
 """Vietoris-Rips persistence: oracle equivalence, known shapes, path H0."""
 
+from math import comb
+
 import numpy as np
 import pytest
 from itertools import combinations
 
-from topoattn.errors import CapExceeded, InvalidParameter
+from topoattn.errors import InvalidParameter
 from topoattn.geometry import DistanceMatrix, pairwise_euclidean
 from topoattn.persistence import (
+    EXACT_POINT_CAP,
     PersistenceDiagram,
-    _full_complex_diagrams,
+    _full_complex_static,
     capped_exact_diagrams,
-    lifetime_summary,
-    maxmin_landmarks,
     path_sublevel_h0,
-    reduce_boundary_matrix,
-    rips_filtration,
     vectorize_diagram,
 )
 
@@ -86,61 +85,45 @@ def euclidean_matrix(points):
 class TestRipsFiltration:
     def test_complete_triangle(self):
         d = np.ones((3, 3)) - np.eye(3)
-        filt = rips_filtration(d, max_dim=2, max_edge=1.0)
-        by_dim = {}
-        for verts, value in filt.simplices:
-            by_dim.setdefault(len(verts) - 1, []).append(value)
-        assert len(by_dim[0]) == 3
-        assert by_dim[1] == [1.0, 1.0, 1.0]
-        assert by_dim[2] == [1.0]
-
-    def test_threshold_cut_leaves_vertices(self):
-        d = euclidean_matrix([[0.0], [5.0], [11.0]])
-        filt = rips_filtration(d, max_dim=2, max_edge=1.0)
-        assert all(len(v) == 1 for v, _ in filt.simplices)
+        dims = _full_complex_static(3)[0]
+        assert np.bincount(dims).tolist() == [3, 3, 1]
+        # the 2-simplex enters with its edges at 1, so the loop never lives
+        assert capped_exact_diagrams(d).bars == [(0.0, 1.0, 0), (0.0, 1.0, 0), (0.0, np.inf, 0)]
 
     def test_complete_simplex_count_binomial_sum(self):
         n = 6
-        rng = np.random.default_rng(3)
-        d = euclidean_matrix(rng.normal(size=(n, 3)))
-        filt = rips_filtration(d, max_dim=3, max_edge=np.inf)
-        from math import comb
-
-        expected = sum(comb(n, r) for r in range(1, 5))
-        assert len(filt.simplices) == expected
+        dims, pair_idx, face_pos = _full_complex_static(n)
+        assert len(dims) == sum(comb(n, r) for r in range(1, 5))
+        assert np.bincount(dims).tolist() == [comb(n, r) for r in range(1, 5)]
 
     def test_faces_precede_cofaces(self):
-        rng = np.random.default_rng(5)
-        d = euclidean_matrix(rng.normal(size=(7, 2)))
-        filt = rips_filtration(d, max_dim=3, max_edge=np.inf)
-        position = {verts: i for i, (verts, _) in enumerate(filt.simplices)}
-        for verts, _ in filt.simplices:
-            if len(verts) > 1:
-                for face in combinations(verts, len(verts) - 1):
-                    assert position[face] < position[verts]
+        # static order puts every face first, and a face's vertex pairs are a
+        # subset of its coface's, so its value is never larger: the engine's
+        # stable (value, dimension) sort keeps faces before cofaces
+        dims, pair_idx, face_pos = _full_complex_static(7)
+        for si in range(len(dims)):
+            pairs = set(pair_idx[si][pair_idx[si] >= 0].tolist())
+            for f in face_pos[si][face_pos[si] >= 0]:
+                assert f < si and dims[f] == dims[si] - 1
+                assert set(pair_idx[f][pair_idx[f] >= 0].tolist()) <= pairs
 
     def test_cap_exceeded(self):
-        d = np.zeros((41, 41))
-        with pytest.raises(CapExceeded):
-            rips_filtration(d, max_dim=3, max_edge=1.0)
-
-    def test_bad_parameters(self):
-        d = np.zeros((4, 4))
+        far = np.zeros((41, 41))
         with pytest.raises(InvalidParameter):
-            rips_filtration(d, max_dim=4, max_edge=1.0)
+            capped_exact_diagrams(far)
         with pytest.raises(InvalidParameter):
-            rips_filtration(d, max_dim=2, max_edge=0.0)
+            capped_exact_diagrams(DistanceMatrix(values=far))
 
 
 class TestReduction:
     def test_two_points(self):
         d = euclidean_matrix([[0.0], [0.75]])
-        dgm = reduce_boundary_matrix(rips_filtration(d, 1, np.inf))
+        dgm = capped_exact_diagrams(d)
         assert dgm.bars == [(0.0, 0.75, 0), (0.0, np.inf, 0)]
 
     def test_unit_square_h1(self):
         d = euclidean_matrix([[0, 0], [1, 0], [1, 1], [0, 1]])
-        dgm = reduce_boundary_matrix(rips_filtration(d, 2, np.inf))
+        dgm = capped_exact_diagrams(d)
         h1 = dgm.in_dim(1).bars
         assert len(h1) == 1
         birth, death, _ = h1[0]
@@ -149,7 +132,7 @@ class TestReduction:
 
     def test_equilateral_triangle_no_h1(self):
         d = euclidean_matrix([[0, 0], [1, 0], [0.5, np.sqrt(3) / 2]])
-        dgm = reduce_boundary_matrix(rips_filtration(d, 2, np.inf))
+        dgm = capped_exact_diagrams(d)
         assert dgm.in_dim(1).bars == []
 
     def test_oracle_equivalence_sample(self):
@@ -158,23 +141,25 @@ class TestReduction:
             n = int(rng.integers(3, 8))
             p = int(rng.integers(2, 4))
             d = euclidean_matrix(rng.normal(size=(n, p)))
-            ours = reduce_boundary_matrix(rips_filtration(d, 3, np.inf)).bars
+            ours = capped_exact_diagrams(d).bars
             assert ours == naive_reduction_oracle(d)
 
     def test_one_infinite_h0_bar_per_component(self):
-        # two clusters far apart, truncated below the gap
+        # two clusters far apart: the full filtration ends connected, and the
+        # last H0 merge happens at the shortest inter-cluster distance
         pts = np.concatenate([np.random.default_rng(0).normal(0, 0.1, (4, 2)),
                               np.random.default_rng(1).normal(100, 0.1, (4, 2))])
         d = euclidean_matrix(pts)
-        dgm = reduce_boundary_matrix(rips_filtration(d, 2, max_edge=1.0))
-        infinite_h0 = [b for b in dgm.in_dim(0).bars if not np.isfinite(b[1])]
-        assert len(infinite_h0) == 2
+        h0 = capped_exact_diagrams(d).in_dim(0).bars
+        infinite_h0 = [b for b in h0 if not np.isfinite(b[1])]
+        assert len(infinite_h0) == 1
+        assert max(b[1] for b in h0 if np.isfinite(b[1])) == d[:4, 4:].min()
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(21)
         d = euclidean_matrix(rng.normal(size=(6, 3)))
-        base = reduce_boundary_matrix(rips_filtration(d, 3, np.inf)).bars
-        scaled = reduce_boundary_matrix(rips_filtration(2.5 * d, 3, np.inf)).bars
+        base = capped_exact_diagrams(d).bars
+        scaled = capped_exact_diagrams(2.5 * d).bars
         assert len(base) == len(scaled)
         for (b1, d1, k1), (b2, d2, k2) in zip(base, scaled):
             assert k1 == k2
@@ -185,7 +170,7 @@ class TestReduction:
         # at threshold t, surviving H0 classes == connected components
         rng = np.random.default_rng(33)
         d = euclidean_matrix(rng.normal(size=(8, 2)))
-        dgm = reduce_boundary_matrix(rips_filtration(d, 1, np.inf))
+        dgm = capped_exact_diagrams(d)
         for t in np.quantile(d[np.triu_indices(8, 1)], [0.1, 0.3, 0.6, 0.9]):
             alive = sum(1 for b, death, k in dgm.in_dim(0).bars if b <= t < death)
             parent = list(range(8))
@@ -210,41 +195,49 @@ class TestFastPath:
         for _ in range(15):
             n = int(rng.integers(4, 14))
             d = euclidean_matrix(rng.normal(size=(n, 3)))
-            fast = _full_complex_diagrams(d).bars
-            slow = reduce_boundary_matrix(rips_filtration(d, 3, np.inf)).bars
-            assert fast == slow
+            assert capped_exact_diagrams(d).bars == naive_reduction_oracle(d)
+
+    def test_sixteen_point_clouds_match_oracle(self):
+        # 16 points is the wide cover subwindow; noisy spheres give H2 bars
+        rng = np.random.default_rng(16)
+        clouds = []
+        for _ in range(10):
+            x = rng.normal(size=(16, 3))
+            x /= np.linalg.norm(x, axis=1, keepdims=True)
+            clouds.append(x + rng.normal(0, 0.05, x.shape))
+        clouds += [rng.normal(size=(16, 3)) for _ in range(3)]
+        h2_bars = 0
+        for trial, cloud in enumerate(clouds):
+            d = euclidean_matrix(cloud)
+            ours = capped_exact_diagrams(d).bars
+            assert ours == naive_reduction_oracle(d), f"bar mismatch on cloud {trial}"
+            h2_bars += sum(1 for b in ours if b[2] == 2)
+        assert h2_bars >= 1
 
 
 class TestCappedExact:
     def test_noop_cap_matches_uncapped(self):
+        # below the cap the bars are those of the full, uncapped filtration
         rng = np.random.default_rng(2)
         d = euclidean_matrix(rng.normal(size=(12, 2)))
-        capped = capped_exact_diagrams(d, cap=28, edge_quantile=0.6, seed=0)
-        iu = np.triu_indices(12, 1)
-        max_edge = float(np.quantile(d[iu], 0.6))
-        direct = reduce_boundary_matrix(rips_filtration(d, 3, max_edge))
-        assert capped.bars == direct.bars
+        assert capped_exact_diagrams(d).bars == naive_reduction_oracle(d)
 
-    def test_subset_size_equals_cap(self):
-        rng = np.random.default_rng(4)
-        d = euclidean_matrix(rng.normal(size=(40, 2)))
-        idx = maxmin_landmarks(d, 28, seed=1)
-        assert len(idx) == 28
-        assert len(np.unique(idx)) == 28
+    def test_parameter_validation(self):
+        # the cap is inclusive: 28 points reduce, 29 raise
+        rng = np.random.default_rng(3)
+        d = euclidean_matrix(rng.normal(size=(EXACT_POINT_CAP + 1, 3)))
+        with pytest.raises(InvalidParameter):
+            capped_exact_diagrams(d)
+        h0 = capped_exact_diagrams(d[:-1, :-1]).in_dim(0).bars
+        assert len(h0) == EXACT_POINT_CAP
+        assert sum(1 for b in h0 if not np.isfinite(b[1])) == 1
 
     def test_determinism(self):
         rng = np.random.default_rng(9)
-        d = euclidean_matrix(rng.normal(size=(35, 3)))
-        a = capped_exact_diagrams(d, seed=5)
-        b = capped_exact_diagrams(d, seed=5)
+        d = euclidean_matrix(rng.normal(size=(20, 3)))
+        a = capped_exact_diagrams(d)
+        b = capped_exact_diagrams(d)
         assert a.bars == b.bars
-
-    def test_parameter_validation(self):
-        d = np.zeros((4, 4))
-        with pytest.raises(InvalidParameter):
-            capped_exact_diagrams(d, cap=3)
-        with pytest.raises(InvalidParameter):
-            capped_exact_diagrams(d, edge_quantile=0.0)
 
 
 class TestPathSublevel:
@@ -283,26 +276,6 @@ class TestPathSublevel:
 
 
 class TestSummaries:
-    def test_empty_diagram_summary_zero(self):
-        d = DistanceMatrix(values=euclidean_matrix([[0.0], [1.0]]))
-        assert lifetime_summary(PersistenceDiagram([]), 1, d) == 0.0
-
-    def test_single_bar_at_median_gives_log2(self):
-        d = DistanceMatrix(values=euclidean_matrix([[0.0], [1.0]]))
-        dgm = PersistenceDiagram([(0.0, 1.0, 1)])
-        assert abs(lifetime_summary(dgm, 1, d) - np.log(2.0)) < 1e-6
-
-    def test_summary_matches_formula_oracle(self):
-        rng = np.random.default_rng(8)
-        d = DistanceMatrix(values=euclidean_matrix(rng.normal(size=(6, 2))))
-        bars = [(float(b), float(b + l), 1) for b, l in rng.uniform(0.1, 2.0, (5, 2))]
-        bars.append((0.0, np.inf, 1))
-        dgm = PersistenceDiagram(bars)
-        expected = np.log1p(
-            sum(death - birth for birth, death, _ in bars if np.isfinite(death)) / (d.sigma + 1e-9)
-        )
-        assert abs(lifetime_summary(dgm, 1, d) - expected) < 1e-12
-
     def test_vectorize_empty(self):
         assert np.array_equal(vectorize_diagram(PersistenceDiagram([])), np.zeros(9))
 
@@ -325,5 +298,5 @@ class TestSummaries:
 def test_pairwise_euclidean_interop():
     cloud = np.array([[0.0, 0.0], [3.0, 4.0]])
     dm = pairwise_euclidean(cloud)
-    dgm = reduce_boundary_matrix(rips_filtration(dm, 1, np.inf))
+    dgm = capped_exact_diagrams(dm)
     assert dgm.bars == [(0.0, 5.0, 0), (0.0, np.inf, 0)]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from topoattn.datasets import gen_cyclic_h1, gen_shell_h2, WindowedDataset
-from topoattn.errors import CalibrationMissing, InvalidInput
+from topoattn.errors import CalibrationMissing, InvalidInput, TopoAttnError
 from topoattn.local_residual import H0_BLOCKS
 from topoattn.protocol import (
     CampaignCache,
@@ -22,7 +22,6 @@ from topoattn.protocol import (
     select_by_validation,
     target_sanity_check,
     write_results_csv,
-    zeng_baseline,
 )
 
 BY_ID = {m.mode_id: m for m in MODE_REGISTRY}
@@ -105,20 +104,16 @@ class TestZeng:
         assert head.features(blocks, stats).shape[1] == m * 2 * 9
 
     def test_containment_restriction(self, small_ctx, small_calib):
-        base = zeng_baseline(small_ctx, 1, small_calib)
+        base = run_mode(small_ctx, BY_ID["zeng_local_h0"], 1, small_calib)
         restricted = restricted_local_refit(small_ctx, 1)
-        blocks, stats = small_ctx.local_blocks()
         te = list(small_ctx.test_range)
-        # recompute the zeng predictions for comparison
-        zeng_mode = BY_ID["zeng_local_h0"]
-        again = run_mode(small_ctx, zeng_mode, 1, small_calib)
-        assert again.test_rmse == base.test_rmse
         y = small_ctx.ds.targets[te]
         zeng_rmse = float(np.sqrt(np.mean((restricted - y) ** 2)))
         assert abs(zeng_rmse - base.test_rmse) <= 1e-12
 
     def test_deterministic(self, small_ctx, small_calib):
-        assert zeng_baseline(small_ctx, 1, small_calib) == zeng_baseline(small_ctx, 1, small_calib)
+        zeng = BY_ID["zeng_local_h0"]
+        assert run_mode(small_ctx, zeng, 1, small_calib) == run_mode(small_ctx, zeng, 1, small_calib)
 
 
 class TestSelection:
@@ -260,16 +255,24 @@ class TestCampaign:
         assert by_mode["classical"].alpha_loc is None
 
 
-def test_validation_blend_family(small_ctx, small_calib):
-    from topoattn.protocol import validation_blend
+def test_ledger_mutation_raises(monkeypatch):
+    from topoattn import protocol
 
-    row = validation_blend(small_ctx, 1, small_calib)
-    assert row.mode_id == "validation_blend"
-    assert 0.0 <= row.alpha_loc <= 1.0
-    assert np.isfinite(row.test_rmse)
-    # blend validation RMSE can never exceed the classical endpoint's
-    classical = run_mode(small_ctx, BY_ID["classical"], 1, small_calib)
-    assert row.val_rmse <= classical.val_rmse + 1e-12
+    original = protocol.run_mode_detailed
+
+    def mutating(ctx, mode, seed, calibration, *args, **kwargs):
+        out = original(ctx, mode, seed, calibration, *args, **kwargs)
+        calibration.scaler.mean[0] += 1.0  # a run must never touch its ledger
+        return out
+
+    monkeypatch.setattr(protocol, "run_mode_detailed", mutating)
+    datasets = [gen_cyclic_h1(3, n_windows=60, n_tokens=16)]
+    with pytest.raises(TopoAttnError, match="mutated"):
+        run_campaign(datasets, seeds=(1,), offsets=(0.0,), mode_ids=["classical"], n_workers=1)
+    # the worker-pool task runs the same check
+    task = ("cyclic", lambda seed: gen_cyclic_h1(3, n_windows=60, n_tokens=16), 0.0, (1,), ("classical",), False)
+    with pytest.raises(TopoAttnError, match="mutated"):
+        protocol._parallel_block(task)
 
 
 def test_parallel_worker_pool(tmp_path):
