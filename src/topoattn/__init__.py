@@ -14,9 +14,9 @@ from .attention import (
     STRENGTH_GRID,
     TemperatureParams,
     TopologyMode,
-    attention_features,
-    attention_logits,
+    attention_logits_batch,
     biased_logits,
+    forward_features,
     init_attention_params,
     predict,
     ridge_fit,
@@ -76,8 +76,8 @@ from .local_residual import (
     build_cover,
     fit_local_head,
     guarded_blend,
-    local_contrast,
     local_diagrams,
+    zeng_features,
 )
 from .persistence import (
     PersistenceDiagram,

@@ -39,7 +39,6 @@ class AttentionParams:
     w_query: np.ndarray  # (p, d_h)
     w_key: np.ndarray  # (p, d_h)
     d_h: int
-    init_seed: int
 
 
 def init_attention_params(p: int, seed: int, d_h: int | None = None) -> AttentionParams:
@@ -50,7 +49,7 @@ def init_attention_params(p: int, seed: int, d_h: int | None = None) -> Attentio
     scale = 1.0 / np.sqrt(p)
     w_query = rng.normal(size=(p, d_h)) * scale
     w_key = rng.normal(size=(p, d_h)) * scale
-    return AttentionParams(w_query=w_query, w_key=w_key, d_h=d_h, init_seed=seed)
+    return AttentionParams(w_query=w_query, w_key=w_key, d_h=d_h)
 
 
 @dataclass
@@ -65,12 +64,11 @@ class TemperatureParams:
 
 @dataclass(frozen=True)
 class TopologyMode:
-    """One registry entry: channel set, strength source, metric, residual flag."""
+    """One registry entry: channel set, strength source, residual flag."""
 
     mode_id: str
     channels: tuple[str, ...]
     strength_source: str  # "none" | "static-grid" | "learned-eta"
-    metric: str  # "euclidean" | "rkhs" | "hybrid" | "none"
     with_residual: bool = False
 
 
@@ -100,18 +98,8 @@ class ForecastModel:
 # attention forward pieces
 
 
-def attention_logits(cloud, params: AttentionParams) -> np.ndarray:
-    """Scaled dot-product logits (X W_Q)(X W_K)^T / sqrt(d_h)."""
-    tokens = _as_tokens(cloud)
-    if tokens.shape[1] != params.w_query.shape[0]:
-        raise InvalidInput(
-            f"token dimension {tokens.shape[1]} does not match projection "
-            f"dimension {params.w_query.shape[0]}"
-        )
-    return (tokens @ params.w_query) @ (tokens @ params.w_key).T / np.sqrt(params.d_h)
-
-
 def attention_logits_batch(windows: np.ndarray, params: AttentionParams) -> np.ndarray:
+    """Scaled dot-product logits (X W_Q)(X W_K)^T / sqrt(d_h) per window, (W, N, N)."""
     q = windows @ params.w_query
     k = windows @ params.w_key
     return np.einsum("wnd,wmd->wnm", q, k) / np.sqrt(params.d_h)
@@ -159,10 +147,10 @@ def attention_feature_matrix(windows: np.ndarray, attn: np.ndarray) -> np.ndarra
     )
 
 
-def attention_features(cloud, attn: np.ndarray) -> np.ndarray:
-    """Feature vector of one window under a given attention matrix."""
-    tokens = _as_tokens(cloud)
-    return attention_feature_matrix(tokens[None], attn[None])[0]
+def forward_features(windows: np.ndarray, base: np.ndarray, stacks: dict, strengths: dict) -> np.ndarray:
+    """Biased logits -> row softmax -> pooled features (W, 5p): the one forward
+    pass of the campaign, learned-eta validation and :func:`predict`."""
+    return attention_feature_matrix(windows, row_softmax(biased_logits(base, stacks, strengths)))
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +304,11 @@ def train_temperatures(
     alpha = np.zeros(len(channels))
 
     # head warm start: ridge at the middle of the grid on the initial features
-    base = attention_logits_batch(train_windows, attn0)
     eta0 = float(np.logaddexp(0.0, 0.0))
-    logits = base
-    for channel in channels:
-        logits = logits + eta0 * train_stacks[channel]
-    feats0 = attention_feature_matrix(train_windows, row_softmax(logits))
+    feats0 = forward_features(
+        train_windows, attention_logits_batch(train_windows, attn0),
+        train_stacks, {c: eta0 for c in channels},
+    )
     xc = feats0 - feats0.mean(axis=0)
     yc = train_y - train_y.mean()
     head_w = np.linalg.solve(xc.T @ xc + 1.0 * np.eye(feats0.shape[1]), xc.T @ yc)
@@ -329,11 +316,11 @@ def train_temperatures(
 
     def val_rmse() -> float:
         eta = _softplus(alpha)
-        params = AttentionParams(w_query=w_query, w_key=w_key, d_h=attn0.d_h, init_seed=seed)
-        logits = attention_logits_batch(val_windows, params)
-        for c, channel in enumerate(channels):
-            logits = logits + eta[c] * val_stacks[channel]
-        feats = attention_feature_matrix(val_windows, row_softmax(logits))
+        params = AttentionParams(w_query=w_query, w_key=w_key, d_h=attn0.d_h)
+        feats = forward_features(
+            val_windows, attention_logits_batch(val_windows, params),
+            val_stacks, {channel: eta[c] for c, channel in enumerate(channels)},
+        )
         return float(np.sqrt(np.mean((feats @ head_w + head_b - val_y) ** 2)))
 
     best = {
@@ -377,9 +364,7 @@ def train_temperatures(
                 break
 
     temps = TemperatureParams(raw={c: float(a) for c, a in zip(channels, best["alpha"])})
-    attn = AttentionParams(
-        w_query=best["w_query"], w_key=best["w_key"], d_h=attn0.d_h, init_seed=seed
-    )
+    attn = AttentionParams(w_query=best["w_query"], w_key=best["w_key"], d_h=attn0.d_h)
     info = {"epochs_run": epochs_run, "val_history": history, "best_val_rmse": best["rmse"]}
     return temps, attn, info
 
@@ -400,7 +385,7 @@ def window_bias_stack(
 
 
 def predict(cloud, model: ForecastModel) -> float:
-    """Forecast one window through the (possibly biased) attention + ridge head."""
+    """Forecast one window: the batched forward path on a stack of one."""
     tokens = _as_tokens(cloud)
     if model.ridge is None:
         raise CalibrationMissing("forecast model has no fitted ridge head")
@@ -409,13 +394,19 @@ def predict(cloud, model: ForecastModel) -> float:
         raise CalibrationMissing("AET channel active but AetParams missing")
     if any(c in RKHS_CHANNELS for c in active) and model.kernel_spec is None:
         raise CalibrationMissing("KH channel active but kernel bandwidth missing")
-    base = attention_logits(tokens, model.attn)
+    if tokens.shape[1] != model.attn.w_query.shape[0]:
+        raise InvalidInput(
+            f"token dimension {tokens.shape[1]} does not match projection "
+            f"dimension {model.attn.w_query.shape[0]}"
+        )
+    stack = {}
     if active:
         stack = window_bias_stack(
             tokens, active, aet_params=model.aet_params, kernel_spec=model.kernel_spec,
         )
-        logits = biased_logits(base, stack, {c: model.strengths[c] for c in active})
-    else:
-        logits = biased_logits(base, {}, {})
-    feats = attention_features(tokens, row_softmax(logits))
-    return float(feats @ model.ridge.weights + model.ridge.intercept)
+    windows = tokens[None]
+    feats = forward_features(
+        windows, attention_logits_batch(windows, model.attn),
+        {c: m[None] for c, m in stack.items()}, model.strengths,
+    )
+    return float(ridge_predict(model.ridge, feats)[0])

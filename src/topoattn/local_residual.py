@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .attention import RIDGE_GRID, RidgeModel, ridge_fit, ridge_predict
+from .attention import RidgeModel, ridge_fit
 from .errors import CalibrationMissing, InvalidInput
 from .geometry import KernelSpec
 from .persistence import (
@@ -37,8 +37,6 @@ WIDE_STRIDE = 8
 
 #: Per-element diagram blocks, in feature order.
 LOCAL_BLOCKS = ("d0_plus", "d0_minus", "d1", "d2", "kh0", "kh1", "kh2")
-#: The two blocks the Zeng-style baseline is allowed to see.
-H0_BLOCKS = ("d0_plus", "d0_minus")
 #: Contrast channels and their column ranges inside the 63 block columns.
 CONTRAST_CHANNELS = {
     "H0": (0, 18),
@@ -205,19 +203,8 @@ def local_block_tensor(windows: np.ndarray, cover: Cover, spec: KernelSpec):
 # contrasts
 
 
-def local_contrast(phi_a: np.ndarray, phi_b: np.ndarray) -> float:
-    """RMS-normalized contrast between two diagram vectors, in [0, ~2]."""
-    phi_a = np.asarray(phi_a, dtype=np.float64).ravel()
-    phi_b = np.asarray(phi_b, dtype=np.float64).ravel()
-    if phi_a.shape != phi_b.shape:
-        raise InvalidInput("contrast requires equal-length vectors")
-    num = np.sqrt(np.mean((phi_a - phi_b) ** 2))
-    denom = np.sqrt(0.5 * (np.mean(phi_a**2) + np.mean(phi_b**2))) + CONTRAST_EPS
-    return float(num / denom)
-
-
 def contrast_features(blocks: np.ndarray):
-    """Adjacent-element contrasts per channel.
+    """Adjacent-element contrasts per channel: RMS difference over pair RMS, in [0, ~2].
 
     Returns ``scores`` (W, M): per-element mean contrast against its cover
     neighbors, averaged over the six channels (used in pooling logits),
@@ -390,90 +377,31 @@ def local_representation_matrix(
 
 
 # ---------------------------------------------------------------------------
-# local head
+# local features and the Zeng-style head
 
 
-def assemble_local_features(
-    blocks: np.ndarray,
-    stats: np.ndarray,
-    block_names=LOCAL_BLOCKS,
-    use_stats: bool = True,
-) -> np.ndarray:
-    """Per-element feature vectors Phi (W, M, F) from selected blocks."""
-    idx = [LOCAL_BLOCKS.index(name) for name in block_names]
+def assemble_local_features(blocks: np.ndarray, stats: np.ndarray) -> np.ndarray:
+    """Per-element feature vectors Phi (W, M, 63 + 5p): the seven diagram
+    blocks, then the subwindow stats."""
     n_windows, m = blocks.shape[:2]
-    parts = [blocks[:, :, idx, :].reshape(n_windows, m, -1)]
-    if use_stats:
-        parts.append(stats)
-    return np.concatenate(parts, axis=-1)
+    return np.concatenate([blocks.reshape(n_windows, m, -1), stats], axis=-1)
 
 
-@dataclass
-class LocalHead:
-    """Fitted local predictor: feature config, projection, ridge head."""
-
-    block_names: tuple[str, ...]
-    use_stats: bool
-    representation: str  # "attention" | "flat"
-    projection: LocalProjection | None
-    ridge: RidgeModel
-
-    def features(self, blocks: np.ndarray, stats: np.ndarray) -> np.ndarray:
-        phi = assemble_local_features(blocks, stats, self.block_names, self.use_stats)
-        if self.representation == "flat":
-            return phi.reshape(phi.shape[0], -1)
-        scores, cstats = contrast_features(blocks)
-        return local_representation_matrix(phi, self.projection, scores, cstats)
-
-    def predict(self, blocks: np.ndarray, stats: np.ndarray) -> np.ndarray:
-        return ridge_predict(self.ridge, self.features(blocks, stats))
+def zeng_features(blocks: np.ndarray) -> np.ndarray:
+    """Flat D0+/D0- path-diagram vectors (the first two LOCAL_BLOCKS) over the
+    cover, (W, M * 2 * 9): the only input of the Zeng-style baseline."""
+    return blocks[:, :, :2, :].reshape(blocks.shape[0], -1)
 
 
 def fit_local_head(
     train_blocks: np.ndarray,
-    train_stats: np.ndarray,
     train_y: np.ndarray,
     val_blocks: np.ndarray,
-    val_stats: np.ndarray,
     val_y: np.ndarray,
-    seed: int = 0,
-    block_names=LOCAL_BLOCKS,
-    use_stats: bool = True,
-    representation: str = "attention",
-    grid=RIDGE_GRID,
-    projection: LocalProjection | None = None,
-) -> LocalHead:
-    """Fit the local predictor on train windows, lambda selected on validation.
-
-    ``representation="flat"`` concatenates the per-element vectors directly
-    (the Zeng-style baseline path); ``"attention"`` uses the train-only
-    projection with contrast-aware pooling (fit here unless a calibrated
-    one is passed in).
-    """
-    block_names = tuple(block_names)
-    phi_train = assemble_local_features(train_blocks, train_stats, block_names, use_stats)
-    phi_val = assemble_local_features(val_blocks, val_stats, block_names, use_stats)
-    if representation == "flat":
-        projection = None
-        x_train = phi_train.reshape(phi_train.shape[0], -1)
-        x_val = phi_val.reshape(phi_val.shape[0], -1)
-    elif representation == "attention":
-        if projection is None:
-            projection = fit_local_projection(phi_train, train_y, seed=seed)
-        tr_scores, tr_stats_c = contrast_features(train_blocks)
-        va_scores, va_stats_c = contrast_features(val_blocks)
-        x_train = local_representation_matrix(phi_train, projection, tr_scores, tr_stats_c)
-        x_val = local_representation_matrix(phi_val, projection, va_scores, va_stats_c)
-    else:
-        raise InvalidInput(f"unknown representation {representation}")
-    ridge = ridge_fit(x_train, train_y, x_val, val_y, grid=grid)
-    return LocalHead(
-        block_names=block_names,
-        use_stats=use_stats,
-        representation=representation,
-        projection=projection,
-        ridge=ridge,
-    )
+) -> RidgeModel:
+    """The Zeng-style baseline head: Ridge on :func:`zeng_features`,
+    lambda selected on validation."""
+    return ridge_fit(zeng_features(train_blocks), train_y, zeng_features(val_blocks), val_y)
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,15 @@ from .attention import (
     STRENGTH_GRID,
     TopologyMode,
     attention_logits_batch,
-    attention_feature_matrix,
-    biased_logits,
+    forward_features,
     init_attention_params,
     ridge_fit,
     ridge_predict,
-    row_softmax,
     train_temperatures,
 )
+# kept only so that bench/tracer.py can wrap protocol.biased_logits,
+# protocol.row_softmax and protocol.attention_feature_matrix
+from .attention import attention_feature_matrix, biased_logits, row_softmax  # noqa: F401
 from .datasets import (
     SPLIT_OFFSETS,
     ScalerState,
@@ -44,7 +45,6 @@ from .datasets import (
 from .errors import CalibrationMissing, InvalidInput, TopoAttnError
 from .geometry import KernelSpec, pairwise_euclidean
 from .local_residual import (
-    H0_BLOCKS,
     LocalProjection,
     assemble_local_features,
     build_cover,
@@ -54,6 +54,7 @@ from .local_residual import (
     guarded_blend,
     local_block_tensor,
     local_representation_matrix,
+    zeng_features,
 )
 from .topo_bias import AetParams, CHANNELS, EUCLIDEAN_CHANNELS, RKHS_CHANNELS, aet_calibrate, bias_stacks
 
@@ -79,19 +80,17 @@ def build_mode_registry() -> list[TopologyMode]:
     except zeng also appears in a guarded-residual variant.
     """
     modes: list[TopologyMode] = [
-        TopologyMode("classical", (), "none", "none"),
-        TopologyMode("zeng_local_h0", (), "none", "none"),
+        TopologyMode("classical", (), "none"),
+        TopologyMode("zeng_local_h0", (), "none"),
     ]
     for channel in CHANNELS:
-        metric = "euclidean" if channel in EUCLIDEAN_CHANNELS else "rkhs"
-        modes.append(TopologyMode(f"static_{channel.lower()}", (channel,), "static-grid", metric))
-    modes.append(TopologyMode("static_hybrid", CHANNELS, "static-grid", "hybrid"))
-    modes.append(TopologyMode("learned_eta_euclidean", EUCLIDEAN_CHANNELS, "learned-eta", "euclidean"))
-    modes.append(TopologyMode("learned_eta_rkhs", RKHS_CHANNELS, "learned-eta", "rkhs"))
-    modes.append(TopologyMode("learned_eta_hybrid", CHANNELS, "learned-eta", "hybrid"))
+        modes.append(TopologyMode(f"static_{channel.lower()}", (channel,), "static-grid"))
+    modes.append(TopologyMode("static_hybrid", CHANNELS, "static-grid"))
+    modes.append(TopologyMode("learned_eta_euclidean", EUCLIDEAN_CHANNELS, "learned-eta"))
+    modes.append(TopologyMode("learned_eta_rkhs", RKHS_CHANNELS, "learned-eta"))
+    modes.append(TopologyMode("learned_eta_hybrid", CHANNELS, "learned-eta"))
     residual = [
-        TopologyMode(m.mode_id + "_resid", m.channels, m.strength_source, m.metric,
-                     with_residual=True)
+        TopologyMode(m.mode_id + "_resid", m.channels, m.strength_source, with_residual=True)
         for m in modes
         if m.mode_id != "zeng_local_h0"
     ]
@@ -359,16 +358,11 @@ def _mae(pred, y) -> float:
     return float(np.mean(np.abs(np.asarray(pred) - np.asarray(y))))
 
 
-def _features_at(ctx: SplitContext, base: np.ndarray, stacks: dict, strengths: dict) -> np.ndarray:
-    logits = biased_logits(base, stacks, strengths)
-    return attention_feature_matrix(ctx.scaled, row_softmax(logits))
-
-
 def _fit_static(ctx: SplitContext, base, mode: TopologyMode, seed: int, train_idx, val_idx, train_y, val_y):
     """Greedy per-channel strength search, then a joint grid on the best pair."""
     def evaluate(strengths: dict, bandwidth=None):
         stacks = ctx.stacks_for([c for c, s in strengths.items() if s != 0.0], seed, bandwidth)
-        feats = _features_at(ctx, base, stacks, strengths)
+        feats = forward_features(ctx.scaled, base, stacks, strengths)
         ridge = ridge_fit(feats[train_idx], train_y, feats[val_idx], val_y)
         return ridge.val_rmse, feats, ridge
 
@@ -434,10 +428,10 @@ def _fit_global_stage(ctx: SplitContext, mode: TopologyMode, seed: int, train_id
         strengths = temps.eta()
         alpha_raw = temps.raw
         base = attention_logits_batch(ctx.scaled, attn)
-        feats = _features_at(ctx, base, stacks, strengths)
+        feats = forward_features(ctx.scaled, base, stacks, strengths)
         ridge = ridge_fit(feats[train_idx], train_y, feats[val_idx], val_y)
     else:  # classical
-        feats = _features_at(ctx, base, {}, {})
+        feats = forward_features(ctx.scaled, base, {}, {})
         ridge = ridge_fit(feats[train_idx], train_y, feats[val_idx], val_y)
     return strengths, feats, ridge, alpha_raw
 
@@ -472,21 +466,22 @@ def run_mode_detailed(
         test_targets = targets[test_idx]
 
     if mode.mode_id.startswith("zeng"):
-        return _run_zeng(
-            ctx, mode, seed, calibration, train_idx, val_idx, test_idx,
-            train_y, val_y, test_targets, model_sink,
-        )
-
-    base_id = mode.mode_id[: -len("_resid")] if mode.with_residual else mode.mode_id
-    cache_key = (base_id, seed)
-    if global_cache is not None and cache_key in global_cache:
-        strengths, feats, ridge, alpha_raw = global_cache[cache_key]
+        # controlled baseline: flat D0+/D0- path blocks, nothing else
+        blocks, _stats = ctx.local_blocks()
+        ridge = fit_local_head(blocks[train_idx], train_y, blocks[val_idx], val_y)
+        feats = zeng_features(blocks)
+        strengths, alpha_raw = {}, {}
     else:
-        strengths, feats, ridge, alpha_raw = _fit_global_stage(
-            ctx, mode, seed, train_idx, val_idx, train_y, val_y
-        )
-        if global_cache is not None:
-            global_cache[cache_key] = (strengths, feats, ridge, alpha_raw)
+        base_id = mode.mode_id[: -len("_resid")] if mode.with_residual else mode.mode_id
+        cache_key = (base_id, seed)
+        if global_cache is not None and cache_key in global_cache:
+            strengths, feats, ridge, alpha_raw = global_cache[cache_key]
+        else:
+            strengths, feats, ridge, alpha_raw = _fit_global_stage(
+                ctx, mode, seed, train_idx, val_idx, train_y, val_y
+            )
+            if global_cache is not None:
+                global_cache[cache_key] = (strengths, feats, ridge, alpha_raw)
 
     y_val = ridge_predict(ridge, feats[val_idx])
     y_test = ridge_predict(ridge, feats[test_idx])
@@ -528,14 +523,11 @@ def run_mode_detailed(
     )
     if model_sink is not None:
         payload = {
-            "mode": mode.mode_id,
             "lambda": ridge.penalty,
             "head_weights": [float(v) for v in ridge.weights],
             "head_intercept": float(ridge.intercept),
             "strengths": {k: float(v) for k, v in strengths.items()},
             "alpha_raw": {k: float(v) for k, v in alpha_raw.items()},
-            "attention_seed": seed,
-            "alpha_loc": alpha_loc,
             "test_indices": list(test_idx),
             "y_test_pred": [float(v) for v in y_test],
         }
@@ -563,45 +555,6 @@ def run_mode(
     """
     result, _predictions = run_mode_detailed(ctx, mode, seed, calibration, test_targets, global_cache)
     return result
-
-
-def _run_zeng(ctx, mode, seed, calibration, train_idx, val_idx, test_idx, train_y, val_y,
-              test_targets, model_sink=None):
-    """Controlled Zeng-style baseline: flat D^{0,+/-} path blocks, nothing else."""
-    blocks, stats = ctx.local_blocks()
-    head = fit_local_head(
-        blocks[train_idx], stats[train_idx], train_y,
-        blocks[val_idx], stats[val_idx], val_y,
-        seed=seed, block_names=H0_BLOCKS, use_stats=False, representation="flat",
-    )
-    y_test = head.predict(blocks[test_idx], stats[test_idx])
-    result = RunResult(
-        dataset=ctx.ds.name,
-        mode_id=mode.mode_id,
-        seed=seed,
-        split_offset=ctx.offset,
-        val_rmse=head.ridge.val_rmse,
-        test_rmse=_rmse(y_test, test_targets),
-        test_mae=_mae(y_test, test_targets),
-        alpha_loc=None,
-        penalty=head.ridge.penalty,
-        strengths={},
-        ledger_hash=calibration.content_hash,
-    )
-    if model_sink is not None:
-        model_sink[mode.mode_id] = {
-            "mode": mode.mode_id,
-            "lambda": head.ridge.penalty,
-            "head_weights": [float(v) for v in head.ridge.weights],
-            "head_intercept": float(head.ridge.intercept),
-            "strengths": {},
-            "alpha_raw": {},
-            "attention_seed": seed,
-            "alpha_loc": None,
-            "test_indices": list(test_idx),
-            "y_test_pred": [float(v) for v in y_test],
-        }
-    return result, y_test
 
 
 def select_by_validation(results: list[RunResult]) -> RunResult:
@@ -895,29 +848,3 @@ def _write_selected(out_dir: Path, results: list[RunResult], selected_payloads: 
             (pred_dir / f"{tag}.csv").write_text("\n".join(pred_lines) + "\n")
         (model_dir / f"{tag}.txt").write_text("\n".join(state) + "\n")
     (out_dir / "selected.csv").write_text("\n".join(lines) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# containment helper (Proposition-1 style restriction)
-
-
-def restricted_local_refit(ctx: SplitContext, seed: int) -> np.ndarray:
-    """Refit the local pipeline restricted to the D^{0,+/-} feature blocks.
-
-    Slices the path-diagram blocks out of the shared block tensor,
-    refits the flat Ridge path on them, and returns test predictions.
-    Must reproduce the Zeng-style baseline's test predictions.
-    """
-    blocks, stats = ctx.local_blocks()
-    train_idx, val_idx, test_idx = (
-        list(ctx.train_range),
-        list(ctx.val_range),
-        list(ctx.test_range),
-    )
-    y = ctx.ds.targets
-    head = fit_local_head(
-        blocks[train_idx], stats[train_idx], y[train_idx],
-        blocks[val_idx], stats[val_idx], y[val_idx],
-        seed=seed, block_names=H0_BLOCKS, use_stats=False, representation="flat",
-    )
-    return head.predict(blocks[test_idx], stats[test_idx])

@@ -9,6 +9,7 @@ stack of one.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +71,9 @@ def _batch_sigma(d: np.ndarray) -> np.ndarray:
     iu = np.triu_indices(n, k=1)
     upper = d[..., iu[0], iu[1]]
     masked = np.where(upper > 0.0, upper, np.nan)
-    with np.errstate(invalid="ignore"):
+    # identical tokens leave an all-NaN row, which gets DEGENERATE_SIGMA below
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
         med = np.nanmedian(masked, axis=-1)
     return np.where(np.isnan(med), DEGENERATE_SIGMA, med)
 

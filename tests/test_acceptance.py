@@ -27,7 +27,6 @@ from topoattn.protocol import (
     CampaignCache,
     MODE_REGISTRY,
     calibrate_cell,
-    restricted_local_refit,
     run_campaign,
     run_mode_detailed,
     select_by_validation,
@@ -35,6 +34,7 @@ from topoattn.protocol import (
 from topoattn.topo_bias import CHANNELS
 
 from test_persistence import euclidean_matrix, naive_reduction_oracle
+from test_protocol import restricted_phi_refit
 
 SEEDS = (1, 2, 3)
 BUILDERS = [
@@ -133,10 +133,10 @@ def test_criterion_04_containment_reproduces_zeng(campaign_state):
         ctx = cache.context(ds, 1, 0.0)
         calibration = calibrate_cell(ctx, 1)
         _, zeng_pred = run_mode_detailed(ctx, BY_ID["zeng_local_h0"], 1, calibration)
-        restricted = restricted_local_refit(ctx, 1)
+        restricted = restricted_phi_refit(ctx)
         gap = float(np.max(np.abs(zeng_pred - restricted)))
         assert gap <= 1e-8, f"{name}: containment gap {gap:.2e}"
-    report(4, "D0+/- restricted refit reproduces the Zeng baseline (max-abs <= 1e-8)")
+    report(4, "restricting the residual's Phi to the D0+/- columns reproduces the Zeng baseline (max-abs <= 1e-8)")
 
 
 def test_criterion_05_temperature_gradients(campaign_state):

@@ -9,12 +9,12 @@ from topoattn.attention import (
     RIDGE_GRID,
     STRENGTH_GRID,
     TemperatureParams,
+    RidgeModel,
     TopologyMode,
-    attention_features,
-    attention_logits,
     attention_logits_batch,
     attention_feature_matrix,
     biased_logits,
+    forward_features,
     init_attention_params,
     predict,
     ridge_fit,
@@ -32,23 +32,28 @@ def make_stacks(windows, channels=("H0", "H1")):
     return bias_stacks(windows, channels)
 
 
+def one_window_logits(x, params):
+    """attention_logits_batch on a stack of one."""
+    return attention_logits_batch(np.asarray(x)[None], params)[0]
+
+
 class TestLogits:
     def test_symmetric_when_projections_equal(self):
         rng = np.random.default_rng(0)
         w = rng.normal(size=(3, 3))
-        params = AttentionParams(w_query=w, w_key=w, d_h=3, init_seed=0)
-        logits = attention_logits(rng.normal(size=(6, 3)), params)
+        params = AttentionParams(w_query=w, w_key=w, d_h=3)
+        logits = one_window_logits(rng.normal(size=(6, 3)), params)
         assert np.allclose(logits, logits.T, atol=1e-12)
 
     def test_zero_cloud_zero_logits(self):
         params = init_attention_params(2, seed=1)
-        assert np.array_equal(attention_logits(np.zeros((4, 2)), params), np.zeros((4, 4)))
+        assert np.array_equal(one_window_logits(np.zeros((4, 2)), params), np.zeros((4, 4)))
 
     def test_triple_loop_oracle(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(5, 3))
         params = init_attention_params(3, seed=2)
-        got = attention_logits(x, params)
+        got = one_window_logits(x, params)
         q = x @ params.w_query
         k = x @ params.w_key
         expected = np.zeros((5, 5))
@@ -58,9 +63,15 @@ class TestLogits:
         assert np.allclose(got, expected, atol=1e-12)
 
     def test_shape_mismatch(self):
-        params = init_attention_params(3, seed=0)
+        # a window from outside the program whose token dimension differs
+        # from the fitted projections is rejected by predict
+        model = ForecastModel(
+            mode=TopologyMode("classical", (), "none"),
+            attn=init_attention_params(3, seed=0),
+            ridge=RidgeModel(weights=np.zeros(15), intercept=0.0, penalty=1.0),
+        )
         with pytest.raises(InvalidInput):
-            attention_logits(np.zeros((4, 2)), params)
+            predict(np.zeros((4, 2)), model)
 
 
 class TestBiasedLogits:
@@ -114,26 +125,31 @@ class TestRowSoftmax:
             row_softmax(np.array([[0.0, np.nan]]))
 
 
+def one_window_features(x, a):
+    """attention_feature_matrix on a stack of one."""
+    return attention_feature_matrix(x[None], a[None])[0]
+
+
 class TestFeatures:
     def test_uniform_attention_gives_column_means(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(6, 3))
         a = np.full((6, 6), 1.0 / 6.0)
-        feats = attention_features(x, a)
+        feats = one_window_features(x, a)
         assert np.allclose(feats[:3], x.mean(axis=0), atol=1e-12)
 
     def test_diagonal_dominant_last_context(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(5, 2))
         a = row_softmax(50.0 * np.eye(5))
-        feats = attention_features(x, a)
+        feats = one_window_features(x, a)
         assert np.allclose(feats[2:4], x[-1], atol=1e-6)
 
     def test_dimension_contract(self):
         for p in (2, 3, 6):
             x = np.random.default_rng(p).normal(size=(8, p))
             a = row_softmax(np.zeros((8, 8)))
-            assert attention_features(x, a).shape == (5 * p,)
+            assert one_window_features(x, a).shape == (5 * p,)
 
 
 class TestRidge:
@@ -272,7 +288,7 @@ class TestPredict:
         feats = attention_feature_matrix(x, a)
         y = rng.normal(size=30)
         ridge = ridge_fit(feats[:20], y[:20], feats[20:], y[20:])
-        mode = TopologyMode("test", tuple(mode_channels), "static-grid", "euclidean")
+        mode = TopologyMode("test", tuple(mode_channels), "static-grid")
         return ForecastModel(
             mode=mode,
             attn=init_attention_params(2, 7),
@@ -317,3 +333,14 @@ class TestPredict:
         model.aet_params = aet_calibrate([rng.normal(size=(8, 2)) for _ in range(3)], seed=0)
         value = predict(rng.normal(size=(8, 2)), model)
         assert np.isfinite(value)
+
+    def test_matches_batched_forward_path(self):
+        # predict is the batched forward path on a stack of one
+        rng = np.random.default_rng(23)
+        windows = rng.normal(size=(6, 8, 2))
+        model = self.make_model({"H0": 0.5, "H1": 0.0, "KH0": 0.25}, ("H0", "H1", "KH0"))
+        stacks = bias_stacks(windows, ("H0", "KH0"), kernel_spec=model.kernel_spec)
+        base = attention_logits_batch(windows, model.attn)
+        batched = ridge_predict(model.ridge, forward_features(windows, base, stacks, model.strengths))
+        single = np.array([predict(w, model) for w in windows])
+        assert np.max(np.abs(single - batched)) <= 1e-12

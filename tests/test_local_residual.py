@@ -9,7 +9,6 @@ from topoattn.local_residual import (
     ALPHA_GRID,
     CONTRAST_CHANNELS,
     DELTA_LOC,
-    H0_BLOCKS,
     LOCAL_BLOCKS,
     LocalProjection,
     assemble_local_features,
@@ -19,9 +18,9 @@ from topoattn.local_residual import (
     fit_local_projection,
     guarded_blend,
     local_block_tensor,
-    local_contrast,
     local_diagrams,
     local_representation_matrix,
+    zeng_features,
 )
 from topoattn.persistence import capped_exact_diagrams
 
@@ -95,34 +94,45 @@ class TestLocalDiagrams:
             local_diagrams(np.zeros((1, 2)), KernelSpec(1.0))
 
 
+def pair_contrast(a, b):
+    """Per-channel contrast of a two-element cover whose elements carry the
+    9-vector a (resp. b) in each of their seven diagram blocks.
+
+    With M = 2 there is one adjacent pair, so each channel's mean and max
+    contrast both equal that pair's contrast.
+    """
+    blocks = np.stack([np.tile(a, (len(LOCAL_BLOCKS), 1)), np.tile(b, (len(LOCAL_BLOCKS), 1))])
+    _, stats = contrast_features(blocks[None])
+    mean, peak = stats[0, 0::2], stats[0, 1::2]
+    assert np.array_equal(mean, peak)
+    return mean
+
+
 class TestContrast:
     def test_identical_zero(self):
         v = np.arange(9.0)
-        assert local_contrast(v, v) == 0.0
+        assert np.all(pair_contrast(v, v) == 0.0)
 
     def test_opposite_near_two(self):
         v = np.arange(1.0, 10.0)
-        assert abs(local_contrast(v, -v) - 2.0) < 1e-6
+        assert np.all(np.abs(pair_contrast(v, -v) - 2.0) < 1e-6)
 
     def test_symmetric(self):
         rng = np.random.default_rng(3)
         a, b = rng.normal(size=9), rng.normal(size=9)
-        assert local_contrast(a, b) == local_contrast(b, a)
+        assert np.array_equal(pair_contrast(a, b), pair_contrast(b, a))
 
     def test_scale_invariant(self):
         rng = np.random.default_rng(4)
         a, b = rng.normal(size=9), rng.normal(size=9)
-        assert abs(local_contrast(3.7 * a, 3.7 * b) - local_contrast(a, b)) < 1e-9
+        assert np.all(np.abs(pair_contrast(3.7 * a, 3.7 * b) - pair_contrast(a, b)) < 1e-9)
 
     def test_range(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             a, b = rng.normal(size=9), rng.normal(size=9)
-            assert 0.0 <= local_contrast(a, b) <= 2.0 + 1e-9
-
-    def test_length_mismatch(self):
-        with pytest.raises(InvalidInput):
-            local_contrast(np.zeros(3), np.zeros(4))
+            c = pair_contrast(a, b)
+            assert np.all((0.0 <= c) & (c <= 2.0 + 1e-9))
 
     def test_contrast_stats_shape_and_single_element(self):
         blocks = np.random.default_rng(6).normal(size=(3, 1, 7, 9))
@@ -194,30 +204,18 @@ class TestRepresentation:
 
 class TestLocalHead:
     def test_flat_restricted_equals_block_slices(self, small_blocks):
-        _, blocks, stats, targets = small_blocks
-        head = fit_local_head(
-            blocks[:20], stats[:20], targets[:20], blocks[20:], stats[20:], targets[20:],
-            block_names=H0_BLOCKS, use_stats=False, representation="flat",
+        _, blocks, _, targets = small_blocks
+        expected = np.concatenate(
+            [
+                blocks[:, i, LOCAL_BLOCKS.index(name)]
+                for i in range(blocks.shape[1])
+                for name in ("d0_plus", "d0_minus")
+            ],
+            axis=1,
         )
-        feats = head.features(blocks, stats)
-        expected = blocks[:, :, :2, :].reshape(30, -1)
-        assert np.array_equal(feats, expected)
-
-    def test_attention_head_runs(self, small_blocks):
-        _, blocks, stats, targets = small_blocks
-        head = fit_local_head(
-            blocks[:20], stats[:20], targets[:20], blocks[20:], stats[20:], targets[20:],
-        )
-        preds = head.predict(blocks, stats)
-        assert preds.shape == (30,) and np.all(np.isfinite(preds))
-
-    def test_unknown_representation(self, small_blocks):
-        _, blocks, stats, targets = small_blocks
-        with pytest.raises(InvalidInput):
-            fit_local_head(
-                blocks[:20], stats[:20], targets[:20], blocks[20:], stats[20:], targets[20:],
-                representation="nope",
-            )
+        assert np.array_equal(zeng_features(blocks), expected)
+        ridge = fit_local_head(blocks[:20], targets[:20], blocks[20:], targets[20:])
+        assert ridge.weights.shape == (expected.shape[1],)
 
 
 class TestGuardedBlend:

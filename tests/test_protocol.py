@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from topoattn.attention import ridge_fit, ridge_predict
 from topoattn.datasets import gen_cyclic_h1, gen_shell_h2, WindowedDataset
 from topoattn.errors import CalibrationMissing, InvalidInput, TopoAttnError
-from topoattn.local_residual import H0_BLOCKS
+from topoattn.local_residual import zeng_features
+from topoattn.persistence import DIAGRAM_VECTOR_LEN
 from topoattn.protocol import (
     CampaignCache,
     MODE_REGISTRY,
@@ -16,7 +18,6 @@ from topoattn.protocol import (
     SplitContext,
     calibrate_cell,
     parse_results_csv,
-    restricted_local_refit,
     run_campaign,
     run_mode,
     select_by_validation,
@@ -25,6 +26,20 @@ from topoattn.protocol import (
 )
 
 BY_ID = {m.mode_id: m for m in MODE_REGISTRY}
+
+
+def restricted_phi_refit(ctx: SplitContext) -> np.ndarray:
+    """Containment reference: the local residual's own feature tensor Phi,
+    restricted to its D0+/D0- columns, flattened and refit with Ridge.
+
+    Returns test predictions, which the Zeng-style baseline must reproduce.
+    """
+    phi = ctx.local_phi()[:, :, : 2 * DIAGRAM_VECTOR_LEN]
+    x = phi.reshape(phi.shape[0], -1)
+    tr, va, te = list(ctx.train_range), list(ctx.val_range), list(ctx.test_range)
+    y = ctx.ds.targets
+    ridge = ridge_fit(x[tr], y[tr], x[va], y[va])
+    return ridge_predict(ridge, x[te])
 
 
 @pytest.fixture(scope="module")
@@ -90,22 +105,13 @@ class TestRunMode:
 
 class TestZeng:
     def test_exactly_two_blocks_per_element(self, small_ctx, small_calib):
-        from topoattn.local_residual import fit_local_head
-
-        blocks, stats = small_ctx.local_blocks()
-        tr = list(small_ctx.train_range)
-        va = list(small_ctx.val_range)
-        y = small_ctx.ds.targets
-        head = fit_local_head(
-            blocks[tr], stats[tr], y[tr], blocks[va], stats[va], y[va],
-            block_names=H0_BLOCKS, use_stats=False, representation="flat",
-        )
+        blocks, _ = small_ctx.local_blocks()
         m = blocks.shape[1]
-        assert head.features(blocks, stats).shape[1] == m * 2 * 9
+        assert zeng_features(blocks).shape == (blocks.shape[0], m * 2 * 9)
 
     def test_containment_restriction(self, small_ctx, small_calib):
         base = run_mode(small_ctx, BY_ID["zeng_local_h0"], 1, small_calib)
-        restricted = restricted_local_refit(small_ctx, 1)
+        restricted = restricted_phi_refit(small_ctx)
         te = list(small_ctx.test_range)
         y = small_ctx.ds.targets[te]
         zeng_rmse = float(np.sqrt(np.mean((restricted - y) ** 2)))

@@ -5,6 +5,8 @@ campaign and single-window ``predict`` both run; a single window is a
 stack of one.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -85,6 +87,13 @@ class TestH0Bias:
 
     def test_invariants(self):
         check_bias_invariants(stack(random_cloud(1), "H0"))
+
+    def test_identical_tokens_zero_bias(self):
+        cloud = np.ones((6, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = stack(cloud, "H0")
+        assert np.array_equal(b, np.zeros((6, 6)))
 
 
 class TestSoftAdjacency:
@@ -229,7 +238,9 @@ class TestAet:
 class TestRkhs:
     def test_identical_tokens_zero_bias(self):
         cloud = np.zeros((5, 2))
-        b = stack(cloud, "KH0", kernel_spec=KernelSpec(1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = stack(cloud, "KH0", kernel_spec=KernelSpec(1.0))
         assert np.array_equal(b, np.zeros((5, 5)))
 
     def test_large_bandwidth_matches_euclidean_ranks(self):
