@@ -1,23 +1,64 @@
 """Command-line interface: generate benchmark data, run campaigns, audit results.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error. The worker count
-for `run` comes from --workers or the TOPOATTN_THREADS environment
-variable (default 1).
+for `run` comes from --workers or the config key `workers` (default 1).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .datasets import SPLIT_OFFSETS, SYNTHETIC_GENERATORS, export_dataset
+from .datasets import (
+    SPLIT_OFFSETS,
+    SYNTHETIC_GENERATORS,
+    build_co2_windows,
+    build_volatility_windows,
+    export_dataset,
+    load_ims_set,
+    load_series_csv,
+)
 from .errors import TopoAttnError
 
 IMS1_GROUPS = ((1, 2), (3, 4), (5, 6), (7, 8))
 IMS2_GROUPS = ((1,), (2,), (3,), (4,))
-REAL_DATASETS = ("co2", "spx_vol", "ims1", "ims2")
+#: Real dataset name -> (config key of its CSV, the CSV it needs, loader).
+REAL_DATASETS = {
+    "co2": ("co2_csv", "'timestamp,value', monthly values in chronological order",
+            lambda path: build_co2_windows(load_series_csv(path))),
+    "spx_vol": ("spx_csv", "'timestamp,value', daily index levels in chronological order",
+                lambda path: build_volatility_windows(load_series_csv(path))),
+    "ims1": ("ims1_csv", "'snapshot,channel,rms,std,kurt', channels 1-8",
+             lambda path: load_ims_set(path, IMS1_GROUPS, name="ims1")),
+    "ims2": ("ims2_csv", "'snapshot,channel,rms,std,kurt', channels 1-4",
+             lambda path: load_ims_set(path, IMS2_GROUPS, name="ims2")),
+}
+
+
+def _comma_list(value: str) -> list[str]:
+    return [v.strip() for v in value.split(",") if v.strip()]
+
+
+def _int_list(value: str) -> list[int]:
+    return [int(v) for v in _comma_list(value)]
+
+
+def _float_list(value: str) -> list[float]:
+    return [float(v) for v in _comma_list(value)]
+
+
+#: Parser of every config key that is not a plain string; the config file
+#: and the `run` flags both go through it.
+CONFIG_PARSERS = {
+    "datasets": _comma_list,
+    "modes": _comma_list,
+    "seeds": _int_list,
+    "offsets": _float_list,
+    "dataset_seed": int,
+    "workers": int,
+}
 
 
 @dataclass
@@ -50,61 +91,25 @@ class ExperimentConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{line_num}: expected 'key = value', got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key in ("datasets", "modes"):
-                setattr(cfg, key, [v.strip() for v in value.split(",") if v.strip()])
-            elif key == "seeds":
-                cfg.seeds = [int(v) for v in value.split(",") if v.strip()]
-            elif key == "offsets":
-                cfg.offsets = [float(v) for v in value.split(",") if v.strip()]
-            elif key in ("out", "co2_csv", "spx_csv", "ims1_csv", "ims2_csv"):
-                setattr(cfg, key, value)
-            elif key == "dataset_seed":
-                cfg.dataset_seed = int(value)
-            elif key == "workers":
-                cfg.workers = int(value)
-            else:
+            if key not in {f.name for f in fields(cls)}:
                 raise ValueError(f"{path}:{line_num}: unknown config key {key!r}")
+            setattr(cfg, key, CONFIG_PARSERS.get(key, str)(value))
         return cfg
 
 
 def _build_datasets(cfg: ExperimentConfig) -> list:
-    from .datasets import build_co2_windows, build_volatility_windows, load_ims_set, load_series_csv
-
+    """Synthetic datasets as builders (or pinned by dataset_seed), real ones loaded."""
     out: list = []
     for name in cfg.datasets:
         if name in SYNTHETIC_GENERATORS:
-            if cfg.dataset_seed is not None:
-                out.append(SYNTHETIC_GENERATORS[name](cfg.dataset_seed))
-            else:
-                out.append((name, SYNTHETIC_GENERATORS[name]))
-        elif name == "co2":
-            if not cfg.co2_csv:
-                raise TopoAttnError(
-                    "dataset co2 needs co2_csv=<path> (CSV with header 'timestamp,value', "
-                    "monthly values in chronological order)"
-                )
-            out.append(build_co2_windows(load_series_csv(cfg.co2_csv)))
-        elif name == "spx_vol":
-            if not cfg.spx_csv:
-                raise TopoAttnError(
-                    "dataset spx_vol needs spx_csv=<path> (CSV with header 'timestamp,value', "
-                    "daily index levels in chronological order)"
-                )
-            out.append(build_volatility_windows(load_series_csv(cfg.spx_csv)))
-        elif name == "ims1":
-            if not cfg.ims1_csv:
-                raise TopoAttnError(
-                    "dataset ims1 needs ims1_csv=<path> (CSV with header "
-                    "'snapshot,channel,rms,std,kurt', channels 1-8)"
-                )
-            out.append(load_ims_set(cfg.ims1_csv, IMS1_GROUPS, name="ims1"))
-        elif name == "ims2":
-            if not cfg.ims2_csv:
-                raise TopoAttnError(
-                    "dataset ims2 needs ims2_csv=<path> (CSV with header "
-                    "'snapshot,channel,rms,std,kurt', channels 1-4)"
-                )
-            out.append(load_ims_set(cfg.ims2_csv, IMS2_GROUPS, name="ims2"))
+            builder = SYNTHETIC_GENERATORS[name]
+            out.append(builder if cfg.dataset_seed is None else builder(cfg.dataset_seed))
+        elif name in REAL_DATASETS:
+            key, needs, load = REAL_DATASETS[name]
+            path = getattr(cfg, key)
+            if not path:
+                raise TopoAttnError(f"dataset {name} needs {key}=<path> (CSV with header {needs})")
+            out.append(load(path))
         else:
             known = sorted(list(SYNTHETIC_GENERATORS) + list(REAL_DATASETS))
             raise _UsageError(f"unknown dataset {name!r}; known datasets: {', '.join(known)}")
@@ -130,20 +135,10 @@ def cmd_run(args) -> int:
     from .protocol import MODE_ORDER, parse_results_csv, run_campaign
 
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    if args.datasets:
-        cfg.datasets = [v.strip() for v in args.datasets.split(",") if v.strip()]
-    if args.modes:
-        cfg.modes = [v.strip() for v in args.modes.split(",") if v.strip()]
-    if args.seeds:
-        cfg.seeds = [int(v) for v in args.seeds.split(",")]
-    if args.offsets:
-        cfg.offsets = [float(v) for v in args.offsets.split(",")]
-    if args.out:
-        cfg.out = args.out
-    if args.workers is not None:
-        cfg.workers = args.workers
-    if args.dataset_seed is not None:
-        cfg.dataset_seed = args.dataset_seed
+    for f in fields(ExperimentConfig):
+        value = getattr(args, f.name, None)  # the *_csv keys have no flag
+        if value not in (None, "", []):  # an empty flag keeps the file's value
+            setattr(cfg, f.name, value)
 
     unknown_modes = [m for m in cfg.modes if m not in MODE_ORDER]
     if unknown_modes:
@@ -211,14 +206,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run the no-leakage campaign grid")
     run.add_argument("--config", default="", help="key = value config file")
-    run.add_argument("--datasets", default="", help="comma list (default: stress,cyclic,shell)")
-    run.add_argument("--modes", default="", help="comma list of registry mode ids (default: all)")
-    run.add_argument("--seeds", default="", help="comma list (default: 1,2,3)")
-    run.add_argument("--offsets", default="", help="comma list (default: -0.05,0,0.05)")
-    run.add_argument("--out", default="", help="output directory (default: runs)")
-    run.add_argument("--workers", type=int, default=None, help="worker pool size (env TOPOATTN_THREADS)")
+    run.add_argument("--datasets", type=CONFIG_PARSERS["datasets"], help="comma list (default: stress,cyclic,shell)")
+    run.add_argument("--modes", type=CONFIG_PARSERS["modes"], help="comma list of registry mode ids (default: all)")
+    run.add_argument("--seeds", type=CONFIG_PARSERS["seeds"], help="comma list (default: 1,2,3)")
+    run.add_argument("--offsets", type=CONFIG_PARSERS["offsets"], help="comma list (default: -0.05,0,0.05)")
+    run.add_argument("--out", help="output directory (default: runs)")
+    run.add_argument("--workers", type=CONFIG_PARSERS["workers"], help="worker pool size (default: 1)")
     run.add_argument(
-        "--dataset-seed", type=int, default=None,
+        "--dataset-seed", type=CONFIG_PARSERS["dataset_seed"],
         help="fix synthetic data to this generator seed (default: regenerate per campaign seed)",
     )
     run.set_defaults(func=cmd_run)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -370,21 +370,18 @@ def _fit_static(ctx: SplitContext, base, mode: TopologyMode, seed: int, train_id
     per_channel = {}
     for channel in mode.channels:
         bandwidths = ctx.bandwidth_grid if (channel in RKHS_CHANNELS and len(mode.channels) == 1) else (None,)
-        best = (zero_rmse, 0.0, None)
+        best = (zero_rmse, {}, None, zero_feats, zero_ridge)
         for bw in bandwidths:
             for s in STRENGTH_GRID:
                 if s == 0.0:
                     continue
-                rmse, _, _ = evaluate({channel: s}, bw)
+                rmse, feats, ridge = evaluate({channel: s}, bw)
                 if rmse < best[0]:
-                    best = (rmse, s, bw)
+                    best = (rmse, {channel: s}, bw, feats, ridge)
         per_channel[channel] = best
 
     if len(mode.channels) == 1:
-        channel = mode.channels[0]
-        rmse, s, bw = per_channel[channel]
-        strengths = {channel: s} if s != 0.0 else {}
-        _, feats, ridge = evaluate(strengths, bw)
+        _, strengths, bw, feats, ridge = per_channel[mode.channels[0]]
         return strengths, bw, feats, ridge
 
     ranked = sorted(mode.channels, key=lambda c: (per_channel[c][0], mode.channels.index(c)))
@@ -593,75 +590,38 @@ class CampaignCache:
         return self.contexts[key]
 
 
-class ConstantBuilder:
-    """Wraps a fixed dataset (real data) as a seed-independent builder."""
-
-    def __init__(self, ds: WindowedDataset):
-        self.ds = ds
-
-    def __call__(self, seed: int) -> WindowedDataset:
-        return self.ds
-
-
-def _normalize_dataset_specs(datasets):
-    """Accepts WindowedDataset objects or (name, builder(seed)) pairs."""
-    specs = []
-    for item in datasets:
-        if isinstance(item, WindowedDataset):
-            specs.append((item.name, ConstantBuilder(item)))
-        else:
-            name, builder = item
-            specs.append((name, builder))
-    return specs
-
-
-def resolve_workers(n_workers: int | None) -> int:
-    """Requested workers, hard-capped by the TOPOATTN_THREADS env var."""
-    cap = None
-    env = os.environ.get("TOPOATTN_THREADS")
-    if env:
-        try:
-            cap = max(1, int(env))
-        except ValueError:
-            warnings.warn(f"ignoring non-integer TOPOATTN_THREADS={env!r}")
-    requested = int(n_workers) if n_workers is not None else (cap if cap is not None else 1)
-    requested = max(1, requested)
-    if cap is not None:
-        requested = min(requested, cap)
-    return requested
-
-
 def _run_split_block(
-    name: str,
-    builder,
+    source,
     offset: float,
     seeds,
     mode_ids,
     corrupt_test_targets: bool,
-    cache: CampaignCache | None = None,
     skip_rows: dict | None = None,
+    cache: CampaignCache | None = None,
 ):
     """All (seed, mode) runs for one (dataset, offset) split.
 
-    Synthetic datasets are rebuilt per campaign seed so the seed dimension
-    of the paired audit covers independent draws; fixed datasets come from
-    a :class:`ConstantBuilder`.
+    ``source`` is a fixed :class:`WindowedDataset` or a builder(seed); a
+    builder is called once per campaign seed so the seed dimension of the
+    paired audit covers independent draws. Every key and file name comes
+    from the built dataset's ``name``. Returns (results, ledgers, skipped,
+    selected payloads); ledgers map (dataset, seed, offset) to the
+    serialized calibration and its hash.
     """
     modes = [m for m in MODE_REGISTRY if m.mode_id in mode_ids]
     results: list[RunResult] = []
-    ledgers: dict[tuple, CellCalibration] = {}
+    ledgers: dict[tuple, tuple[str, str]] = {}
     skipped: dict[str, str] = {}
     selected_payloads: dict[tuple, dict] = {}
     for seed in seeds:
-        ds = builder(seed)
+        ds = source(seed) if callable(source) else source
         ok, reason = target_sanity_check(ds)
         if not ok:
-            skipped[f"{name}(seed={seed})"] = reason
-            warnings.warn(f"dataset {name} (seed {seed}) skipped: {reason}")
+            skipped[f"{ds.name}(seed={seed})"] = reason
+            warnings.warn(f"dataset {ds.name} (seed {seed}) skipped: {reason}")
             continue
         ctx = cache.context(ds, seed, offset) if cache is not None else SplitContext(ds, offset)
         calibration = calibrate_cell(ctx, seed, modes)
-        ledgers[(name, seed, offset)] = calibration
         test_targets = ctx.ds.targets[list(ctx.test_range)]
         if corrupt_test_targets:
             test_targets = np.zeros(len(ctx.test_range))
@@ -669,7 +629,7 @@ def _run_split_block(
         sink: dict = {}
         cell_rows: list[RunResult] = []
         for mode in modes:
-            key = (name, mode.mode_id, seed, offset)
+            key = (ds.name, mode.mode_id, seed, offset)
             prior = skip_rows.get(key) if skip_rows else None
             if prior is not None and prior.ledger_hash == calibration.content_hash:
                 cell_rows.append(prior)
@@ -690,22 +650,17 @@ def _run_split_block(
                     ctx, mode, seed, calibration, test_targets=test_targets,
                     global_cache=global_cache, model_sink=sink,
                 )
-            payload = dict(sink[chosen.mode_id])
+            payload = dict(sink[chosen.mode_id], mode=chosen.mode_id)
             payload["y_test_true"] = [float(v) for v in test_targets]
-            selected_payloads[(name, seed, offset)] = payload
+            selected_payloads[(ds.name, seed, offset)] = payload
         # ledger immutability: the hash recorded before the runs must still
         # describe the calibration after them
         if calibration.compute_hash() != calibration.content_hash:
             raise TopoAttnError(
-                f"calibration of {name} seed {seed} offset {offset!r} mutated during runs"
+                f"calibration of {ds.name} seed {seed} offset {offset!r} mutated during runs"
             )
+        ledgers[(ds.name, seed, offset)] = (calibration.serialize(), calibration.content_hash)
     return results, ledgers, skipped, selected_payloads
-
-
-def _parallel_block(args):
-    name, builder, offset, seeds, mode_ids, corrupt = args
-    results, ledgers, skipped, payloads = _run_split_block(name, builder, offset, seeds, mode_ids, corrupt)
-    return results, {k: (v.serialize(), v.content_hash) for k, v in ledgers.items()}, skipped, payloads
 
 
 def run_campaign(
@@ -721,56 +676,48 @@ def run_campaign(
 ):
     """Run the full (dataset x seed x offset x mode) grid.
 
-    ``datasets`` may mix fixed :class:`WindowedDataset` objects and
-    (name, builder(seed)) pairs; builders are invoked once per campaign
-    seed. Returns (results, ledger_payloads) where ledger_payloads maps
+    Each entry of ``datasets`` is a fixed :class:`WindowedDataset` or a
+    builder(seed) -> WindowedDataset, called once per campaign seed.
+    Returns (results, ledger_payloads) where ledger_payloads maps
     (dataset, seed, offset) to the serialized calibration and its hash.
     ``corrupt_test_targets`` zeroes each cell's test targets before metric
-    computation (leakage audit hook); ``existing`` rows are kept and their
-    cells skipped when the ledger hash still matches.
+    computation (leakage audit hook). ``existing`` rows are kept and their
+    mode fits skipped when the ledger hash still matches; the calibrations
+    are still recomputed to check that hash. The (dataset, offset) blocks
+    run in a pool of ``n_workers`` processes when that is above 1, else in
+    this process; ``cache`` lives in one process and so needs
+    ``n_workers=1``.
     """
     if mode_ids is None:
         mode_ids = [m.mode_id for m in MODE_REGISTRY]
-    mode_ids = list(mode_ids)
+    mode_ids = tuple(mode_ids)
     unknown = [m for m in mode_ids if m not in MODE_ORDER]
     if unknown:
         raise InvalidInput(f"unknown mode ids {unknown}; known: {sorted(MODE_ORDER)}")
-    specs = _normalize_dataset_specs(datasets)
+    workers = max(1, n_workers or 1)
+    if cache is not None and workers > 1:
+        raise InvalidInput("a CampaignCache lives in one process; run it with n_workers=1")
 
-    skip_rows = {r.key(): r for r in existing} if existing else None
-    fresh: list[RunResult] = []
+    prior = {r.key(): r for r in existing or ()}
+    tasks = [
+        (source, offset, tuple(seeds), mode_ids, corrupt_test_targets, prior, cache)
+        for source in datasets
+        for offset in offsets
+    ]
+    merged = dict(prior)  # rerun rows replace stale ones
     ledger_payloads: dict[tuple, tuple[str, str]] = {}
     skipped: dict[str, str] = {}
     selected_payloads: dict[tuple, dict] = {}
-    workers = resolve_workers(n_workers)
-
-    blocks = [(name, builder, offset) for name, builder in specs for offset in offsets]
-    if workers > 1 and len(blocks) > 1 and cache is None and skip_rows is None:
-        tasks = [
-            (name, builder, offset, tuple(seeds), tuple(mode_ids), corrupt_test_targets)
-            for name, builder, offset in blocks
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for block_results, payloads, block_skipped, block_selected in pool.map(_parallel_block, tasks):
-                fresh.extend(block_results)
-                ledger_payloads.update(payloads)
-                skipped.update(block_skipped)
-                selected_payloads.update(block_selected)
-    else:
-        for name, builder, offset in blocks:
-            block_results, ledgers, block_skipped, block_selected = _run_split_block(
-                name, builder, offset, seeds, mode_ids, corrupt_test_targets,
-                cache=cache, skip_rows=skip_rows,
-            )
-            fresh.extend(block_results)
+    parallel = workers > 1 and len(tasks) > 1
+    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
+        runner = pool.map if parallel else map
+        for block_results, ledgers, block_skipped, block_selected in (
+            runner(_run_split_block, *zip(*tasks)) if tasks else ()
+        ):
+            merged.update((r.key(), r) for r in block_results)
+            ledger_payloads.update(ledgers)
             skipped.update(block_skipped)
             selected_payloads.update(block_selected)
-            for k, calib in ledgers.items():
-                ledger_payloads[k] = (calib.serialize(), calib.content_hash)
-
-    merged: dict[tuple, RunResult] = {r.key(): r for r in existing} if existing else {}
-    for r in fresh:
-        merged[r.key()] = r  # rerun rows replace stale ones
     results = list(merged.values())
 
     if out_dir is not None:
@@ -783,18 +730,16 @@ def _write_campaign_outputs(out_dir: Path, results, ledger_payloads, skipped, se
     write_results_csv(out_dir / "results.csv", results)
     ledger_dir = out_dir / "ledgers"
     ledger_dir.mkdir(exist_ok=True)
-    for (ds, seed, offset), (payload, _hash) in sorted(ledger_payloads.items()):
-        name = f"{ds}_s{seed}_o{_offset_tag(offset)}.json"
-        (ledger_dir / name).write_text(payload + "\n")
+    for cell, (payload, _hash) in sorted(ledger_payloads.items()):
+        (ledger_dir / f"{_cell_tag(*cell)}.json").write_text(payload + "\n")
     if skipped:
-        with (out_dir / "skipped.json").open("w") as fh:
-            json.dump(skipped, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        (out_dir / "skipped.json").write_text(json.dumps(skipped, indent=2, sort_keys=True) + "\n")
     _write_selected(out_dir, results, selected_payloads)
 
 
-def _offset_tag(offset: float) -> str:
-    return format(offset, "+.2f").replace("+", "p").replace("-", "m").replace(".", "_")
+def _cell_tag(ds: str, seed: int, offset: float) -> str:
+    """File stem of one (dataset, seed, offset) cell in ledgers/, models/ and predictions/."""
+    return f"{ds}_s{seed}_o" + format(offset, "+.2f").replace("+", "p").replace("-", "m").replace(".", "_")
 
 
 def _write_selected(out_dir: Path, results: list[RunResult], selected_payloads: dict) -> None:
@@ -817,7 +762,9 @@ def _write_selected(out_dir: Path, results: list[RunResult], selected_payloads: 
             f"{ds},{seed},{offset!r},{chosen.mode_id},{chosen.val_rmse!r},{chosen.test_rmse!r}"
         )
         payload = selected_payloads.get((ds, seed, offset))
-        tag = f"{ds}_s{seed}_o{_offset_tag(offset)}"
+        if payload is None or payload["mode"] != chosen.mode_id:
+            continue  # a narrower rerun did not fit the selected mode: keep the earlier files
+        tag = _cell_tag(ds, seed, offset)
         state = [
             f"dataset = {ds}",
             f"seed = {seed}",
@@ -827,24 +774,21 @@ def _write_selected(out_dir: Path, results: list[RunResult], selected_payloads: 
             f"alpha_loc = {'' if chosen.alpha_loc is None else repr(chosen.alpha_loc)}",
             f"strengths = {json.dumps(chosen.strengths, sort_keys=True)}",
             f"ledger_hash = {chosen.ledger_hash}",
+            f"alpha_raw = {json.dumps(payload['alpha_raw'], sort_keys=True)}",
+            f"head_intercept = {payload['head_intercept']!r}",
+            "head_weights = " + ",".join(repr(v) for v in payload["head_weights"]),
         ]
-        if payload is not None:
+        if "local_head_weights" in payload:
             state += [
-                f"alpha_raw = {json.dumps(payload['alpha_raw'], sort_keys=True)}",
-                f"head_intercept = {payload['head_intercept']!r}",
-                "head_weights = " + ",".join(repr(v) for v in payload["head_weights"]),
+                f"local_lambda = {payload['local_lambda']!r}",
+                f"local_head_intercept = {payload['local_head_intercept']!r}",
+                "local_head_weights = " + ",".join(repr(v) for v in payload["local_head_weights"]),
             ]
-            if "local_head_weights" in payload:
-                state += [
-                    f"local_lambda = {payload['local_lambda']!r}",
-                    f"local_head_intercept = {payload['local_head_intercept']!r}",
-                    "local_head_weights = " + ",".join(repr(v) for v in payload["local_head_weights"]),
-                ]
-            pred_lines = ["window,y_true,y_pred"]
-            for idx, y_true, y_pred in zip(
-                payload["test_indices"], payload["y_test_true"], payload["y_test_pred"]
-            ):
-                pred_lines.append(f"{idx},{y_true!r},{y_pred!r}")
-            (pred_dir / f"{tag}.csv").write_text("\n".join(pred_lines) + "\n")
         (model_dir / f"{tag}.txt").write_text("\n".join(state) + "\n")
+        pred_lines = ["window,y_true,y_pred"]
+        for idx, y_true, y_pred in zip(
+            payload["test_indices"], payload["y_test_true"], payload["y_test_pred"]
+        ):
+            pred_lines.append(f"{idx},{y_true!r},{y_pred!r}")
+        (pred_dir / f"{tag}.csv").write_text("\n".join(pred_lines) + "\n")
     (out_dir / "selected.csv").write_text("\n".join(lines) + "\n")

@@ -59,7 +59,7 @@ def campaign_state(tmp_path_factory):
     cache = CampaignCache()
     start = time.perf_counter()
     results, ledgers = run_campaign(
-        BUILDERS, seeds=SEEDS, offsets=SPLIT_OFFSETS, out_dir=out_dir, cache=cache, n_workers=1
+        [b for _, b in BUILDERS], seeds=SEEDS, offsets=SPLIT_OFFSETS, out_dir=out_dir, cache=cache, n_workers=1
     )
     elapsed = time.perf_counter() - start
     return {
@@ -180,7 +180,7 @@ def test_criterion_06_no_leakage_mutation(campaign_state):
     clean_results = {r.key(): r for r in campaign_state["results"]}
     clean_ledgers = campaign_state["ledgers"]
     mutated_results, mutated_ledgers = run_campaign(
-        BUILDERS, seeds=SEEDS, offsets=SPLIT_OFFSETS,
+        [b for _, b in BUILDERS], seeds=SEEDS, offsets=SPLIT_OFFSETS,
         corrupt_test_targets=True, cache=campaign_state["cache"], n_workers=1,
     )
     assert set(clean_ledgers) == set(mutated_ledgers)

@@ -1,6 +1,8 @@
 """CLI: exit codes, determinism, config parsing, end-to-end run/audit."""
 
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +71,22 @@ class TestRun:
         assert "resuming" in capsys.readouterr().out
         assert (out / "results.csv").read_text() == first
 
+    def test_narrower_rerun_keeps_model_files(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        args = ("run", "--datasets", "shell", "--offsets", "0.0", "--out", str(out))
+        assert run_cli(*args, "--modes", "classical,static_h0", "--seeds", "1,2") == 0
+        models = {seed: out / "models" / f"shell_s{seed}_op0_00.txt" for seed in (1, 2)}
+        before = {seed: path.read_bytes() for seed, path in models.items()}
+        assert b"head_weights = " in before[2]
+        assert b"mode = static_h0" in before[1]  # selected over classical, which the rerun refits
+        assert run_cli(*args, "--modes", "classical", "--seeds", "1") == 0
+        assert {seed: path.read_bytes() for seed, path in models.items()} == before
+        assert len((out / "selected.csv").read_text().splitlines()) == 3  # header + both cells
+
+    def test_malformed_int_flags_exit_2(self, tmp_path, capsys):
+        assert run_cli("run", "--workers", "two", "--out", str(tmp_path)) == 2
+        assert run_cli("run", "--dataset-seed", "1.5", "--out", str(tmp_path)) == 2
+
     def test_unknown_mode_exit_2(self, tmp_path, capsys):
         assert run_cli("run", "--modes", "bogus", "--out", str(tmp_path)) == 2
 
@@ -122,6 +140,16 @@ class TestConfig:
         assert cfg.dataset_seed == 11
         assert cfg.workers == 2
         assert cfg.co2_csv == "/tmp/x.csv"
+
+    def test_readme_example_lists_every_key(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        after_intro = readme.split("`run` accepts `--config FILE`", 1)[1]
+        block = after_intro.split("```\n", 2)[1]
+        keys = {line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line}
+        assert keys == {f.name for f in fields(ExperimentConfig)}
+        path = tmp_path / "cfg.txt"
+        path.write_text(block)
+        ExperimentConfig.from_file(path)  # the example parses as written
 
     def test_unknown_key_raises(self, tmp_path):
         path = tmp_path / "cfg.txt"

@@ -1,6 +1,8 @@
 """Protocol orchestration: registry, calibration ledger, leakage discipline."""
 
 import json
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -228,7 +230,7 @@ class TestCampaign:
 
     def test_per_seed_builders_give_distinct_data(self):
         results, _ = run_campaign(
-            [("cyclic", lambda seed: gen_cyclic_h1(seed, n_windows=60, n_tokens=16))],
+            [lambda seed: gen_cyclic_h1(seed, n_windows=60, n_tokens=16)],
             seeds=(1, 2), offsets=(0.0,), mode_ids=["classical"],
         )
         by_seed = {r.seed: r for r in results}
@@ -275,34 +277,51 @@ def test_ledger_mutation_raises(monkeypatch):
     datasets = [gen_cyclic_h1(3, n_windows=60, n_tokens=16)]
     with pytest.raises(TopoAttnError, match="mutated"):
         run_campaign(datasets, seeds=(1,), offsets=(0.0,), mode_ids=["classical"], n_workers=1)
-    # the worker-pool task runs the same check
-    task = ("cyclic", lambda seed: gen_cyclic_h1(3, n_windows=60, n_tokens=16), 0.0, (1,), ("classical",), False)
+    # the block runner itself raises, so a pool worker never returns a mutated ledger
+    builder = lambda seed: gen_cyclic_h1(3, n_windows=60, n_tokens=16)  # noqa: E731
     with pytest.raises(TopoAttnError, match="mutated"):
-        protocol._parallel_block(task)
+        protocol._run_split_block(builder, 0.0, (1,), ("classical",), False)
+
+
+SMALL_CYCLIC = partial(gen_cyclic_h1, n_windows=60, n_tokens=16)
 
 
 def test_parallel_worker_pool(tmp_path):
-    from functools import partial
-
-    datasets = [
-        ("cyclic", partial(gen_cyclic_h1, n_windows=60, n_tokens=16)),
-        gen_shell_h2(2, n_windows=60, n_tokens=12),
-    ]
+    datasets = [SMALL_CYCLIC, gen_shell_h2(2, n_windows=60, n_tokens=12)]
     serial, _ = run_campaign(datasets, seeds=(1,), offsets=(0.0, 0.05), mode_ids=["classical"], n_workers=1)
     parallel, _ = run_campaign(datasets, seeds=(1,), offsets=(0.0, 0.05), mode_ids=["classical"], n_workers=2)
     assert sorted(r.to_csv_fields() for r in serial) == sorted(r.to_csv_fields() for r in parallel)
 
 
-def test_worker_env_cap(monkeypatch):
-    from topoattn.protocol import resolve_workers
+def _tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
-    monkeypatch.delenv("TOPOATTN_THREADS", raising=False)
-    assert resolve_workers(None) == 1
-    assert resolve_workers(4) == 4
-    monkeypatch.setenv("TOPOATTN_THREADS", "2")
-    assert resolve_workers(None) == 2
-    assert resolve_workers(8) == 2  # env caps explicit requests
-    assert resolve_workers(1) == 1
-    monkeypatch.setenv("TOPOATTN_THREADS", "nope")
-    with pytest.warns(UserWarning):
-        assert resolve_workers(3) == 3
+
+def test_parallel_resume_matches_serial(tmp_path):
+    kwargs = dict(seeds=(1,), offsets=(0.0, 0.05))
+    serial, _ = run_campaign(
+        [SMALL_CYCLIC], mode_ids=["classical", "static_h0"], out_dir=tmp_path / "serial", n_workers=1, **kwargs
+    )
+    first, _ = run_campaign([SMALL_CYCLIC], mode_ids=["classical"], **kwargs)
+    resumed, _ = run_campaign(
+        [SMALL_CYCLIC], mode_ids=["classical", "static_h0"], out_dir=tmp_path / "pool",
+        n_workers=2, existing=first, **kwargs,
+    )
+    assert sorted(r.to_csv_fields() for r in resumed) == sorted(r.to_csv_fields() for r in serial)
+    assert _tree_bytes(tmp_path / "pool") == _tree_bytes(tmp_path / "serial")
+
+
+def test_cache_with_workers_rejected():
+    with pytest.raises(InvalidInput, match="n_workers=1"):
+        run_campaign([SMALL_CYCLIC], seeds=(1,), offsets=(0.0, 0.05), mode_ids=["classical"],
+                     cache=CampaignCache(), n_workers=2)
+
+
+def test_builder_outputs_named_from_dataset(tmp_path):
+    renamed = lambda seed: replace(SMALL_CYCLIC(seed), name="loop")  # noqa: E731
+    run_campaign([renamed], seeds=(1,), offsets=(0.0,), mode_ids=["classical"], out_dir=tmp_path)
+    stems = {
+        sub: [p.stem for p in (tmp_path / sub).iterdir()] for sub in ("ledgers", "models", "predictions")
+    }
+    assert stems == {sub: ["loop_s1_op0_00"] for sub in stems}
+    assert "head_weights = " in (tmp_path / "models" / "loop_s1_op0_00.txt").read_text()
