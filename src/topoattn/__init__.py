@@ -37,7 +37,6 @@ from .audit import (
 )
 from .datasets import (
     ScalerState,
-    SplitSpec,
     WindowedDataset,
     apply_scaler,
     build_co2_windows,

@@ -38,18 +38,20 @@ class AttentionParams:
 
     w_query: np.ndarray  # (p, d_h)
     w_key: np.ndarray  # (p, d_h)
-    d_h: int
+
+    @property
+    def d_h(self) -> int:
+        return self.w_query.shape[1]
 
 
-def init_attention_params(p: int, seed: int, d_h: int | None = None) -> AttentionParams:
+def init_attention_params(p: int, seed: int) -> AttentionParams:
     """Seeded Gaussian projections scaled by 1/sqrt(p); d_h = min(p, 8)."""
-    if d_h is None:
-        d_h = min(p, 8)
+    d_h = min(p, 8)
     rng = np.random.default_rng(np.random.SeedSequence([17, seed, p, d_h]))
     scale = 1.0 / np.sqrt(p)
     w_query = rng.normal(size=(p, d_h)) * scale
     w_key = rng.normal(size=(p, d_h)) * scale
-    return AttentionParams(w_query=w_query, w_key=w_key, d_h=d_h)
+    return AttentionParams(w_query=w_query, w_key=w_key)
 
 
 @dataclass
@@ -157,14 +159,13 @@ def forward_features(windows: np.ndarray, base: np.ndarray, stacks: dict, streng
 # ridge head
 
 
-def ridge_fit(
-    train_x: np.ndarray,
-    train_y: np.ndarray,
-    val_x: np.ndarray,
-    val_y: np.ndarray,
-    grid=RIDGE_GRID,
-) -> RidgeModel:
-    """Closed-form ridge over the penalty grid; lambda picked on validation RMSE."""
+def rmse(pred, y) -> float:
+    """Root mean squared error of ``pred`` against ``y``."""
+    return float(np.sqrt(np.mean((np.asarray(pred) - np.asarray(y)) ** 2)))
+
+
+def ridge_fit(train_x: np.ndarray, train_y: np.ndarray, val_x: np.ndarray, val_y: np.ndarray) -> RidgeModel:
+    """Closed-form ridge over :data:`RIDGE_GRID`; lambda picked on validation RMSE."""
     train_x = np.asarray(train_x, dtype=np.float64)
     train_y = np.asarray(train_y, dtype=np.float64)
     x_mean = train_x.mean(axis=0)
@@ -176,13 +177,12 @@ def ridge_fit(
     eye = np.eye(train_x.shape[1])
 
     best = None
-    for lam in grid:
+    for lam in RIDGE_GRID:
         w = np.linalg.solve(gram + lam * eye, rhs)
         intercept = y_mean - float(x_mean @ w)
-        pred = val_x @ w + intercept
-        rmse = float(np.sqrt(np.mean((pred - val_y) ** 2)))
-        if best is None or rmse < best.val_rmse:
-            best = RidgeModel(weights=w, intercept=intercept, penalty=lam, val_rmse=rmse)
+        val_rmse = rmse(val_x @ w + intercept, val_y)
+        if best is None or val_rmse < best.val_rmse:
+            best = RidgeModel(weights=w, intercept=intercept, penalty=lam, val_rmse=val_rmse)
     return best
 
 
@@ -208,15 +208,15 @@ def temperature_loss_and_grads(
     w_key: np.ndarray,
     head_w: np.ndarray,
     head_b: float,
-    weight_decay: float = TRAIN_WEIGHT_DECAY,
 ):
     """Training loss and its reverse-mode gradients.
 
     Loss = mean squared error of the linear head on the attention features
-    plus (wd/2) L2 on (alpha, W_Q, W_K, head weights).
+    plus (wd/2) L2 on (alpha, W_Q, W_K, head weights), wd = TRAIN_WEIGHT_DECAY.
     Returns (loss, grads) with grads keyed alpha/w_query/w_key/head_w/head_b.
     """
     n_windows, n_tokens, p = windows.shape
+    weight_decay = TRAIN_WEIGHT_DECAY
     d_h = w_query.shape[1]
     scale = 1.0 / np.sqrt(d_h)
 
@@ -285,15 +285,12 @@ def train_temperatures(
     val_stacks: dict[str, np.ndarray],
     channels: tuple[str, ...],
     seed: int,
-    epochs: int = TRAIN_EPOCHS,
-    lr: float = TRAIN_LR,
-    weight_decay: float = TRAIN_WEIGHT_DECAY,
-    patience: int = TRAIN_PATIENCE,
 ):
     """Gradient descent on (alpha_c, W_Q, W_K, linear head).
 
-    Full-batch plain GD, early-stopped on validation RMSE with the given
-    patience; the best-epoch parameters are restored. Returns
+    Full-batch plain GD for up to TRAIN_EPOCHS epochs at rate TRAIN_LR,
+    early-stopped on validation RMSE after TRAIN_PATIENCE epochs without
+    improvement; the best-epoch parameters are restored. Returns
     (TemperatureParams, AttentionParams, info) where info records the
     epoch count and per-epoch validation RMSEs.
     """
@@ -316,12 +313,12 @@ def train_temperatures(
 
     def val_rmse() -> float:
         eta = _softplus(alpha)
-        params = AttentionParams(w_query=w_query, w_key=w_key, d_h=attn0.d_h)
+        params = AttentionParams(w_query=w_query, w_key=w_key)
         feats = forward_features(
             val_windows, attention_logits_batch(val_windows, params),
             val_stacks, {channel: eta[c] for c, channel in enumerate(channels)},
         )
-        return float(np.sqrt(np.mean((feats @ head_w + head_b - val_y) ** 2)))
+        return rmse(feats @ head_w + head_b, val_y)
 
     best = {
         "rmse": val_rmse(),
@@ -334,23 +331,23 @@ def train_temperatures(
     history = [best["rmse"]]
     bad_epochs = 0
     epochs_run = 0
-    for _ in range(epochs):
+    for _ in range(TRAIN_EPOCHS):
         loss, grads = temperature_loss_and_grads(
             train_windows, train_y, train_stacks, channels,
-            alpha, w_query, w_key, head_w, head_b, weight_decay,
+            alpha, w_query, w_key, head_w, head_b,
         )
-        alpha -= lr * grads["alpha"]
-        w_query -= lr * grads["w_query"]
-        w_key -= lr * grads["w_key"]
-        head_w -= lr * grads["head_w"]
-        head_b -= lr * grads["head_b"]
+        alpha -= TRAIN_LR * grads["alpha"]
+        w_query -= TRAIN_LR * grads["w_query"]
+        w_key -= TRAIN_LR * grads["w_key"]
+        head_w -= TRAIN_LR * grads["head_w"]
+        head_b -= TRAIN_LR * grads["head_b"]
         epochs_run += 1
 
-        rmse = val_rmse()
-        history.append(rmse)
-        if rmse < best["rmse"]:
+        epoch_rmse = val_rmse()
+        history.append(epoch_rmse)
+        if epoch_rmse < best["rmse"]:
             best = {
-                "rmse": rmse,
+                "rmse": epoch_rmse,
                 "alpha": alpha.copy(),
                 "w_query": w_query.copy(),
                 "w_key": w_key.copy(),
@@ -360,11 +357,11 @@ def train_temperatures(
             bad_epochs = 0
         else:
             bad_epochs += 1
-            if bad_epochs >= patience:
+            if bad_epochs >= TRAIN_PATIENCE:
                 break
 
     temps = TemperatureParams(raw={c: float(a) for c, a in zip(channels, best["alpha"])})
-    attn = AttentionParams(w_query=best["w_query"], w_key=best["w_key"], d_h=attn0.d_h)
+    attn = AttentionParams(w_query=best["w_query"], w_key=best["w_key"])
     info = {"epochs_run": epochs_run, "val_history": history, "best_val_rmse": best["rmse"]}
     return temps, attn, info
 

@@ -19,6 +19,10 @@ import numpy as np
 
 from .errors import InvalidInput
 
+#: Name of the audited architecture in audit_summary.csv.
+ARCHITECTURE = "lightweight_attention_ridge"
+#: Mode every paired unit compares the validation-selected mode against.
+BASELINE_MODE = "classical"
 TIE_BAND = 1e-12
 BOOTSTRAP_B = 10000
 SIGNFLIP_B = 100000
@@ -77,14 +81,15 @@ def unit_counts(units) -> tuple[int, int, int]:
     return improved, worsened, tied
 
 
-def bootstrap_ci(units, n_resamples: int = BOOTSTRAP_B, seed: int = 0) -> tuple[float, float]:
-    """Percentile 95% interval of the mean relative reduction, resampling units."""
+def bootstrap_ci(units, seed: int = 0) -> tuple[float, float]:
+    """Percentile 95% interval of the mean relative reduction over
+    :data:`BOOTSTRAP_B` resamples of the units."""
     reductions = np.array([relative_reduction(u) for u in units], dtype=np.float64)
     n = len(reductions)
     if n == 0:
         raise InvalidInput("bootstrap needs at least one paired unit")
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n, size=(n_resamples, n))
+    idx = rng.integers(0, n, size=(BOOTSTRAP_B, n))
     means = reductions[idx].mean(axis=1)
     lo, hi = np.percentile(means, [2.5, 97.5])
     return float(lo), float(hi)
@@ -109,14 +114,8 @@ def effect_size_dz(units) -> float:
     return mean / sd
 
 
-def signflip_p(
-    units,
-    two_sided: bool = True,
-    max_exact_n: int = MAX_EXACT_N,
-    n_resamples: int = SIGNFLIP_B,
-    seed: int = 0,
-) -> float:
-    """Paired sign-flip randomization test on the mean signed improvement.
+def signflip_p(units, max_exact_n: int = MAX_EXACT_N, n_resamples: int = SIGNFLIP_B, seed: int = 0) -> float:
+    """Two-sided paired sign-flip randomization test on the mean signed improvement.
 
     All 2^n sign assignments are enumerated when n <= ``max_exact_n``;
     otherwise a seeded Monte Carlo with add-one smoothing keeps the
@@ -131,9 +130,7 @@ def signflip_p(
     slack = 1e-12 * max(1.0, abs(observed))
 
     def exceeds(stats: np.ndarray) -> np.ndarray:
-        if two_sided:
-            return np.abs(stats) >= abs(observed) - slack
-        return stats >= observed - slack
+        return np.abs(stats) >= abs(observed) - slack
 
     if n <= max_exact_n:
         total = 1 << n
@@ -158,8 +155,9 @@ def signflip_p(
 # pairing + reports
 
 
-def pair_units(results, baseline_mode: str = "classical") -> list[PairedUnit]:
-    """One paired unit per (dataset, seed, offset): baseline vs validation-selected."""
+def pair_units(results) -> list[PairedUnit]:
+    """One paired unit per (dataset, seed, offset): :data:`BASELINE_MODE` vs
+    the validation-selected mode."""
     from .protocol import select_by_validation
 
     cells: dict[tuple, list] = {}
@@ -167,9 +165,9 @@ def pair_units(results, baseline_mode: str = "classical") -> list[PairedUnit]:
         cells.setdefault((r.dataset, r.seed, r.split_offset), []).append(r)
     units: list[PairedUnit] = []
     for (ds, seed, offset), rows in sorted(cells.items()):
-        baseline = [r for r in rows if r.mode_id == baseline_mode]
+        baseline = [r for r in rows if r.mode_id == BASELINE_MODE]
         if not baseline:
-            raise InvalidInput(f"cell ({ds}, {seed}, {offset}) lacks the {baseline_mode} baseline")
+            raise InvalidInput(f"cell ({ds}, {seed}, {offset}) lacks the {BASELINE_MODE} baseline")
         chosen = select_by_validation(rows)
         units.append(
             PairedUnit(
@@ -183,12 +181,12 @@ def pair_units(results, baseline_mode: str = "classical") -> list[PairedUnit]:
     return units
 
 
-def audit_units(units, architecture: str, seed: int = 0) -> AuditSummary:
+def audit_units(units) -> AuditSummary:
     improved, worsened, tied = unit_counts(units)
     reductions = np.array([relative_reduction(u) for u in units])
-    lo, hi = bootstrap_ci(units, seed=seed)
+    lo, hi = bootstrap_ci(units)
     return AuditSummary(
-        architecture=architecture,
+        architecture=ARCHITECTURE,
         units=len(units),
         improved=improved,
         worsened=worsened,
@@ -197,7 +195,7 @@ def audit_units(units, architecture: str, seed: int = 0) -> AuditSummary:
         ci_lo=lo,
         ci_hi=hi,
         d_z=effect_size_dz(units),
-        p_value=signflip_p(units, seed=seed),
+        p_value=signflip_p(units),
     )
 
 
@@ -277,9 +275,10 @@ def write_dataset_breakdown(path, rows: list[dict]) -> None:
             )
 
 
-def render_bar_svg(path, rows: list[dict], width: int = 640, height: int = 360) -> None:
-    """Static baseline-vs-guarded RMSE bar chart, one dataset per group."""
+def render_bar_svg(path, rows: list[dict]) -> None:
+    """Static 640x360 baseline-vs-guarded RMSE bar chart, one dataset per group."""
     path = Path(path)
+    width, height = 640, 360
     margin_left, margin_bottom, margin_top = 60, 60, 20
     plot_w = width - margin_left - 20
     plot_h = height - margin_top - margin_bottom
@@ -322,7 +321,7 @@ def render_bar_svg(path, rows: list[dict], width: int = 640, height: int = 360) 
     path.write_text("\n".join(parts) + "\n")
 
 
-def audit_results_dir(results_dir, out_dir=None, architecture: str = "lightweight_attention_ridge", seed: int = 0):
+def audit_results_dir(results_dir, out_dir=None):
     """Full audit of a campaign directory: summary CSVs plus the SVG chart."""
     from .protocol import parse_results_csv
 
@@ -334,7 +333,7 @@ def audit_results_dir(results_dir, out_dir=None, architecture: str = "lightweigh
     if not rows:
         raise InvalidInput(f"{results_path} contains no result rows")
     units = pair_units(rows)
-    summary = audit_units(units, architecture, seed=seed)
+    summary = audit_units(units)
     breakdown = per_dataset_breakdown(units)
     out_dir = Path(out_dir) if out_dir is not None else results_dir
     write_audit_summary(out_dir / "audit_summary.csv", [summary])

@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error. The worker count
 for `run` comes from --workers or the config key `workers` (default 1).
+`run` writes its outputs after each (dataset, offset) block, so a rerun
+into the same --out resumes an interrupted campaign; the rows found there
+keep their ledger, because each cell is calibrated for their modes too.
 """
 
 from __future__ import annotations

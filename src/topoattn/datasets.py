@@ -16,11 +16,17 @@ import numpy as np
 
 from .errors import DatasetSkipped, InvalidInput
 
+#: Chronological train/validation/test fractions; an offset shifts both boundaries.
+SPLIT_FRACTIONS = (0.70, 0.15, 0.15)
 SPLIT_OFFSETS = (-0.05, 0.0, 0.05)
+#: Real-series windows: CO2 months; volatility days, target horizon days and
+#: trailing-statistics days; IMS snapshots.
+CO2_WINDOW = 30
+VOL_WINDOW, VOL_HORIZON, VOL_ROLL = 40, 5, 5
+IMS_WINDOW = 24
 HI_WEIGHTS = (0.55, 0.25, 0.20)  # RMS, STD, KURT
 HI_MEDIAN_WINDOW = 5
 HI_ROLLING_WINDOW = 7
-IMS_WINDOW = 24
 
 
 @dataclass
@@ -43,14 +49,6 @@ class WindowedDataset:
     @property
     def shape(self) -> tuple[int, int, int]:
         return tuple(self.windows.shape)
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Chronological 70/15/15 split; offset shifts both boundaries."""
-
-    fractions: tuple[float, float, float] = (0.70, 0.15, 0.15)
-    offset: float = 0.0
 
 
 @dataclass
@@ -166,7 +164,7 @@ SYNTHETIC_GENERATORS = {
 # real-series ingestion
 
 
-def load_series_csv(path, schema=("timestamp", "value")) -> np.ndarray:
+def load_series_csv(path) -> np.ndarray:
     """Parse a timestamp,value CSV; reject unsorted or non-numeric rows.
 
     Timestamps may be numeric or sortable strings (ISO dates). Errors name
@@ -177,10 +175,10 @@ def load_series_csv(path, schema=("timestamp", "value")) -> np.ndarray:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise InvalidInput(f"{path}: empty file")
-        for col in schema:
-            if col in (None,) or col not in reader.fieldnames:
+        ts_col, val_col = "timestamp", "value"
+        for col in (ts_col, val_col):
+            if col not in reader.fieldnames:
                 raise InvalidInput(f"{path}: missing required column '{col}' (found {reader.fieldnames})")
-        ts_col, val_col = schema
         timestamps: list = []
         values: list[float] = []
         for row_num, row in enumerate(reader, start=1):
@@ -204,13 +202,14 @@ def load_series_csv(path, schema=("timestamp", "value")) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def build_co2_windows(series, window: int = 30) -> WindowedDataset:
+def build_co2_windows(series) -> WindowedDataset:
     """Monthly-value windows with seasonal sine/cosine coordinates.
 
     Token j of the window starting at month s carries
     [value, sin(2 pi (s+j)/12), cos(2 pi (s+j)/12)]; the target is the
-    value at month s + window.
+    value at month s + CO2_WINDOW.
     """
+    window = CO2_WINDOW
     series = np.asarray(series, dtype=np.float64)
     n = len(series)
     if n <= window:
@@ -227,14 +226,15 @@ def build_co2_windows(series, window: int = 30) -> WindowedDataset:
     return WindowedDataset("co2", windows, targets, provenance="csv")
 
 
-def build_volatility_windows(prices, window: int = 40, horizon: int = 5, roll: int = 5) -> WindowedDataset:
-    """Return-derived feature windows and 5-day-ahead annualized volatility.
+def build_volatility_windows(prices) -> WindowedDataset:
+    """Return-derived feature windows and VOL_HORIZON-day-ahead annualized volatility.
 
-    Features per day: return, |return|, and trailing rolling mean/std/min/
-    max of the returns (window ``roll``, warm-up partial). The target ends
-    strictly after the window: Y = sqrt(mean of the next ``horizon``
-    squared returns * 252).
+    Windows span VOL_WINDOW days. Features per day: return, |return|, and
+    trailing rolling mean/std/min/max of the returns (VOL_ROLL days,
+    warm-up partial). The target ends strictly after the window:
+    Y = sqrt(mean of the next VOL_HORIZON squared returns * 252).
     """
+    window, horizon, roll = VOL_WINDOW, VOL_HORIZON, VOL_ROLL
     prices = np.asarray(prices, dtype=np.float64)
     if np.any(prices <= 0.0):
         raise InvalidInput("prices must be strictly positive for log returns")
@@ -287,20 +287,15 @@ def _zscore_columns(x: np.ndarray) -> np.ndarray:
     return (x - mean) / std
 
 
-def ims_health_indicator(
-    rms: np.ndarray,
-    std: np.ndarray,
-    kurt: np.ndarray,
-    name: str = "ims_bearing",
-    window: int = IMS_WINDOW,
-) -> WindowedDataset:
-    """Windows and next-snapshot targets for one bearing (channel group).
+def ims_health_indicator(rms: np.ndarray, std: np.ndarray, kurt: np.ndarray, name: str = "ims_bearing") -> WindowedDataset:
+    """IMS_WINDOW-snapshot windows and next-snapshot targets of one bearing.
 
-    The health indicator is 0.55 z_RMS + 0.25 z_STD + 0.20 z_KURT (channel-
-    averaged z-scores), median-smoothed (window 5), trailing-averaged
-    (window 7), with a nonnegative trend via the cumulative max of the
-    positive part. Raises :class:`DatasetSkipped` when the target variance
-    is below 1e-6 (near-degenerate bearing).
+    The health indicator weighs the channel-averaged z-scores of RMS, STD
+    and KURT by HI_WEIGHTS, is median-smoothed over HI_MEDIAN_WINDOW and
+    trailing-averaged over HI_ROLLING_WINDOW snapshots, and gets a
+    nonnegative trend via the cumulative max of the positive part. Raises
+    :class:`DatasetSkipped` when the target variance is below 1e-6
+    (near-degenerate bearing).
     """
     rms = np.atleast_2d(np.asarray(rms, dtype=np.float64).T).T
     std = np.atleast_2d(np.asarray(std, dtype=np.float64).T).T
@@ -316,6 +311,7 @@ def ims_health_indicator(
     hi = np.maximum.accumulate(np.maximum(hi, 0.0))
 
     n = len(hi)
+    window = IMS_WINDOW
     if n <= window:
         raise DatasetSkipped(f"{name}: only {n} snapshots for window {window}")
     tokens = np.concatenate([hi[:, None], z_rms, z_std, z_kurt], axis=1)
@@ -379,15 +375,12 @@ def load_ims_set(path, groups, name: str = "ims") -> WindowedDataset:
 # splitting and scaling
 
 
-def chronological_split(dataset, spec: SplitSpec = SplitSpec()):
-    """Contiguous ordered (train, val, test) index ranges."""
-    if isinstance(dataset, WindowedDataset):
-        n = len(dataset.targets)
-    else:
-        n = int(dataset)
-    shift = int(round(spec.offset * n))
-    train_end = int(round(spec.fractions[0] * n)) + shift
-    val_end = int(round((spec.fractions[0] + spec.fractions[1]) * n)) + shift
+def chronological_split(n: int, offset: float):
+    """Contiguous ordered (train, val, test) index ranges of ``n`` windows:
+    :data:`SPLIT_FRACTIONS`, both boundaries shifted by ``offset * n``."""
+    shift = int(round(offset * n))
+    train_end = int(round(SPLIT_FRACTIONS[0] * n)) + shift
+    val_end = int(round((SPLIT_FRACTIONS[0] + SPLIT_FRACTIONS[1]) * n)) + shift
     if not 0 < train_end < val_end < n:
         raise InvalidInput(f"split boundaries ({train_end}, {val_end}) invalid for {n} windows")
     return range(0, train_end), range(train_end, val_end), range(val_end, n)

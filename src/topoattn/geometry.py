@@ -8,7 +8,7 @@ distance matrix produced here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -30,12 +30,13 @@ class DistanceMatrix:
     """
 
     values: np.ndarray
-    sigma: float = field(default=0.0)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.sigma <= 0.0:
-            self.sigma = median_nonzero_distance(self.values)
+
+    @property
+    def sigma(self) -> float:
+        return median_nonzero_distance(self.values)
 
     @property
     def n(self) -> int:

@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .attention import RidgeModel, ridge_fit
+from .attention import RidgeModel, ridge_fit, rmse
 from .errors import CalibrationMissing, InvalidInput
-from .geometry import KernelSpec
+from .geometry import KernelSpec, pairwise_euclidean
 from .persistence import (
     DIAGRAM_VECTOR_LEN,
     PersistenceDiagram,
@@ -144,9 +143,7 @@ def local_diagrams(subwindow, spec: KernelSpec, distances: np.ndarray | None = N
     d0_plus = path_sublevel_h0(series)
     d0_minus = path_sublevel_h0(-series)
     if distances is None:
-        distances = cdist(tokens, tokens)
-        distances = 0.5 * (distances + distances.T)
-        np.fill_diagonal(distances, 0.0)
+        distances = pairwise_euclidean(tokens).values
     dgm = capped_exact_diagrams(distances)
     kh = PersistenceDiagram(_hilbert_map(dgm.bars, spec.bandwidth))
     return {
@@ -186,9 +183,7 @@ def local_block_tensor(windows: np.ndarray, cover: Cover, spec: KernelSpec):
     stats = np.zeros((n_windows, m, N_WINDOW_STATS * p))
     for w in range(n_windows):
         tokens = windows[w]
-        dist = cdist(tokens, tokens)
-        dist = 0.5 * (dist + dist.T)
-        np.fill_diagonal(dist, 0.0)
+        dist = pairwise_euclidean(tokens).values
         for i, el in enumerate(cover.elements):
             sub = tokens[el.start : el.stop]
             sub_d = dist[el.start : el.stop, el.start : el.stop]
@@ -264,12 +259,12 @@ class LocalProjection:
     fitted: bool = False
 
 
-def _pls_directions(x: np.ndarray, y: np.ndarray, out_dim: int) -> np.ndarray:
-    """NIPALS partial-least-squares weight directions on centered data."""
+def _pls_directions(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """PROJECTION_DIM NIPALS partial-least-squares weight directions on centered data."""
     xd = x - x.mean(axis=0)
     yc = y - y.mean()
-    proj = np.zeros((x.shape[1], out_dim))
-    for k in range(min(out_dim, x.shape[1])):
+    proj = np.zeros((x.shape[1], PROJECTION_DIM))
+    for k in range(min(PROJECTION_DIM, x.shape[1])):
         w = xd.T @ yc
         norm = np.linalg.norm(w)
         if norm < 1e-12:
@@ -286,12 +281,7 @@ def _pls_directions(x: np.ndarray, y: np.ndarray, out_dim: int) -> np.ndarray:
     return proj
 
 
-def fit_local_projection(
-    phi_train: np.ndarray,
-    train_targets: np.ndarray,
-    seed: int = 0,
-    out_dim: int = PROJECTION_DIM,
-) -> LocalProjection:
+def fit_local_projection(phi_train: np.ndarray, train_targets: np.ndarray, seed: int = 0) -> LocalProjection:
     """Train the attention layer: supervised directions + position scores.
 
     Stage 1 fits shared partial-least-squares directions over all cover
@@ -299,7 +289,7 @@ def fit_local_projection(
     each cover position by its train R^2. Stage 2 refits the directions on
     the best-scoring position alone, so the pooled vector keeps that
     position's predictive coordinates intact. All statistics come from the
-    training split only.
+    training split only. The layer is :data:`PROJECTION_DIM` wide.
     """
     n_windows, m, n_features = phi_train.shape
     flat = phi_train.reshape(-1, n_features)
@@ -321,20 +311,20 @@ def fit_local_projection(
             scores[pos] = max(0.0, 1.0 - float(resid @ resid) / total)
         return scores
 
-    shared = _pls_directions(z.reshape(-1, n_features), np.repeat(y, m), out_dim)
+    shared = _pls_directions(z.reshape(-1, n_features), np.repeat(y, m))
     stage1 = position_r2(z @ shared)
     focus = int(np.argmax(stage1))
-    proj = _pls_directions(z[:, focus, :], y, out_dim)
+    proj = _pls_directions(z[:, focus, :], y)
     if not np.any(proj):
         proj = shared  # degenerate target on the focus position
     projected = z @ proj
     position_scores = position_r2(projected)
 
-    query = projected.reshape(-1, out_dim).mean(axis=0)
+    query = projected.reshape(-1, PROJECTION_DIM).mean(axis=0)
     norm = np.linalg.norm(query)
     if norm < 1e-12:
         rng = np.random.default_rng(np.random.SeedSequence([29, seed]))
-        query = rng.normal(size=out_dim)
+        query = rng.normal(size=PROJECTION_DIM)
         norm = np.linalg.norm(query)
     query = query / norm
     return LocalProjection(
@@ -417,12 +407,6 @@ class GuardState:
     val_rmse_global: float
     val_rmse_blend: float
     accepted: bool
-    delta: float = DELTA_LOC
-    grid: tuple = ALPHA_GRID
-
-
-def _rmse(pred: np.ndarray, target: np.ndarray) -> float:
-    return float(np.sqrt(np.mean((pred - target) ** 2)))
 
 
 def guarded_blend(
@@ -431,25 +415,23 @@ def guarded_blend(
     val_targets: np.ndarray,
     y_global_test: np.ndarray,
     y_local_test: np.ndarray,
-    delta: float = DELTA_LOC,
-    grid=ALPHA_GRID,
     force_reject: bool = False,
 ):
     """Select the blend weight on validation and apply the margin guard.
 
-    alpha* minimizes validation RMSE of (1-a) global + a local over the
-    grid; it is kept only when the blended RMSE beats the global RMSE by
-    delta * max(1, global RMSE). On rejection the final predictions are
-    the global array itself (bit-identical preservation).
+    alpha* minimizes validation RMSE of (1-a) global + a local over
+    :data:`ALPHA_GRID`; it is kept only when the blended RMSE beats the
+    global RMSE by DELTA_LOC * max(1, global RMSE). On rejection the final
+    predictions are the global array itself (bit-identical preservation).
     """
-    rmse_global = _rmse(y_global_val, val_targets)
+    rmse_global = rmse(y_global_val, val_targets)
     best_alpha, best_rmse = 0.0, np.inf
-    for alpha in grid:
+    for alpha in ALPHA_GRID:
         blended = (1.0 - alpha) * y_global_val + alpha * y_local_val
-        rmse = _rmse(blended, val_targets)
-        if rmse < best_rmse:
-            best_alpha, best_rmse = alpha, rmse
-    accepted = (not force_reject) and best_rmse < rmse_global - delta * max(1.0, rmse_global)
+        blend_rmse = rmse(blended, val_targets)
+        if blend_rmse < best_rmse:
+            best_alpha, best_rmse = alpha, blend_rmse
+    accepted = (not force_reject) and best_rmse < rmse_global - DELTA_LOC * max(1.0, rmse_global)
     alpha_loc = best_alpha if accepted else 0.0
     state = GuardState(
         alpha_loc=alpha_loc,
@@ -457,8 +439,6 @@ def guarded_blend(
         val_rmse_global=rmse_global,
         val_rmse_blend=best_rmse,
         accepted=accepted,
-        delta=delta,
-        grid=tuple(grid),
     )
     if alpha_loc == 0.0:
         return state, y_global_test

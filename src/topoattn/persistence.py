@@ -30,11 +30,8 @@ class PersistenceDiagram:
     def in_dim(self, dim: int) -> "PersistenceDiagram":
         return PersistenceDiagram([b for b in self.bars if b[2] == dim])
 
-    def finite_lifetimes(self, dim: int | None = None) -> np.ndarray:
-        lifetimes = [
-            d - b for (b, d, k) in self.bars if np.isfinite(d) and (dim is None or k == dim)
-        ]
-        return np.asarray(lifetimes, dtype=np.float64)
+    def finite_lifetimes(self) -> np.ndarray:
+        return np.asarray([d - b for (b, d, _) in self.bars if np.isfinite(d)], dtype=np.float64)
 
     def __len__(self) -> int:
         return len(self.bars)
@@ -202,14 +199,15 @@ def path_sublevel_h0(series) -> PersistenceDiagram:
 DIAGRAM_VECTOR_LEN = 9
 
 
-def vectorize_diagram(dgm: PersistenceDiagram, dim: int | None = None) -> np.ndarray:
+def vectorize_diagram(dgm: PersistenceDiagram) -> np.ndarray:
     """Finite-lifetime statistics of one diagram as a fixed 9-vector.
 
     Layout: top-4 lifetimes (descending, zero-padded), total persistence,
     mean, population std, max, finite-bar count. Infinite bars contribute
-    nothing; an empty diagram maps to the zero vector.
+    nothing; an empty diagram maps to the zero vector. Bars of every
+    dimension count; pass ``dgm.in_dim(k)`` for one dimension.
     """
-    lifetimes = dgm.finite_lifetimes(dim)
+    lifetimes = dgm.finite_lifetimes()
     out = np.zeros(DIAGRAM_VECTOR_LEN, dtype=np.float64)
     if lifetimes.size == 0:
         return out

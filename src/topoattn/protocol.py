@@ -11,7 +11,9 @@ receives test targets.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -28,6 +30,7 @@ from .attention import (
     init_attention_params,
     ridge_fit,
     ridge_predict,
+    rmse,
     train_temperatures,
 )
 # kept only so that bench/tracer.py can wrap protocol.biased_logits,
@@ -36,7 +39,6 @@ from .attention import attention_feature_matrix, biased_logits, row_softmax  # n
 from .datasets import (
     SPLIT_OFFSETS,
     ScalerState,
-    SplitSpec,
     WindowedDataset,
     apply_scaler,
     chronological_split,
@@ -58,7 +60,6 @@ from .local_residual import (
 )
 from .topo_bias import AetParams, CHANNELS, EUCLIDEAN_CHANNELS, RKHS_CHANNELS, aet_calibrate, bias_stacks
 
-ARCHITECTURE = "lightweight_attention_ridge"
 RESULT_HEADER = (
     "dataset,mode,seed,split_offset,val_rmse,test_rmse,test_mae,"
     "alpha_loc,lambda,strengths_json,ledger_hash"
@@ -168,6 +169,15 @@ def parse_results_csv(path) -> list[RunResult]:
     return rows
 
 
+def _replace_file(path: Path, text: str) -> None:
+    """Write ``text`` to a temporary sibling and rename it over ``path``, so
+    a reader sees the old file or the new one, never half of one."""
+    tmp = path.with_name(path.name + ".tmp")
+    with tmp.open("w", newline="") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def write_results_csv(path, results: list[RunResult]) -> None:
     """Canonically sorted results file with the fixed header."""
     import csv as _csv
@@ -176,13 +186,14 @@ def write_results_csv(path, results: list[RunResult]) -> None:
         results,
         key=lambda r: (r.dataset, MODE_ORDER.get(r.mode_id, 99), r.seed, r.split_offset),
     )
+    buf = io.StringIO(newline="")
+    writer = _csv.writer(buf)
+    writer.writerow(RESULT_HEADER.split(","))
+    for r in ordered:
+        writer.writerow(r.to_csv_fields())
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(RESULT_HEADER.split(","))
-        for r in ordered:
-            writer.writerow(r.to_csv_fields())
+    _replace_file(path, buf.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +265,7 @@ class SplitContext:
     def __init__(self, ds: WindowedDataset, offset: float):
         self.ds = ds
         self.offset = offset
-        spec = SplitSpec(offset=offset)
-        self.train_range, self.val_range, self.test_range = chronological_split(ds, spec)
+        self.train_range, self.val_range, self.test_range = chronological_split(len(ds.targets), offset)
         self.scaler = fit_scaler(ds.windows[list(self.train_range)])
         self.scaled = apply_scaler(self.scaler, ds.windows)
         train_scaled = self.scaled[list(self.train_range)]
@@ -348,10 +358,6 @@ def calibrate_cell(ctx: SplitContext, seed: int, modes: list[TopologyMode] | Non
 
 # ---------------------------------------------------------------------------
 # mode execution
-
-
-def _rmse(pred, y) -> float:
-    return float(np.sqrt(np.mean((np.asarray(pred) - np.asarray(y)) ** 2)))
 
 
 def _mae(pred, y) -> float:
@@ -511,7 +517,7 @@ def run_mode_detailed(
         seed=seed,
         split_offset=ctx.offset,
         val_rmse=val_rmse,
-        test_rmse=_rmse(y_test, test_targets),
+        test_rmse=rmse(y_test, test_targets),
         test_mae=_mae(y_test, test_targets),
         alpha_loc=alpha_loc,
         penalty=ridge.penalty,
@@ -604,11 +610,13 @@ def _run_split_block(
     ``source`` is a fixed :class:`WindowedDataset` or a builder(seed); a
     builder is called once per campaign seed so the seed dimension of the
     paired audit covers independent draws. Every key and file name comes
-    from the built dataset's ``name``. Returns (results, ledgers, skipped,
-    selected payloads); ledgers map (dataset, seed, offset) to the
-    serialized calibration and its hash.
+    from the built dataset's ``name``. Each cell is calibrated for the
+    requested modes and for the modes of its rows in ``skip_rows``, so the
+    ledger hash does not depend on which modes a rerun asks for; a mode
+    whose row is missing or carries another hash is fitted. Returns
+    (results, ledgers, skipped, selected payloads); ledgers map (dataset,
+    seed, offset) to the serialized calibration and its hash.
     """
-    modes = [m for m in MODE_REGISTRY if m.mode_id in mode_ids]
     results: list[RunResult] = []
     ledgers: dict[tuple, tuple[str, str]] = {}
     skipped: dict[str, str] = {}
@@ -621,35 +629,38 @@ def _run_split_block(
             warnings.warn(f"dataset {ds.name} (seed {seed}) skipped: {reason}")
             continue
         ctx = cache.context(ds, seed, offset) if cache is not None else SplitContext(ds, offset)
+        kept = {
+            key[1]: row for key, row in (skip_rows or {}).items()
+            if (key[0], key[2], key[3]) == (ds.name, seed, offset)
+        }
+        modes = [m for m in MODE_REGISTRY if m.mode_id in mode_ids or m.mode_id in kept]
         calibration = calibrate_cell(ctx, seed, modes)
         test_targets = ctx.ds.targets[list(ctx.test_range)]
         if corrupt_test_targets:
             test_targets = np.zeros(len(ctx.test_range))
         global_cache: dict = {}
         sink: dict = {}
-        cell_rows: list[RunResult] = []
+        cell_rows = dict(kept)
         for mode in modes:
-            key = (ds.name, mode.mode_id, seed, offset)
-            prior = skip_rows.get(key) if skip_rows else None
+            prior = kept.get(mode.mode_id)
             if prior is not None and prior.ledger_hash == calibration.content_hash:
-                cell_rows.append(prior)
                 continue
             result, _ = run_mode_detailed(
                 ctx, mode, seed, calibration, test_targets=test_targets,
                 global_cache=global_cache, model_sink=sink,
             )
             results.append(result)
-            cell_rows.append(result)
-        if cell_rows:
-            chosen = select_by_validation(cell_rows)
-            if chosen.mode_id not in sink:
-                # the selected mode's rows were resumed from disk; regenerate
-                # its model state and predictions for the output tree
-                mode = next(m for m in modes if m.mode_id == chosen.mode_id)
-                run_mode_detailed(
-                    ctx, mode, seed, calibration, test_targets=test_targets,
-                    global_cache=global_cache, model_sink=sink,
-                )
+            cell_rows[mode.mode_id] = result
+        chosen = select_by_validation(list(cell_rows.values())) if cell_rows else None
+        if chosen is not None and chosen.mode_id not in sink and chosen.mode_id in mode_ids:
+            # the selected mode's row was resumed from disk; regenerate its
+            # model state and predictions for the output tree
+            mode = next(m for m in modes if m.mode_id == chosen.mode_id)
+            run_mode_detailed(
+                ctx, mode, seed, calibration, test_targets=test_targets,
+                global_cache=global_cache, model_sink=sink,
+            )
+        if chosen is not None and chosen.mode_id in sink:
             payload = dict(sink[chosen.mode_id], mode=chosen.mode_id)
             payload["y_test_true"] = [float(v) for v in test_targets]
             selected_payloads[(ds.name, seed, offset)] = payload
@@ -683,10 +694,17 @@ def run_campaign(
     ``corrupt_test_targets`` zeroes each cell's test targets before metric
     computation (leakage audit hook). ``existing`` rows are kept and their
     mode fits skipped when the ledger hash still matches; the calibrations
-    are still recomputed to check that hash. The (dataset, offset) blocks
-    run in a pool of ``n_workers`` processes when that is above 1, else in
-    this process; ``cache`` lives in one process and so needs
-    ``n_workers=1``.
+    are still recomputed to check that hash, and each cell is calibrated
+    for the modes of its existing rows too, so those rows keep their
+    ledger. The (dataset, offset) blocks run in a pool of ``n_workers``
+    processes when that is above 1, else in this process; ``cache`` lives
+    in one process and so needs ``n_workers=1``.
+
+    With ``out_dir``, outputs are written after each block:
+    ``results.csv`` and ``selected.csv`` from all rows so far (each
+    replaced atomically), and the ledgers, models and predictions of that
+    block's cells. An interrupted run thus leaves every finished block on
+    disk for a rerun with ``existing``.
     """
     if mode_ids is None:
         mode_ids = [m.mode_id for m in MODE_REGISTRY]
@@ -707,25 +725,23 @@ def run_campaign(
     merged = dict(prior)  # rerun rows replace stale ones
     ledger_payloads: dict[tuple, tuple[str, str]] = {}
     skipped: dict[str, str] = {}
-    selected_payloads: dict[tuple, dict] = {}
     parallel = workers > 1 and len(tasks) > 1
     with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
         runner = pool.map if parallel else map
-        for block_results, ledgers, block_skipped, block_selected in (
-            runner(_run_split_block, *zip(*tasks)) if tasks else ()
-        ):
+        # with no blocks, one empty block still writes the outputs once
+        blocks = runner(_run_split_block, *zip(*tasks)) if tasks else [([], {}, {}, {})]
+        for block_results, ledgers, block_skipped, block_selected in blocks:
             merged.update((r.key(), r) for r in block_results)
             ledger_payloads.update(ledgers)
             skipped.update(block_skipped)
-            selected_payloads.update(block_selected)
-    results = list(merged.values())
-
-    if out_dir is not None:
-        _write_campaign_outputs(Path(out_dir), results, ledger_payloads, skipped, selected_payloads)
-    return results, ledger_payloads
+            if out_dir is not None:
+                _write_campaign_outputs(Path(out_dir), list(merged.values()), ledgers, skipped, block_selected)
+    return list(merged.values()), ledger_payloads
 
 
 def _write_campaign_outputs(out_dir: Path, results, ledger_payloads, skipped, selected_payloads) -> None:
+    """Checkpoint: results.csv and selected.csv from ``results``, plus the
+    ledger, model and prediction files of the given cells."""
     out_dir.mkdir(parents=True, exist_ok=True)
     write_results_csv(out_dir / "results.csv", results)
     ledger_dir = out_dir / "ledgers"
@@ -791,4 +807,4 @@ def _write_selected(out_dir: Path, results: list[RunResult], selected_payloads: 
         ):
             pred_lines.append(f"{idx},{y_true!r},{y_pred!r}")
         (pred_dir / f"{tag}.csv").write_text("\n".join(pred_lines) + "\n")
-    (out_dir / "selected.csv").write_text("\n".join(lines) + "\n")
+    _replace_file(out_dir / "selected.csv", "\n".join(lines) + "\n")

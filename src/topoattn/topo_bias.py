@@ -32,6 +32,8 @@ H0_SCALES = (0.5, 1.0, 2.0)
 H1_SCALES = (0.70, 1.0, 1.40)
 #: Soft-adjacency temperature, in units of the adjacency scale.
 SOFT_TAU_FACTOR = 0.1
+#: Anchored Euler transform: projection directions x quantile thresholds.
+AET_DIRECTIONS = AET_THRESHOLDS = 8
 
 
 @dataclass
@@ -51,14 +53,6 @@ class AetParams:
             raise InvalidInput("AET directions must be unit vectors")
         if np.any(np.diff(self.thresholds, axis=1) < 0):
             raise InvalidInput("AET thresholds must be nondecreasing per direction")
-
-    @property
-    def n_directions(self) -> int:
-        return self.directions.shape[0]
-
-    @property
-    def n_thresholds(self) -> int:
-        return self.thresholds.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +159,13 @@ def _aet_values(tokens: np.ndarray, d: np.ndarray, sigma: np.ndarray, params: Ae
     return _symmetrize(bias)
 
 
-def aet_calibrate(train_clouds, n_directions: int = 8, n_thresholds: int = 8, seed: int = 0) -> AetParams:
+def aet_calibrate(train_clouds, seed: int = 0) -> AetParams:
     """Fit AET directions, thresholds and temperatures on training windows.
 
     Directions are the top principal axes of the pooled train tokens,
-    padded to ``n_directions`` with seeded random unit vectors; thresholds
-    are evenly spaced quantiles of the train projections.
+    padded to :data:`AET_DIRECTIONS` with seeded random unit vectors;
+    thresholds are :data:`AET_THRESHOLDS` evenly spaced quantiles of the
+    train projections.
     """
     clouds = [_as_tokens(c) for c in train_clouds]
     if len(clouds) == 0:
@@ -183,14 +178,14 @@ def aet_calibrate(train_clouds, n_directions: int = 8, n_thresholds: int = 8, se
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]
     directions = []
-    for idx in order[: min(n_directions, p)]:
+    for idx in order[: min(AET_DIRECTIONS, p)]:
         v = eigvecs[:, idx]
         anchor = np.argmax(np.abs(v))
         if v[anchor] < 0:
             v = -v
         directions.append(v)
     rng = np.random.default_rng(seed)
-    while len(directions) < n_directions:
+    while len(directions) < AET_DIRECTIONS:
         v = rng.normal(size=p)
         nrm = np.linalg.norm(v)
         if nrm < 1e-12:
@@ -199,7 +194,7 @@ def aet_calibrate(train_clouds, n_directions: int = 8, n_thresholds: int = 8, se
     directions = np.asarray(directions)
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
 
-    levels = np.linspace(0.0, 1.0, n_thresholds + 2)[1:-1]
+    levels = np.linspace(0.0, 1.0, AET_THRESHOLDS + 2)[1:-1]
     proj = pooled @ directions.T  # (T, R)
     thresholds = np.quantile(proj, levels, axis=0).T  # (R, Q)
     temperature = max(0.5 * float(np.std(proj)), 1e-6)

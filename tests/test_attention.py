@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from topoattn import attention
 from topoattn.attention import (
     AttentionParams,
     ForecastModel,
@@ -41,7 +42,7 @@ class TestLogits:
     def test_symmetric_when_projections_equal(self):
         rng = np.random.default_rng(0)
         w = rng.normal(size=(3, 3))
-        params = AttentionParams(w_query=w, w_key=w, d_h=3)
+        params = AttentionParams(w_query=w, w_key=w)
         logits = one_window_logits(rng.normal(size=(6, 3)), params)
         assert np.allclose(logits, logits.T, atol=1e-12)
 
@@ -163,12 +164,15 @@ class TestRidge:
         train_rmse = np.sqrt(np.mean((ridge_predict(model, x[:40]) - y[:40]) ** 2))
         assert train_rmse <= 1e-6
 
-    def test_shrinkage_monotone(self):
+    def test_shrinkage_monotone(self, monkeypatch):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(30, 4))
         y = rng.normal(size=30)
-        small = ridge_fit(x, y, x, y, grid=(0.001,))
-        large = ridge_fit(x, y, x, y, grid=(100.0,))
+        monkeypatch.setattr(attention, "RIDGE_GRID", (0.001,))
+        small = ridge_fit(x, y, x, y)
+        monkeypatch.setattr(attention, "RIDGE_GRID", (100.0,))
+        large = ridge_fit(x, y, x, y)
+        assert (small.penalty, large.penalty) == (0.001, 100.0)
         assert np.linalg.norm(large.weights) <= np.linalg.norm(small.weights)
 
     def test_grid_contents(self):
@@ -258,14 +262,15 @@ class TestTemperatureTraining:
         assert info["epochs_run"] <= 16
         assert all(v >= 0.0 for v in temps.eta().values())
 
-    def test_patience_stops_training(self):
+    def test_patience_stops_training(self, monkeypatch):
         # lr=0 freezes parameters, so validation never improves: the loop
-        # must stop after exactly `patience` epochs
+        # must stop after exactly TRAIN_PATIENCE = 5 epochs
+        monkeypatch.setattr(attention, "TRAIN_LR", 0.0)
         _, _, info = train_temperatures(
             self.windows[:30], self.targets[:30], self.windows[30:], self.targets[30:],
             {c: self.stacks[c][:30] for c in self.channels},
             {c: self.stacks[c][30:] for c in self.channels},
-            self.channels, seed=6, lr=0.0, patience=5,
+            self.channels, seed=6,
         )
         assert info["epochs_run"] == 5
 

@@ -5,7 +5,6 @@ import pytest
 
 from topoattn.datasets import (
     ScalerState,
-    SplitSpec,
     SPLIT_OFFSETS,
     apply_scaler,
     build_co2_windows,
@@ -247,23 +246,23 @@ class TestIms:
 
 class TestSplits:
     def test_canonical_split(self):
-        tr, va, te = chronological_split(100, SplitSpec())
+        tr, va, te = chronological_split(100, 0.0)
         assert (tr, va, te) == (range(0, 70), range(70, 85), range(85, 100))
 
     def test_offsets_distinct(self):
         sizes = set()
         for offset in SPLIT_OFFSETS:
-            tr, _, _ = chronological_split(100, SplitSpec(offset=offset))
+            tr, _, _ = chronological_split(100, offset)
             sizes.add(len(tr))
         assert len(sizes) == 3
 
     def test_ordering(self):
-        tr, va, te = chronological_split(137, SplitSpec(offset=0.05))
+        tr, va, te = chronological_split(137, 0.05)
         assert max(tr) < min(va) < max(va) < min(te)
 
     def test_invalid_boundaries(self):
         with pytest.raises(InvalidInput):
-            chronological_split(3, SplitSpec(offset=0.5))
+            chronological_split(3, 0.5)
 
 
 class TestScaler:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from topoattn import local_residual
 from topoattn.errors import CalibrationMissing, InvalidInput
 from topoattn.geometry import KernelSpec, gaussian_kernel_matrix, hilbert_distance_matrix
 from topoattn.local_residual import (
@@ -238,10 +239,10 @@ class TestGuardedBlend:
         state, final = guarded_blend(self.g_val, self.l_val, self.val_y, self.g_test, self.l_test)
         assert state.accepted and state.alpha_loc > 0.0
 
-    def test_alpha_one_gives_local(self):
-        state, final = guarded_blend(
-            self.g_val, self.l_val, self.val_y, self.g_test, self.l_test, grid=(0.0, 1.0)
-        )
+    def test_alpha_one_gives_local(self, monkeypatch):
+        monkeypatch.setattr(local_residual, "ALPHA_GRID", (0.0, 1.0))
+        state, final = guarded_blend(self.g_val, self.l_val, self.val_y, self.g_test, self.l_test)
+        assert state.alpha_star in (0.0, 1.0)
         if state.alpha_loc == 1.0:
             assert np.allclose(final, self.l_test, atol=1e-15)
 
@@ -249,15 +250,16 @@ class TestGuardedBlend:
         state, final = guarded_blend(self.g_val, self.g_val, self.val_y, self.g_test, self.g_test)
         assert state.alpha_loc == 0.0
 
-    def test_margin_condition(self):
-        # local marginally better than global; with delta=0.5 the margin is
-        # 0.5 * max(1, global RMSE) = 0.5, far above the improvement, so this
-        # checks only that the margin is applied, not the default's size
+    def test_margin_condition(self, monkeypatch):
+        # local marginally better than global; with DELTA_LOC = 0.5 the margin
+        # is 0.5 * max(1, global RMSE) = 0.5, far above the improvement, so
+        # this checks only that the margin is applied, not the default's size
+        monkeypatch.setattr(local_residual, "DELTA_LOC", 0.5)
         rng = np.random.default_rng(10)
         val_y = rng.normal(size=400)
         g = val_y + rng.normal(0, 0.5000, 400)
         l = val_y + rng.normal(0, 0.4997, 400)
-        state, _ = guarded_blend(g, l, val_y, self.g_test, self.l_test, delta=0.5)
+        state, _ = guarded_blend(g, l, val_y, self.g_test, self.l_test)
         assert state.alpha_loc == 0.0
 
     def test_default_margin_absolute_below_rmse_one(self):

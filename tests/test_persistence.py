@@ -292,7 +292,7 @@ class TestSummaries:
 
     def test_dim_filter(self):
         dgm = PersistenceDiagram([(0.0, 3.0, 0), (0.0, 1.0, 1)])
-        assert vectorize_diagram(dgm, dim=1)[7] == 1.0
+        assert vectorize_diagram(dgm.in_dim(1))[7] == 1.0
 
 
 def test_pairwise_euclidean_interop():

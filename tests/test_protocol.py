@@ -325,3 +325,50 @@ def test_builder_outputs_named_from_dataset(tmp_path):
     }
     assert stems == {sub: ["loop_s1_op0_00"] for sub in stems}
     assert "head_weights = " in (tmp_path / "models" / "loop_s1_op0_00.txt").read_text()
+
+
+def test_interrupted_campaign_resumes(tmp_path, monkeypatch):
+    from topoattn import protocol
+
+    datasets = [SMALL_CYCLIC, partial(gen_shell_h2, n_windows=60, n_tokens=12)]
+    kwargs = dict(seeds=(1,), offsets=(0.0,), mode_ids=["classical", "static_h0"])
+    run_campaign(datasets, out_dir=tmp_path / "whole", **kwargs)
+
+    original = protocol.run_mode_detailed
+
+    def interrupted(ctx, *args, **kwargs):
+        if ctx.ds.name == "shell":
+            raise KeyboardInterrupt
+        return original(ctx, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(protocol, "run_mode_detailed", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(datasets, out_dir=tmp_path / "cut", **kwargs)
+    done = parse_results_csv(tmp_path / "cut" / "results.csv")
+    assert sorted((r.dataset, r.mode_id) for r in done) == [("cyclic", "classical"), ("cyclic", "static_h0")]
+    assert sorted(_tree_bytes(tmp_path / "cut")) == [
+        "ledgers/cyclic_s1_op0_00.json", "models/cyclic_s1_op0_00.txt",
+        "predictions/cyclic_s1_op0_00.csv", "results.csv", "selected.csv",
+    ]
+    run_campaign(datasets, out_dir=tmp_path / "cut", existing=done, **kwargs)
+    assert _tree_bytes(tmp_path / "cut") == _tree_bytes(tmp_path / "whole")
+
+
+def test_narrower_rerun_keeps_one_ledger_hash(tmp_path, monkeypatch):
+    import hashlib
+
+    from topoattn import protocol
+
+    kwargs = dict(seeds=(1,), offsets=(0.0,), out_dir=tmp_path)
+    first, _ = run_campaign([SMALL_CYCLIC], mode_ids=["classical", "static_kh0"], **kwargs)
+    fits = []
+    original = protocol.run_mode_detailed
+    monkeypatch.setattr(protocol, "run_mode_detailed", lambda *a, **k: fits.append(a[1]) or original(*a, **k))
+    run_campaign([SMALL_CYCLIC], mode_ids=["classical"], existing=first, **kwargs)
+    assert fits == []
+    ledger = (tmp_path / "ledgers" / "cyclic_s1_op0_00.json").read_text()
+    expected = hashlib.sha256(ledger[:-1].encode()).hexdigest()
+    assert {r.ledger_hash for r in parse_results_csv(tmp_path / "results.csv")} == {expected}
+    model = (tmp_path / "models" / "cyclic_s1_op0_00.txt").read_text().splitlines()
+    assert [line for line in model if line.startswith("ledger_hash")] == [f"ledger_hash = {expected}"]

@@ -12,6 +12,7 @@ import pytest
 from scipy.special import expit
 from scipy.stats import spearmanr
 
+from topoattn import topo_bias
 from topoattn.attention import window_bias_stack
 from topoattn.errors import InvalidInput
 from topoattn.geometry import KernelSpec, gaussian_kernel_matrix, hilbert_distance_matrix, pairwise_euclidean, zscore_offdiagonal
@@ -191,10 +192,10 @@ class TestH2Bias:
 class TestAet:
     def test_calibration_invariants(self):
         clouds = [random_cloud(s, n=10, p=3) for s in range(5)]
-        params = aet_calibrate(clouds, n_directions=8, n_thresholds=8, seed=3)
+        params = aet_calibrate(clouds, seed=3)
         assert np.allclose(np.linalg.norm(params.directions, axis=1), 1.0, atol=1e-12)
         assert np.all(np.diff(params.thresholds, axis=1) >= 0.0)
-        again = aet_calibrate(clouds, n_directions=8, n_thresholds=8, seed=3)
+        again = aet_calibrate(clouds, seed=3)
         assert np.array_equal(params.directions, again.directions)
         assert np.array_equal(params.thresholds, again.thresholds)
 
@@ -214,15 +215,17 @@ class TestAet:
         proj = cloud @ params.directions.T
         m = expit((params.thresholds[None, :, :] - proj[:, :, None]) / params.temperature)
         c = m * (1.0 - np.einsum("ij,jrq->irq", adj, m))
-        full = np.einsum("irq,jrq->ij", c, c) / (params.n_directions * params.n_thresholds)
+        full = np.einsum("irq,jrq->ij", c, c) / params.thresholds.size  # R * Q
         assert np.linalg.eigvalsh(full).min() >= -1e-10  # PSD before diagonal zeroing
         expected = full.copy()
         np.fill_diagonal(expected, 0.0)
         assert np.allclose(got, 0.5 * (expected + expected.T), atol=1e-12)
 
-    def test_rank_one_with_single_direction_threshold(self):
+    def test_rank_one_with_single_direction_threshold(self, monkeypatch):
+        monkeypatch.setattr(topo_bias, "AET_DIRECTIONS", 1)
+        monkeypatch.setattr(topo_bias, "AET_THRESHOLDS", 1)
         clouds = [random_cloud(s, n=6, p=2) for s in range(3)]
-        params = aet_calibrate(clouds, n_directions=1, n_thresholds=1, seed=0)
+        params = aet_calibrate(clouds, seed=0)
         cloud = random_cloud(11, n=6, p=2)
         b = stack(cloud, "AET", aet_params=params)
         # off-diagonal entries of a rank-1 outer product satisfy the
