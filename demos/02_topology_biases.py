@@ -7,7 +7,7 @@ shows how the channels react to the loop structure.
 
 import numpy as np
 
-from topoattn import KernelSpec, aet_calibrate, bias_stacks, pairwise_euclidean
+from topoattn import KernelSpec, aet_calibrate, bias_stacks, pairwise_euclidean, window_sigma
 
 rng = np.random.default_rng(0)
 n = 24
@@ -35,8 +35,8 @@ for c in channels:
 d = pairwise_euclidean(loop)
 b_h1 = stacks_loop["H1"][0]
 partner = int(np.argmax(b_h1[0]))
-print(f"\ntoken 0 strongest H1 partner: token {partner} at distance {d.values[0, partner]:.3f} "
-      f"(window sigma {d.sigma:.3f})")
+print(f"\ntoken 0 strongest H1 partner: token {partner} at distance {d[0, partner]:.3f} "
+      f"(window sigma {window_sigma(d):.3f})")
 
 # AET bias is a sum of token-contribution outer products (PSD before the
 # diagonal is zeroed), so it concentrates on directionally coherent tokens.

@@ -12,7 +12,7 @@ by_id = {m.mode_id: m for m in MODE_REGISTRY}
 ds = gen_higher_topology(seed=1)
 ctx = SplitContext(ds, offset=0.0)
 print(f"{ds.name} {ds.shape}; split sizes {len(ctx.train_range)}/{len(ctx.val_range)}/{len(ctx.test_range)}")
-print(f"pooled train sigma {ctx.pooled_sigma:.3f}; cover has {len(ctx.cover)} elements\n")
+print(f"pooled train sigma {ctx.kernel_bandwidth:.3f}; cover has {len(ctx.cover)} elements\n")
 
 calibration = calibrate_cell(ctx, seed=1)
 print(f"ledger hash {calibration.content_hash[:16]}...\n")

@@ -55,17 +55,15 @@ from .errors import (
     DatasetSkipped,
     InvalidInput,
     InvalidParameter,
-    NumericalError,
     TopoAttnError,
     TrainingDiverged,
 )
 from .geometry import (
-    DistanceMatrix,
     KernelSpec,
-    gaussian_kernel_matrix,
-    hilbert_distance_matrix,
-    median_nonzero_distance,
+    hilbert_distance,
     pairwise_euclidean,
+    pooled_sigma,
+    window_sigma,
     zscore_offdiagonal,
 )
 from .local_residual import (

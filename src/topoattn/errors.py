@@ -13,10 +13,6 @@ class InvalidParameter(TopoAttnError):
     """A scalar parameter is outside its admissible range."""
 
 
-class NumericalError(TopoAttnError):
-    """A numerically impossible intermediate value was encountered."""
-
-
 class TrainingDiverged(TopoAttnError):
     """Temperature training produced a non-finite loss."""
 

@@ -1,46 +1,25 @@
-"""Distance and kernel primitives shared by every topology channel.
+"""Window geometry: the one home of every distance and scale the channels use.
 
-A forecasting window is treated as a point cloud of tokens. Everything
-downstream (smooth bias surrogates, Rips filtrations, RKHS channels)
-consumes either a Euclidean distance matrix or a kernel-induced Hilbert
-distance matrix produced here.
+A forecasting window is treated as a point cloud of tokens. Every global
+bias channel and every local diagram is built from two distances,
+Euclidean and kernel-Hilbert, each expressed in units of a window's
+median scale. The scale, Hilbert and z-score helpers act on a stack of
+matrices of shape (..., N, N); a single window is a stack of one.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import InvalidInput, InvalidParameter, NumericalError
+from .errors import InvalidInput, InvalidParameter
 
-#: Returned by :func:`median_nonzero_distance` when every pairwise distance
-#: is zero (identical tokens); keeps the bias denominators finite.
+#: Median scale of a window whose pairwise distances are all zero
+#: (identical tokens); keeps the bias denominators finite.
 DEGENERATE_SIGMA = 1e-6
-
-
-@dataclass
-class DistanceMatrix:
-    """Symmetric pairwise distance matrix plus its median scale.
-
-    ``sigma`` is the median of the strictly positive off-diagonal entries
-    (or :data:`DEGENERATE_SIGMA` when there are none) and is the single
-    scale every smooth bias is expressed in.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-
-    @property
-    def sigma(self) -> float:
-        return median_nonzero_distance(self.values)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -63,83 +42,82 @@ def _as_tokens(cloud) -> np.ndarray:
     return tokens
 
 
-def pairwise_euclidean(cloud) -> DistanceMatrix:
-    """Euclidean distance matrix of a token cloud.
+def symmetrize(m: np.ndarray) -> np.ndarray:
+    """Average each matrix with its transpose and zero the diagonal."""
+    m = 0.5 * (m + np.swapaxes(m, -1, -2))
+    n = m.shape[-1]
+    m[..., np.arange(n), np.arange(n)] = 0.0
+    return m
 
-    Accepts an N x p token array with N >= 2 and finite entries. The
-    result is exactly symmetric with a zero diagonal.
+
+# Two Euclidean formulas stay on purpose: ``cdist`` for one window and the
+# ``einsum`` for a stack differ by 1 ulp on about 11% of the entries of the
+# cyclic and shell windows (seeds 1-10), and merging them would move the
+# campaign's pinned output digests.
+
+
+def pairwise_euclidean(cloud) -> np.ndarray:
+    """Euclidean distance matrix (N, N) of one N x p token cloud.
+
+    Accepts N >= 2 tokens with finite entries. The result is exactly
+    symmetric with a zero diagonal.
     """
     tokens = _as_tokens(cloud)
-    values = cdist(tokens, tokens)
-    values = 0.5 * (values + values.T)
-    np.fill_diagonal(values, 0.0)
-    return DistanceMatrix(values=values)
+    return symmetrize(cdist(tokens, tokens))
 
 
-def gaussian_kernel_matrix(cloud, spec: KernelSpec) -> np.ndarray:
-    """Gaussian kernel K[i,j] = exp(-||x_i - x_j||^2 / (2 l^2)).
+def stacked_euclidean(windows: np.ndarray) -> np.ndarray:
+    """Euclidean distance matrices (W, N, N) of a (W, N, p) window stack."""
+    diff = windows[:, :, None, :] - windows[:, None, :, :]
+    return symmetrize(np.sqrt(np.einsum("wnmp,wnmp->wnm", diff, diff)))
 
-    The diagonal is exactly 1 and all entries lie in (0, 1].
+
+def hilbert_distance(d, bandwidth: float):
+    """Kernel-Hilbert distance sqrt(2 - 2 exp(-d^2 / (2 l^2))), elementwise.
+
+    This is sqrt(k_ii + k_jj - 2 k_ij) for the unit-diagonal Gaussian
+    kernel; it is strictly increasing in the Euclidean distance ``d`` and
+    bounded by sqrt(2).
     """
-    if not isinstance(spec, KernelSpec):
-        spec = KernelSpec(float(spec))
-    tokens = _as_tokens(cloud)
-    d = cdist(tokens, tokens)
-    d = 0.5 * (d + d.T)
-    kernel = np.exp(-(d * d) / (2.0 * spec.bandwidth**2))
-    np.fill_diagonal(kernel, 1.0)
-    return kernel
+    kernel = np.exp(-(d * d) / (2.0 * bandwidth**2))
+    return np.sqrt(np.maximum(2.0 - 2.0 * kernel, 0.0))
 
 
-def hilbert_distance_matrix(kernel: np.ndarray) -> DistanceMatrix:
-    """Kernel-induced Hilbert distance d_H = sqrt(k_ii + k_jj - 2 k_ij).
+def window_sigma(d: np.ndarray) -> np.ndarray:
+    """Median positive upper-triangle distance per window, shape (...).
 
-    For a unit-diagonal kernel this is sqrt(2 - 2 K[i,j]), bounded by
-    sqrt(2). Radicands below -1e-9 indicate an invalid kernel.
+    A window of identical tokens has no positive distance and gets
+    :data:`DEGENERATE_SIGMA`.
     """
-    kernel = np.asarray(kernel, dtype=np.float64)
-    diag = np.diag(kernel)
-    sq = diag[:, None] + diag[None, :] - 2.0 * kernel
-    if np.min(sq) < -1e-9:
-        raise NumericalError(f"negative squared Hilbert distance {np.min(sq):.3e}; kernel is not PSD-consistent")
-    values = np.sqrt(np.maximum(sq, 0.0))
-    values = 0.5 * (values + values.T)
-    np.fill_diagonal(values, 0.0)
-    return DistanceMatrix(values=values)
+    n = d.shape[-1]
+    iu = np.triu_indices(n, k=1)
+    upper = d[..., iu[0], iu[1]]
+    masked = np.where(upper > 0.0, upper, np.nan)
+    # identical tokens leave an all-NaN row, which gets DEGENERATE_SIGMA below
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        med = np.nanmedian(masked, axis=-1)
+    return np.where(np.isnan(med), DEGENERATE_SIGMA, med)
 
 
-def median_nonzero_distance(values) -> float:
-    """Median of the strictly positive upper-triangle entries.
+def pooled_sigma(distance_matrices) -> float:
+    """Median of the window sigmas of a training set, at least DEGENERATE_SIGMA."""
+    sigmas = window_sigma(np.asarray(distance_matrices, dtype=np.float64))
+    return max(float(np.median(sigmas)), DEGENERATE_SIGMA)
 
-    Falls back to :data:`DEGENERATE_SIGMA` when every pairwise distance is
-    zero (window of identical tokens).
+
+def zscore_offdiagonal(m: np.ndarray) -> np.ndarray:
+    """Standardize each matrix's off-diagonal entries to mean 0, population std 1.
+
+    The diagonal is zero. A matrix whose off-diagonal std is below 1e-12
+    maps to the all-zero matrix.
     """
-    if isinstance(values, DistanceMatrix):
-        values = values.values
-    values = np.asarray(values, dtype=np.float64)
-    iu = np.triu_indices(values.shape[0], k=1)
-    upper = values[iu]
-    positive = upper[upper > 0.0]
-    if positive.size == 0:
-        return DEGENERATE_SIGMA
-    return float(np.median(positive))
-
-
-def zscore_offdiagonal(matrix: np.ndarray) -> np.ndarray:
-    """Standardize the off-diagonal entries to mean 0, population std 1.
-
-    The diagonal is forced to zero. Degenerate input (off-diagonal std
-    below 1e-12) maps to the all-zero matrix.
-    """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if not np.all(np.isfinite(matrix)):
-        raise InvalidInput("zscore input contains non-finite entries")
-    n = matrix.shape[0]
+    n = m.shape[-1]
     off = ~np.eye(n, dtype=bool)
-    vals = matrix[off]
-    std = float(np.std(vals))
-    out = np.zeros_like(matrix)
-    if std < 1e-12:
-        return out
-    out[off] = (vals - float(np.mean(vals))) / std
+    vals = m[..., off]
+    mean = vals.mean(axis=-1, keepdims=True)
+    std = vals.std(axis=-1, keepdims=True)
+    scaled = np.where(std < 1e-12, 0.0, (vals - mean) / np.where(std < 1e-12, 1.0, std))
+    out = np.zeros_like(m)
+    out[..., off] = scaled
     return out

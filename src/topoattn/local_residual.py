@@ -20,7 +20,7 @@ import numpy as np
 
 from .attention import RidgeModel, ridge_fit, rmse
 from .errors import CalibrationMissing, InvalidInput
-from .geometry import KernelSpec, pairwise_euclidean
+from .geometry import KernelSpec, hilbert_distance, pairwise_euclidean
 from .persistence import (
     DIAGRAM_VECTOR_LEN,
     PersistenceDiagram,
@@ -113,22 +113,18 @@ def build_cover(window_length: int) -> Cover:
 
 
 def _hilbert_map(bars, bandwidth: float):
-    """Map Euclidean Rips bars through d -> sqrt(2 - 2 exp(-d^2/(2 l^2))).
+    """Map Euclidean Rips bars through the kernel-Hilbert distance.
 
     The map is strictly increasing, so the Rips filtration under the
     kernel-Hilbert distance is its image and the bar multiset transforms
-    exactly; essential bars stay essential.
+    exactly; finite endpoints are mapped and essential bars stay essential.
     """
-
-    def g(x: float) -> float:
-        if not np.isfinite(x):
-            return np.inf
-        return float(np.sqrt(max(2.0 - 2.0 * np.exp(-(x * x) / (2.0 * bandwidth**2)), 0.0)))
-
-    return [(g(b), g(d), k) for (b, d, k) in bars]
+    ends = np.asarray([(b, d) for (b, d, _) in bars], dtype=np.float64).reshape(-1, 2)
+    mapped = np.where(np.isfinite(ends), hilbert_distance(ends, bandwidth), np.inf)
+    return [(b, d, k) for (b, d), (_, _, k) in zip(mapped.tolist(), bars)]
 
 
-def local_diagrams(subwindow, spec: KernelSpec, distances: np.ndarray | None = None) -> dict[str, PersistenceDiagram]:
+def local_diagrams(subwindow, spec: KernelSpec) -> dict[str, PersistenceDiagram]:
     """The seven local diagrams of one cover element.
 
     ``d0_plus``/``d0_minus`` are path-sublevel H0 diagrams of the first
@@ -142,9 +138,7 @@ def local_diagrams(subwindow, spec: KernelSpec, distances: np.ndarray | None = N
     series = tokens[:, 0]
     d0_plus = path_sublevel_h0(series)
     d0_minus = path_sublevel_h0(-series)
-    if distances is None:
-        distances = pairwise_euclidean(tokens).values
-    dgm = capped_exact_diagrams(distances)
+    dgm = capped_exact_diagrams(pairwise_euclidean(tokens))
     kh = PersistenceDiagram(_hilbert_map(dgm.bars, spec.bandwidth))
     return {
         "d0_plus": d0_plus,
@@ -182,12 +176,9 @@ def local_block_tensor(windows: np.ndarray, cover: Cover, spec: KernelSpec):
     blocks = np.zeros((n_windows, m, len(LOCAL_BLOCKS), DIAGRAM_VECTOR_LEN))
     stats = np.zeros((n_windows, m, N_WINDOW_STATS * p))
     for w in range(n_windows):
-        tokens = windows[w]
-        dist = pairwise_euclidean(tokens).values
         for i, el in enumerate(cover.elements):
-            sub = tokens[el.start : el.stop]
-            sub_d = dist[el.start : el.stop, el.start : el.stop]
-            dgms = local_diagrams(sub, spec, distances=sub_d)
+            sub = windows[w, el.start : el.stop]
+            dgms = local_diagrams(sub, spec)
             for b, name in enumerate(LOCAL_BLOCKS):
                 blocks[w, i, b] = vectorize_diagram(dgms[name])
             stats[w, i] = _window_stats(sub)

@@ -14,8 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InvalidParameter
-from .geometry import DistanceMatrix
+from .errors import InvalidInput, InvalidParameter
 
 #: Point-count cap for exact persistence.
 EXACT_POINT_CAP = 28
@@ -110,9 +109,14 @@ def capped_exact_diagrams(D) -> PersistenceDiagram:
     distance of its vertices. The combinatorial structure is cached per
     point count and the filtration values are computed vectorized.
     Clouds above :data:`EXACT_POINT_CAP` points raise
-    :class:`InvalidParameter`.
+    :class:`InvalidParameter`; a matrix that is not square 2-D or has a
+    non-finite or negative entry raises :class:`InvalidInput`.
     """
-    values = D.values if isinstance(D, DistanceMatrix) else np.asarray(D, dtype=np.float64)
+    values = np.asarray(D, dtype=np.float64)
+    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+        raise InvalidInput(f"distance matrix must be square 2-D, got shape {values.shape}")
+    if not (np.all(np.isfinite(values)) and np.all(values >= 0.0)):
+        raise InvalidInput("distance matrix entries must be finite and nonnegative")
     n = values.shape[0]
     if n > EXACT_POINT_CAP:
         raise InvalidParameter(

@@ -45,7 +45,7 @@ from .datasets import (
     fit_scaler,
 )
 from .errors import CalibrationMissing, InvalidInput, TopoAttnError
-from .geometry import KernelSpec, pairwise_euclidean
+from .geometry import KernelSpec, pairwise_euclidean, pooled_sigma
 from .local_residual import (
     LocalProjection,
     assemble_local_features,
@@ -66,7 +66,6 @@ RESULT_HEADER = (
 )
 DEFAULT_SEEDS = (1, 2, 3)
 BANDWIDTH_FACTORS = (0.5, 1.0, 2.0)
-DEFAULT_DATASET_SEED = 7
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +268,8 @@ class SplitContext:
         self.scaler = fit_scaler(ds.windows[list(self.train_range)])
         self.scaled = apply_scaler(self.scaler, ds.windows)
         train_scaled = self.scaled[list(self.train_range)]
-        sigmas = [pairwise_euclidean(w).sigma for w in train_scaled]
-        self.pooled_sigma = max(float(np.median(sigmas)), 1e-6)
-        self.kernel_bandwidth = self.pooled_sigma
-        self.bandwidth_grid = tuple(f * self.pooled_sigma for f in BANDWIDTH_FACTORS)
+        self.kernel_bandwidth = pooled_sigma([pairwise_euclidean(w) for w in train_scaled])
+        self.bandwidth_grid = tuple(f * self.kernel_bandwidth for f in BANDWIDTH_FACTORS)
         self.cover = build_cover(ds.windows.shape[1])
         self._stacks: dict = {}
         self._blocks = None

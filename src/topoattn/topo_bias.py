@@ -4,19 +4,31 @@ anchored Euler-transform channel, and their kernel-Hilbert twins.
 Every channel is a symmetric, zero-diagonal, finite N x N matrix meant to
 be added to attention logits. The math is implemented once in batched
 form over a stack of windows (:func:`bias_stacks`); a single window is a
-stack of one.
+stack of one. Distances, median scales, the kernel-Hilbert distance and
+the off-diagonal z-score come from :mod:`topoattn.geometry`; this module
+holds only the channel formulas.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
 from .errors import InvalidInput
-from .geometry import DEGENERATE_SIGMA, KernelSpec, _as_tokens, pairwise_euclidean
+from .geometry import (
+    DEGENERATE_SIGMA,
+    KernelSpec,
+    _as_tokens,
+    hilbert_distance,
+    pairwise_euclidean,
+    pooled_sigma,
+    stacked_euclidean,
+    symmetrize,
+    window_sigma,
+    zscore_offdiagonal,
+)
 # kept only so that bench/tracer.py can wrap topo_bias.capped_exact_diagrams
 from .persistence import capped_exact_diagrams  # noqa: F401
 
@@ -56,39 +68,7 @@ class AetParams:
 
 
 # ---------------------------------------------------------------------------
-# batched primitives; d has shape (..., N, N), sigma broadcasts over (...)
-
-
-def _batch_sigma(d: np.ndarray) -> np.ndarray:
-    """Median positive upper-triangle distance per window."""
-    n = d.shape[-1]
-    iu = np.triu_indices(n, k=1)
-    upper = d[..., iu[0], iu[1]]
-    masked = np.where(upper > 0.0, upper, np.nan)
-    # identical tokens leave an all-NaN row, which gets DEGENERATE_SIGMA below
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        med = np.nanmedian(masked, axis=-1)
-    return np.where(np.isnan(med), DEGENERATE_SIGMA, med)
-
-
-def _zscore_off_batch(m: np.ndarray) -> np.ndarray:
-    n = m.shape[-1]
-    off = ~np.eye(n, dtype=bool)
-    vals = m[..., off]
-    mean = vals.mean(axis=-1, keepdims=True)
-    std = vals.std(axis=-1, keepdims=True)
-    scaled = np.where(std < 1e-12, 0.0, (vals - mean) / np.where(std < 1e-12, 1.0, std))
-    out = np.zeros_like(m)
-    out[..., off] = scaled
-    return out
-
-
-def _symmetrize(m: np.ndarray) -> np.ndarray:
-    m = 0.5 * (m + np.swapaxes(m, -1, -2))
-    n = m.shape[-1]
-    m[..., np.arange(n), np.arange(n)] = 0.0
-    return m
+# channel values; d has shape (..., N, N), sigma broadcasts over (...)
 
 
 def _h0_values(d: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -96,7 +76,7 @@ def _h0_values(d: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     acc = np.zeros_like(d)
     for w, f in zip(H0_WEIGHTS, H0_SCALES):
         acc += w * np.exp(-(d * d) / (2.0 * (f * s) ** 2))
-    return _symmetrize(_zscore_off_batch(acc))
+    return symmetrize(zscore_offdiagonal(acc))
 
 
 def _soft_adjacency_values(d: np.ndarray, eps, tau) -> np.ndarray:
@@ -116,7 +96,7 @@ def _h1_values(d: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         a = _soft_adjacency_values(d, f * sigma, SOFT_TAU_FACTOR * sigma)
         two_hop = np.matmul(a, a) / max(n - 2, 1)
         acc += two_hop * (1.0 - a)
-    return _symmetrize(_zscore_off_batch(acc / len(H1_SCALES)))
+    return symmetrize(zscore_offdiagonal(acc / len(H1_SCALES)))
 
 
 def _shell_stats(d: np.ndarray, tokens: np.ndarray, sigma: np.ndarray):
@@ -136,7 +116,7 @@ def _h2_values(d: np.ndarray, tokens: np.ndarray, sigma: np.ndarray) -> np.ndarr
     diff = radii[..., :, None] - radii[..., None, :]
     gauss = np.exp(-(diff * diff) / (2.0 * scale[..., None, None] ** 2))
     rho = 0.5 * (sparsity[..., :, None] + sparsity[..., None, :])
-    return _symmetrize(_zscore_off_batch(gauss * rho))
+    return symmetrize(zscore_offdiagonal(gauss * rho))
 
 
 def _aet_values(tokens: np.ndarray, d: np.ndarray, sigma: np.ndarray, params: AetParams) -> np.ndarray:
@@ -154,9 +134,7 @@ def _aet_values(tokens: np.ndarray, d: np.ndarray, sigma: np.ndarray, params: Ae
     c = m * (1.0 - coverage)
     r, q = params.thresholds.shape
     bias = np.einsum("...irq,...jrq->...ij", c, c) / (r * q)
-    n = tokens.shape[-2]
-    bias[..., np.arange(n), np.arange(n)] = 0.0
-    return _symmetrize(bias)
+    return symmetrize(bias)
 
 
 def aet_calibrate(train_clouds, seed: int = 0) -> AetParams:
@@ -199,8 +177,7 @@ def aet_calibrate(train_clouds, seed: int = 0) -> AetParams:
     thresholds = np.quantile(proj, levels, axis=0).T  # (R, Q)
     temperature = max(0.5 * float(np.std(proj)), 1e-6)
 
-    window_sigmas = [pairwise_euclidean(c).sigma for c in clouds]
-    adjacency_scale = max(float(np.median(window_sigmas)), DEGENERATE_SIGMA)
+    adjacency_scale = pooled_sigma([pairwise_euclidean(c) for c in clouds])
     return AetParams(
         directions=directions,
         thresholds=thresholds,
@@ -224,19 +201,16 @@ def bias_stacks(
     AET channels require ``aet_params``; KH channels require ``kernel_spec``.
     """
     windows = np.asarray(windows, dtype=np.float64)
-    diff = windows[:, :, None, :] - windows[:, None, :, :]
-    d = np.sqrt(np.einsum("wnmp,wnmp->wnm", diff, diff))
-    d = _symmetrize(d)
-    sigma = _batch_sigma(d)
+    d = stacked_euclidean(windows)
+    sigma = window_sigma(d)
 
     out: dict[str, np.ndarray] = {}
     need_kh = [c for c in channels if c in RKHS_CHANNELS]
     if need_kh:
         if kernel_spec is None:
             raise InvalidInput("KH channels need a KernelSpec")
-        kernel = np.exp(-(d * d) / (2.0 * kernel_spec.bandwidth**2))
-        d_h = _symmetrize(np.sqrt(np.maximum(2.0 - 2.0 * kernel, 0.0)))
-        sigma_h = _batch_sigma(d_h)
+        d_h = hilbert_distance(d, kernel_spec.bandwidth)
+        sigma_h = window_sigma(d_h)
 
     for channel in channels:
         if channel == "H0":

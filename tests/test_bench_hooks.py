@@ -35,6 +35,8 @@ def test_tracer_wraps_every_layer_and_restores():
             (local_residual, "capped_exact_diagrams"),
             (topo_bias, "capped_exact_diagrams"),
             (attention, "pairwise_euclidean"),
+            (protocol, "pairwise_euclidean"),
+            (topo_bias, "pairwise_euclidean"),
             (protocol, "local_block_tensor"),
             (attention, "window_bias_stack"),
         )
@@ -90,3 +92,22 @@ def test_traced_call_pattern(traced_ctx):
     assert calls("predict", "topo_bias.stack.") == 0
     assert calls("zeng_local_h0", "local_residual.zeng_head") == 1
     assert calls("static_h0_resid", "local_residual.zeng_head") == 0
+
+
+def test_train_sigmas_reach_traced_distance():
+    # the traced run counts geometry.pairwise_euclidean spans through the
+    # protocol and topo_bias attributes; both train-sigma calibrations use them
+    ds = gen_cyclic_h1(3, n_windows=40, n_tokens=16)
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer()
+    try:
+        tracer_module.install_all_layers(tracer)
+        tracer.run_id = "context"
+        ctx = protocol.SplitContext(ds, 0.0)
+        tracer.run_id = "aet"
+        ctx.aet_params(1)
+    finally:
+        tracer.restore()
+    for run_id in ("context", "aet"):
+        counts = tracer_module.span_counts(tracer, run_id)
+        assert counts.get("geometry.pairwise_euclidean", 0) >= 1

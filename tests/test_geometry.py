@@ -1,46 +1,64 @@
-"""Distance/kernel primitives: brute-force oracles and metric properties."""
+"""Window geometry: brute-force oracles and metric properties.
+
+The batched helpers act on stacks of shape (..., N, N); most checks run
+them on a stack of one window.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topoattn.errors import InvalidInput, InvalidParameter, NumericalError
+from topoattn.errors import InvalidInput, InvalidParameter
 from topoattn.geometry import (
     DEGENERATE_SIGMA,
     KernelSpec,
-    gaussian_kernel_matrix,
-    hilbert_distance_matrix,
-    median_nonzero_distance,
+    hilbert_distance,
     pairwise_euclidean,
+    pooled_sigma,
+    stacked_euclidean,
+    symmetrize,
+    window_sigma,
     zscore_offdiagonal,
 )
+
+
+def kernel_oracle(x, ell):
+    """Gaussian kernel K[i,j] = exp(-||x_i - x_j||^2 / (2 l^2)), by brute force."""
+    n = len(x)
+    return np.array([[np.exp(-((x[i] - x[j]) ** 2).sum() / (2.0 * ell**2)) for j in range(n)] for i in range(n)])
+
+
+def hilbert_matrix(x, ell):
+    return hilbert_distance(pairwise_euclidean(x), ell)
 
 
 class TestPairwiseEuclidean:
     def test_coincident_points(self):
         d = pairwise_euclidean(np.array([[1.0, 2.0], [1.0, 2.0]]))
-        assert d.values[0, 1] == 0.0
+        assert d[0, 1] == 0.0
 
     def test_pythagorean_triple(self):
         d = pairwise_euclidean(np.array([[0.0, 0.0], [3.0, 4.0]]))
-        assert np.isclose(d.values[0, 1], 5.0)
+        assert np.isclose(d[0, 1], 5.0)
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(5, 3))
-        d = pairwise_euclidean(x).values
+        d = pairwise_euclidean(x)
+        stacked = stacked_euclidean(x[None])[0]
         for i in range(5):
             for j in range(5):
                 expected = np.sqrt(((x[i] - x[j]) ** 2).sum())
                 assert abs(d[i, j] - expected) <= 1e-12
+                assert abs(stacked[i, j] - expected) <= 1e-12
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(7, 2))
         perm = rng.permutation(7)
-        d = pairwise_euclidean(x).values
-        dp = pairwise_euclidean(x[perm]).values
+        d = pairwise_euclidean(x)
+        dp = pairwise_euclidean(x[perm])
         assert np.array_equal(dp, d[np.ix_(perm, perm)])
 
     def test_nonfinite_rejected(self):
@@ -54,86 +72,98 @@ class TestPairwiseEuclidean:
             pairwise_euclidean(np.zeros(4))
         with pytest.raises(InvalidInput):
             pairwise_euclidean(np.array([[np.inf, 0.0], [0.0, 0.0]]))
-        assert pairwise_euclidean(np.zeros((2, 3))).n == 2
+        assert pairwise_euclidean(np.zeros((2, 3))).shape == (2, 2)
 
 
 class TestGaussianKernel:
+    """The Gaussian kernel behind the Hilbert distance, K = 1 - d_H^2 / 2."""
+
     def test_unit_diagonal(self):
         rng = np.random.default_rng(2)
-        k = gaussian_kernel_matrix(rng.normal(size=(6, 2)), KernelSpec(0.7))
+        k = 1.0 - hilbert_matrix(rng.normal(size=(6, 2)), 0.7) ** 2 / 2.0
         assert np.array_equal(np.diag(k), np.ones(6))
         assert np.all(k > 0) and np.all(k <= 1)
 
     def test_analytic_value(self):
         ell = 1.3
         x = np.array([[0.0], [ell * np.sqrt(2.0)]])
-        k = gaussian_kernel_matrix(x, KernelSpec(ell))
-        assert np.isclose(k[0, 1], np.exp(-1.0))
+        d_h = hilbert_matrix(x, ell)
+        assert np.isclose(d_h[0, 1], np.sqrt(2.0 - 2.0 * np.exp(-1.0)))
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(3)
-        k = gaussian_kernel_matrix(rng.normal(size=(6, 3)), KernelSpec(1.0))
+        x = rng.normal(size=(6, 3))
+        k = 1.0 - hilbert_matrix(x, 1.0) ** 2 / 2.0
+        assert np.allclose(k, kernel_oracle(x, 1.0), atol=1e-12)
         assert np.linalg.eigvalsh(k).min() >= -1e-10
 
     def test_invalid_bandwidth(self):
         with pytest.raises(InvalidParameter):
-            gaussian_kernel_matrix(np.zeros((2, 2)), KernelSpec(-1.0))
+            KernelSpec(-1.0)
+        with pytest.raises(InvalidParameter):
+            KernelSpec(float("nan"))
 
     def test_monotone_in_distance(self):
-        x = np.array([[0.0], [0.5], [2.0]])
-        k = gaussian_kernel_matrix(x, KernelSpec(1.0))
-        assert k[0, 1] > k[0, 2]
+        d_h = hilbert_distance(np.array([0.0, 0.5, 2.0, np.inf]), 1.0)
+        assert np.all(np.diff(d_h) > 0)
 
 
 class TestHilbertDistance:
     def test_identical_tokens_zero(self):
-        k = gaussian_kernel_matrix(np.zeros((3, 2)), KernelSpec(1.0))
-        assert np.all(hilbert_distance_matrix(k).values == 0.0)
+        assert np.all(hilbert_matrix(np.zeros((3, 2)), 1.0) == 0.0)
 
     def test_half_kernel_gives_one(self):
-        k = np.array([[1.0, 0.5], [0.5, 1.0]])
-        assert np.isclose(hilbert_distance_matrix(k).values[0, 1], 1.0)
+        # exp(-d^2 / 2) = 0.5 at d = sqrt(2 ln 2)
+        assert np.isclose(hilbert_distance(np.sqrt(2.0 * np.log(2.0)), 1.0), 1.0)
 
     def test_saturates_below_sqrt2(self):
-        x = np.array([[0.0], [1e6]])
-        k = gaussian_kernel_matrix(x, KernelSpec(1.0))
-        d = hilbert_distance_matrix(k).values[0, 1]
+        d = hilbert_matrix(np.array([[0.0], [1e6]]), 1.0)[0, 1]
         assert d <= np.sqrt(2.0) and d > 1.41
 
     def test_triangle_inequality_sampled(self):
         rng = np.random.default_rng(4)
-        k = gaussian_kernel_matrix(rng.normal(size=(8, 3)), KernelSpec(0.9))
-        d = hilbert_distance_matrix(k).values
+        d = hilbert_matrix(rng.normal(size=(8, 3)), 0.9)
         for _ in range(60):
             i, j, l = rng.integers(0, 8, 3)
             assert d[i, j] <= d[i, l] + d[l, j] + 1e-9
 
-    def test_negative_radicand_rejected(self):
-        bad = np.array([[1.0, 1.1], [1.1, 1.0]])
-        with pytest.raises(NumericalError):
-            hilbert_distance_matrix(bad)
+    def test_matches_kernel_oracle(self):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(7, 2))
+        k = kernel_oracle(x, 0.8)
+        diag = np.diag(k)
+        expected = np.sqrt(np.maximum(diag[:, None] + diag[None, :] - 2.0 * k, 0.0))
+        assert np.allclose(hilbert_matrix(x, 0.8), expected, atol=1e-12)
 
 
 class TestMedianNonzero:
     def test_equilateral(self):
         values = 2.5 * (np.ones((3, 3)) - np.eye(3))
-        assert median_nonzero_distance(values) == 2.5
+        assert np.array_equal(window_sigma(values[None]), [2.5])
 
     def test_collinear(self):
         d = pairwise_euclidean(np.array([[0.0], [1.0], [3.0]]))
-        assert d.sigma == 2.0  # distances {1, 2, 3}
+        assert window_sigma(d[None])[0] == 2.0  # distances {1, 2, 3}
 
     def test_degenerate_fallback(self):
-        assert median_nonzero_distance(np.zeros((4, 4))) == DEGENERATE_SIGMA
+        assert window_sigma(np.zeros((1, 4, 4)))[0] == DEGENERATE_SIGMA
+        assert pooled_sigma([np.zeros((4, 4))]) == DEGENERATE_SIGMA
+
+    def test_per_window_and_pooled(self):
+        rng = np.random.default_rng(8)
+        stack = np.stack([pairwise_euclidean(rng.normal(size=(6, 2))) for _ in range(5)])
+        expected = [np.median(m[np.triu_indices(6, k=1)]) for m in stack]
+        assert np.array_equal(window_sigma(stack), expected)
+        assert pooled_sigma(list(stack)) == float(np.median(expected))
 
 
 class TestZscore:
     def test_constant_matrix(self):
-        assert np.array_equal(zscore_offdiagonal(np.full((5, 5), 3.0)), np.zeros((5, 5)))
+        assert np.array_equal(zscore_offdiagonal(np.full((1, 5, 5), 3.0)), np.zeros((1, 5, 5)))
 
     def test_moments(self):
         rng = np.random.default_rng(5)
-        z = zscore_offdiagonal(rng.normal(size=(6, 6)))
+        z = zscore_offdiagonal(rng.normal(size=(1, 6, 6)))[0]
         off = z[~np.eye(6, dtype=bool)]
         assert abs(off.mean()) <= 1e-10
         assert abs(off.std() - 1.0) <= 1e-10
@@ -141,24 +171,24 @@ class TestZscore:
 
     def test_two_pass_oracle(self):
         rng = np.random.default_rng(6)
-        m = rng.normal(size=(5, 5))
+        m = rng.normal(size=(3, 5, 5))
         z = zscore_offdiagonal(m)
         off = ~np.eye(5, dtype=bool)
-        vals = m[off]
-        expected = (vals - vals.mean()) / vals.std()
-        assert np.allclose(z[off], expected, atol=1e-12)
+        for w in range(3):
+            vals = m[w][off]
+            expected = (vals - vals.mean()) / vals.std()
+            assert np.allclose(z[w][off], expected, atol=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_idempotent(self, seed):
         rng = np.random.default_rng(seed)
-        m = rng.normal(size=(5, 5)) * rng.uniform(0.5, 10.0)
+        m = rng.normal(size=(1, 5, 5)) * rng.uniform(0.5, 10.0)
         z1 = zscore_offdiagonal(m)
         z2 = zscore_offdiagonal(z1)
         assert np.allclose(z1, z2, atol=1e-9)
 
-    def test_nonfinite_rejected(self):
-        bad = np.zeros((3, 3))
-        bad[0, 1] = np.inf
-        with pytest.raises(InvalidInput):
-            zscore_offdiagonal(bad)
+
+def test_symmetrize():
+    m = np.arange(8.0).reshape(2, 2, 2)
+    assert np.array_equal(symmetrize(m), [[[0.0, 1.5], [1.5, 0.0]], [[0.0, 5.5], [5.5, 0.0]]])

@@ -5,7 +5,7 @@ import pytest
 
 from topoattn import local_residual
 from topoattn.errors import CalibrationMissing, InvalidInput
-from topoattn.geometry import KernelSpec, gaussian_kernel_matrix, hilbert_distance_matrix
+from topoattn.geometry import KernelSpec, pairwise_euclidean
 from topoattn.local_residual import (
     ALPHA_GRID,
     CONTRAST_CHANNELS,
@@ -78,8 +78,9 @@ class TestLocalDiagrams:
         for _ in range(10):
             sub = rng.normal(size=(rng.integers(4, 12), 3))
             dgms = local_diagrams(sub, spec)
-            d_h = hilbert_distance_matrix(gaussian_kernel_matrix(sub, spec))
-            direct = capped_exact_diagrams(d_h.values)
+            d = pairwise_euclidean(sub)
+            d_h = np.sqrt(np.maximum(2.0 - 2.0 * np.exp(-(d * d) / (2.0 * spec.bandwidth**2)), 0.0))
+            direct = capped_exact_diagrams(d_h)
             for dim, name in ((0, "kh0"), (1, "kh1"), (2, "kh2")):
                 assert dgms[name].bars == direct.in_dim(dim).bars
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from itertools import combinations
 
-from topoattn.errors import InvalidParameter
-from topoattn.geometry import DistanceMatrix, pairwise_euclidean
+from topoattn.errors import InvalidInput, InvalidParameter
+from topoattn.geometry import pairwise_euclidean
 from topoattn.persistence import (
     EXACT_POINT_CAP,
     PersistenceDiagram,
@@ -111,8 +111,13 @@ class TestRipsFiltration:
         far = np.zeros((41, 41))
         with pytest.raises(InvalidParameter):
             capped_exact_diagrams(far)
-        with pytest.raises(InvalidParameter):
-            capped_exact_diagrams(DistanceMatrix(values=far))
+
+    def test_malformed_matrix_rejected(self):
+        nan_edge = np.ones((3, 3)) - np.eye(3)
+        nan_edge[0, 2] = np.nan
+        for bad in (np.zeros((3, 4)), nan_edge, np.array([[0.0, -1.0], [-1.0, 0.0]])):
+            with pytest.raises(InvalidInput):
+                capped_exact_diagrams(bad)
 
 
 class TestReduction:

@@ -15,7 +15,7 @@ from scipy.stats import spearmanr
 from topoattn import topo_bias
 from topoattn.attention import window_bias_stack
 from topoattn.errors import InvalidInput
-from topoattn.geometry import KernelSpec, gaussian_kernel_matrix, hilbert_distance_matrix, pairwise_euclidean, zscore_offdiagonal
+from topoattn.geometry import KernelSpec, pairwise_euclidean
 from topoattn.topo_bias import (
     CHANNELS,
     H0_SCALES,
@@ -44,6 +44,27 @@ def stack(cloud, channel, **kwargs):
     return bias_stacks(windows, (channel,), **kwargs)[channel][0]
 
 
+def sigma_oracle(d):
+    """Median of the positive upper-triangle distances."""
+    upper = d[np.triu_indices(len(d), k=1)]
+    return float(np.median(upper[upper > 0.0]))
+
+
+def zscore_oracle(m):
+    """Two-pass off-diagonal z-score with a zero diagonal."""
+    off = ~np.eye(len(m), dtype=bool)
+    vals = m[off]
+    out = np.zeros_like(m)
+    out[off] = (vals - vals.mean()) / vals.std()
+    return out
+
+
+def hilbert_oracle(cloud, ell):
+    """Kernel-Hilbert distances sqrt(k_ii + k_jj - 2 k_ij) of the Gaussian kernel."""
+    sq = ((cloud[:, None, :] - cloud[None, :, :]) ** 2).sum(axis=-1)
+    return np.sqrt(np.maximum(2.0 - 2.0 * np.exp(-sq / (2.0 * ell**2)), 0.0))
+
+
 def soft_adjacency_oracle(d, eps, tau):
     a = expit((eps - d) / tau)
     np.fill_diagonal(a, 0.0)
@@ -56,7 +77,7 @@ def h1_oracle(d, sigma):
     for f in H1_SCALES:
         a = soft_adjacency_oracle(d, f * sigma, SOFT_TAU_FACTOR * sigma)
         acc += (a @ a / (n - 2)) * (1.0 - a)
-    return zscore_offdiagonal(acc / len(H1_SCALES))
+    return zscore_oracle(acc / len(H1_SCALES))
 
 
 def check_bias_invariants(v):
@@ -79,10 +100,10 @@ class TestH0Bias:
     def test_matches_direct_formula(self):
         cloud = random_cloud(0)
         d = pairwise_euclidean(cloud)
-        acc = np.zeros_like(d.values)
+        acc = np.zeros_like(d)
         for w, f in zip(H0_WEIGHTS, H0_SCALES):
-            acc += w * np.exp(-(d.values**2) / (2.0 * (f * d.sigma) ** 2))
-        expected = zscore_offdiagonal(acc)
+            acc += w * np.exp(-(d**2) / (2.0 * (f * sigma_oracle(d)) ** 2))
+        expected = zscore_oracle(acc)
         assert np.allclose(stack(cloud, "H0"), expected, atol=1e-12)
         assert H0_WEIGHTS == (0.50, 0.35, 0.15)
 
@@ -100,18 +121,18 @@ class TestH0Bias:
 class TestSoftAdjacency:
     def test_midpoint(self):
         d = pairwise_euclidean(np.array([[0.0], [0.8]]))
-        a = _soft_adjacency_values(d.values, 0.8, 0.1)
+        a = _soft_adjacency_values(d, 0.8, 0.1)
         assert np.isclose(a[0, 1], 0.5)
 
     def test_indicator_limit(self):
         d = pairwise_euclidean(np.array([[0.0], [0.5], [2.0]]))
-        a = _soft_adjacency_values(d.values, 1.0, 1e-9)
+        a = _soft_adjacency_values(d, 1.0, 1e-9)
         assert np.isclose(a[0, 1], 1.0) and np.isclose(a[0, 2], 0.0)
 
     def test_formula_oracle(self):
         d = pairwise_euclidean(random_cloud(2, n=6))
-        a = _soft_adjacency_values(d.values, 0.9, 0.2)
-        expected = expit((0.9 - d.values) / 0.2)
+        a = _soft_adjacency_values(d, 0.9, 0.2)
+        expected = expit((0.9 - d) / 0.2)
         np.fill_diagonal(expected, 0.0)
         assert np.allclose(a, expected, atol=1e-12)
 
@@ -120,7 +141,7 @@ class TestH1Bias:
     def test_cycle_closing_vanishes_when_fully_connected(self):
         # (1 - A) kills the two-hop term off-diagonal when A ~ 1
         d = pairwise_euclidean(random_cloud(4, n=5, scale=0.01))
-        a = soft_adjacency_oracle(d.values, 100.0, 0.1)
+        a = soft_adjacency_oracle(d, 100.0, 0.1)
         c = (a @ a / 3.0) * (1.0 - a)
         off = ~np.eye(5, dtype=bool)
         assert np.abs(c[off]).max() < 1e-8
@@ -129,9 +150,10 @@ class TestH1Bias:
         cloud = circle_cloud(6)
         d = pairwise_euclidean(cloud)
         # direct pre-zscore evaluation at the implemented scales
-        acc = np.zeros_like(d.values)
+        sigma = sigma_oracle(d)
+        acc = np.zeros_like(d)
         for f in H1_SCALES:
-            a = soft_adjacency_oracle(d.values, f * d.sigma, SOFT_TAU_FACTOR * d.sigma)
+            a = soft_adjacency_oracle(d, f * sigma, SOFT_TAU_FACTOR * sigma)
             acc += (a @ a / 4.0) * (1.0 - a)
         acc /= len(H1_SCALES)
         two_apart = acc[0, 2]
@@ -141,7 +163,7 @@ class TestH1Bias:
     def test_matches_scale_set_oracle(self):
         cloud = random_cloud(5, n=7)
         d = pairwise_euclidean(cloud)
-        expected = h1_oracle(d.values, d.sigma)
+        expected = h1_oracle(d, sigma_oracle(d))
         got = stack(cloud, "H1")
         assert np.allclose(got, expected, atol=1e-10)
         assert H1_SCALES == (0.70, 1.0, 1.40)
@@ -154,7 +176,7 @@ class TestH2Bias:
     def test_equal_radii_unit_gaussian_factor(self):
         cloud = circle_cloud(8)
         d = pairwise_euclidean(cloud)
-        radii, radius_scale, _ = _shell_stats(d.values, cloud, d.sigma)
+        radii, radius_scale, _ = _shell_stats(d, cloud, sigma_oracle(d))
         diff = radii[:, None] - radii[None, :]
         gauss = np.exp(-(diff**2) / (2.0 * radius_scale**2))
         assert np.allclose(gauss, 1.0, atol=1e-8)
@@ -210,8 +232,8 @@ class TestAet:
         d = pairwise_euclidean(cloud)
         got = stack(cloud, "AET", aet_params=params)
 
-        eps = d.sigma
-        adj = soft_adjacency_oracle(d.values, eps, SOFT_TAU_FACTOR * eps)
+        eps = sigma_oracle(d)
+        adj = soft_adjacency_oracle(d, eps, SOFT_TAU_FACTOR * eps)
         proj = cloud @ params.directions.T
         m = expit((params.thresholds[None, :, :] - proj[:, :, None]) / params.temperature)
         c = m * (1.0 - np.einsum("ij,jrq->irq", adj, m))
@@ -257,8 +279,8 @@ class TestRkhs:
     def test_kh1_smooth_equals_shared_constructor(self):
         cloud = random_cloud(14, n=8, p=2)
         spec = KernelSpec(0.8)
-        d_h = hilbert_distance_matrix(gaussian_kernel_matrix(cloud, spec))
-        assert np.allclose(stack(cloud, "KH1", kernel_spec=spec), h1_oracle(d_h.values, d_h.sigma), atol=1e-10)
+        d_h = hilbert_oracle(cloud, spec.bandwidth)
+        assert np.allclose(stack(cloud, "KH1", kernel_spec=spec), h1_oracle(d_h, sigma_oracle(d_h)), atol=1e-10)
 
     def test_unknown_channel(self):
         with pytest.raises(InvalidInput):
@@ -311,4 +333,4 @@ class TestGlobalProperties:
             for channel in CHANNELS:
                 assert np.allclose(stacks[channel][i], single[channel], atol=1e-12)
             d = pairwise_euclidean(windows[i])
-            assert np.allclose(stacks["H1"][i], h1_oracle(d.values, d.sigma), atol=1e-10)
+            assert np.allclose(stacks["H1"][i], h1_oracle(d, sigma_oracle(d)), atol=1e-10)
