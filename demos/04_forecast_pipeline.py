@@ -5,13 +5,13 @@ local-residual mode on the same chronological split, showing how the
 validation guard behaves when local topology carries the target.
 """
 
-from topoattn import MODE_REGISTRY, calibrate_cell, gen_higher_topology, run_mode
+from topoattn import MODE_REGISTRY, calibrate_cell, gen_higher_topology, run_mode_detailed
 from topoattn.protocol import SplitContext, select_by_validation
 
 by_id = {m.mode_id: m for m in MODE_REGISTRY}
 ds = gen_higher_topology(seed=1)
 ctx = SplitContext(ds, offset=0.0)
-print(f"{ds.name} {ds.shape}; split sizes {len(ctx.train_range)}/{len(ctx.val_range)}/{len(ctx.test_range)}")
+print(f"{ds.name} {ds.shape}; split sizes {len(ctx.train_idx)}/{len(ctx.val_idx)}/{len(ctx.test_idx)}")
 print(f"pooled train sigma {ctx.kernel_bandwidth:.3f}; cover has {len(ctx.cover)} elements\n")
 
 calibration = calibrate_cell(ctx, seed=1)
@@ -19,7 +19,7 @@ print(f"ledger hash {calibration.content_hash[:16]}...\n")
 
 rows = []
 for mode_id in ("classical", "zeng_local_h0", "static_aet", "static_h1_resid", "classical_resid"):
-    r = run_mode(ctx, by_id[mode_id], seed=1, calibration=calibration)
+    r, _predictions = run_mode_detailed(ctx, by_id[mode_id], seed=1, calibration=calibration)
     rows.append(r)
     alpha = "-" if r.alpha_loc is None else f"{r.alpha_loc:.2f}"
     print(f"{mode_id:18s} val {r.val_rmse:.4f}  test {r.test_rmse:.4f}  "

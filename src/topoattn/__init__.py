@@ -12,7 +12,6 @@ from .attention import (
     RIDGE_GRID,
     RidgeModel,
     STRENGTH_GRID,
-    TemperatureParams,
     TopologyMode,
     attention_logits_batch,
     biased_logits,
@@ -67,7 +66,6 @@ from .geometry import (
     zscore_offdiagonal,
 )
 from .local_residual import (
-    Cover,
     GuardState,
     LocalProjection,
     build_cover,
@@ -90,7 +88,6 @@ from .protocol import (
     SplitContext,
     calibrate_cell,
     run_campaign,
-    run_mode,
     run_mode_detailed,
     select_by_validation,
     target_sanity_check,

@@ -30,6 +30,8 @@ TRAIN_EPOCHS = 16
 TRAIN_LR = 0.03
 TRAIN_WEIGHT_DECAY = 1e-4
 TRAIN_PATIENCE = 5
+#: Keys of the trainer's parameter dict: raw temperatures, projections, linear head.
+TRAIN_PARAMS = ("alpha", "w_query", "w_key", "head_w", "head_b")
 
 
 @dataclass
@@ -52,16 +54,6 @@ def init_attention_params(p: int, seed: int) -> AttentionParams:
     w_query = rng.normal(size=(p, d_h)) * scale
     w_key = rng.normal(size=(p, d_h)) * scale
     return AttentionParams(w_query=w_query, w_key=w_key)
-
-
-@dataclass
-class TemperatureParams:
-    """Raw channel parameters alpha_c; effective strengths eta_c = softplus(alpha_c)."""
-
-    raw: dict[str, float]
-
-    def eta(self) -> dict[str, float]:
-        return {c: float(np.logaddexp(0.0, a)) for c, a in self.raw.items()}
 
 
 @dataclass(frozen=True)
@@ -203,18 +195,16 @@ def temperature_loss_and_grads(
     targets: np.ndarray,
     stacks: dict[str, np.ndarray],
     channels: tuple[str, ...],
-    alpha: np.ndarray,
-    w_query: np.ndarray,
-    w_key: np.ndarray,
-    head_w: np.ndarray,
-    head_b: float,
+    params: dict,
 ):
     """Training loss and its reverse-mode gradients.
 
-    Loss = mean squared error of the linear head on the attention features
-    plus (wd/2) L2 on (alpha, W_Q, W_K, head weights), wd = TRAIN_WEIGHT_DECAY.
-    Returns (loss, grads) with grads keyed alpha/w_query/w_key/head_w/head_b.
+    ``params`` maps each of :data:`TRAIN_PARAMS` to its value. Loss = mean
+    squared error of the linear head on the attention features plus
+    (wd/2) L2 on (alpha, W_Q, W_K, head weights), wd = TRAIN_WEIGHT_DECAY.
+    Returns (loss, grads) with grads keyed like ``params``.
     """
+    alpha, w_query, w_key, head_w, head_b = (params[k] for k in TRAIN_PARAMS)
     n_windows, n_tokens, p = windows.shape
     weight_decay = TRAIN_WEIGHT_DECAY
     d_h = w_query.shape[1]
@@ -265,15 +255,7 @@ def temperature_loss_and_grads(
     d_xk = np.einsum("wnm,wnd->wmd", d_logits, xq) * scale
     d_wq = np.einsum("wnp,wnd->pd", windows, d_xq) + weight_decay * w_query
     d_wk = np.einsum("wnp,wnd->pd", windows, d_xk) + weight_decay * w_key
-
-    grads = {
-        "alpha": d_alpha,
-        "w_query": d_wq,
-        "w_key": d_wk,
-        "head_w": d_head_w,
-        "head_b": d_head_b,
-    }
-    return loss, grads
+    return loss, dict(zip(TRAIN_PARAMS, (d_alpha, d_wq, d_wk, d_head_w, d_head_b)))
 
 
 def train_temperatures(
@@ -291,14 +273,12 @@ def train_temperatures(
     Full-batch plain GD for up to TRAIN_EPOCHS epochs at rate TRAIN_LR,
     early-stopped on validation RMSE after TRAIN_PATIENCE epochs without
     improvement; the best-epoch parameters are restored. Returns
-    (TemperatureParams, AttentionParams, info) where info records the
-    epoch count and per-epoch validation RMSEs.
+    (alpha, AttentionParams, info): alpha maps each channel to its raw
+    value (eta_c = softplus(alpha_c)), and info records the epoch count
+    and the validation RMSE before training and after each epoch.
     """
     p = train_windows.shape[2]
     attn0 = init_attention_params(p, seed)
-    w_query = attn0.w_query.copy()
-    w_key = attn0.w_key.copy()
-    alpha = np.zeros(len(channels))
 
     # head warm start: ridge at the middle of the grid on the initial features
     eta0 = float(np.logaddexp(0.0, 0.0))
@@ -310,60 +290,35 @@ def train_temperatures(
     yc = train_y - train_y.mean()
     head_w = np.linalg.solve(xc.T @ xc + 1.0 * np.eye(feats0.shape[1]), xc.T @ yc)
     head_b = float(train_y.mean() - feats0.mean(axis=0) @ head_w)
+    params = dict(zip(TRAIN_PARAMS, (np.zeros(len(channels)), attn0.w_query, attn0.w_key, head_w, head_b)))
 
-    def val_rmse() -> float:
-        eta = _softplus(alpha)
-        params = AttentionParams(w_query=w_query, w_key=w_key)
+    def val_rmse(params: dict) -> float:
+        eta = _softplus(params["alpha"])
+        attn = AttentionParams(w_query=params["w_query"], w_key=params["w_key"])
         feats = forward_features(
-            val_windows, attention_logits_batch(val_windows, params),
+            val_windows, attention_logits_batch(val_windows, attn),
             val_stacks, {channel: eta[c] for c, channel in enumerate(channels)},
         )
-        return rmse(feats @ head_w + head_b, val_y)
+        return rmse(feats @ params["head_w"] + params["head_b"], val_y)
 
-    best = {
-        "rmse": val_rmse(),
-        "alpha": alpha.copy(),
-        "w_query": w_query.copy(),
-        "w_key": w_key.copy(),
-        "head_w": head_w.copy(),
-        "head_b": head_b,
-    }
-    history = [best["rmse"]]
+    best = params
+    history = [val_rmse(params)]
     bad_epochs = 0
-    epochs_run = 0
     for _ in range(TRAIN_EPOCHS):
-        loss, grads = temperature_loss_and_grads(
-            train_windows, train_y, train_stacks, channels,
-            alpha, w_query, w_key, head_w, head_b,
-        )
-        alpha -= TRAIN_LR * grads["alpha"]
-        w_query -= TRAIN_LR * grads["w_query"]
-        w_key -= TRAIN_LR * grads["w_key"]
-        head_w -= TRAIN_LR * grads["head_w"]
-        head_b -= TRAIN_LR * grads["head_b"]
-        epochs_run += 1
-
-        epoch_rmse = val_rmse()
-        history.append(epoch_rmse)
-        if epoch_rmse < best["rmse"]:
-            best = {
-                "rmse": epoch_rmse,
-                "alpha": alpha.copy(),
-                "w_query": w_query.copy(),
-                "w_key": w_key.copy(),
-                "head_w": head_w.copy(),
-                "head_b": head_b,
-            }
+        _loss, grads = temperature_loss_and_grads(train_windows, train_y, train_stacks, channels, params)
+        params = {k: v - TRAIN_LR * grads[k] for k, v in params.items()}
+        history.append(val_rmse(params))
+        if history[-1] < min(history[:-1]):
+            best = params
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs >= TRAIN_PATIENCE:
                 break
 
-    temps = TemperatureParams(raw={c: float(a) for c, a in zip(channels, best["alpha"])})
+    alpha = {c: float(a) for c, a in zip(channels, best["alpha"])}
     attn = AttentionParams(w_query=best["w_query"], w_key=best["w_key"])
-    info = {"epochs_run": epochs_run, "val_history": history, "best_val_rmse": best["rmse"]}
-    return temps, attn, info
+    return alpha, attn, {"epochs_run": len(history) - 1, "val_history": history}
 
 
 # ---------------------------------------------------------------------------

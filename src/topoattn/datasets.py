@@ -351,6 +351,10 @@ def load_ims_set(path, groups, name: str = "ims") -> WindowedDataset:
                 raise InvalidInput(f"{path}: row {row_num}: non-numeric entry")
             table.setdefault(snap, {})[chan] = vals
     snaps = sorted(table)
+    for s in snaps:
+        missing = [c for chans in groups for c in chans if c not in table[s]]
+        if missing:
+            raise InvalidInput(f"{path}: snapshot {s} has no row for channel {missing[0]}")
     per_group: list[WindowedDataset] = []
     skips: list[str] = []
     for gi, chans in enumerate(groups):

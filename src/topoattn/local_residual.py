@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import RidgeModel, ridge_fit, rmse
-from .errors import CalibrationMissing, InvalidInput
+from .errors import InvalidInput
 from .geometry import KernelSpec, hilbert_distance, pairwise_euclidean
 from .persistence import (
     DIAGRAM_VECTOR_LEN,
@@ -53,34 +53,6 @@ DELTA_LOC = 0.005
 N_WINDOW_STATS = 5  # mean, std, min, max, last per token dimension
 
 
-@dataclass(frozen=True)
-class CoverElement:
-    start: int
-    length: int
-    scale: str  # "base" | "wide"
-
-    @property
-    def stop(self) -> int:
-        return self.start + self.length
-
-
-@dataclass
-class Cover:
-    """Ordered cover of token indices by subwindows."""
-
-    elements: list[CoverElement]
-    window_length: int
-
-    def masks(self) -> np.ndarray:
-        m = np.zeros((len(self.elements), self.window_length), dtype=np.int8)
-        for i, el in enumerate(self.elements):
-            m[i, el.start : el.stop] = 1
-        return m
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
 def _strided_starts(length: int, window: int, stride: int) -> list[int]:
     starts = list(range(0, length - window + 1, stride))
     if starts[-1] != length - window:
@@ -88,24 +60,23 @@ def _strided_starts(length: int, window: int, stride: int) -> list[int]:
     return starts
 
 
-def build_cover(window_length: int) -> Cover:
-    """Base subwindows (length 8, stride 4) plus one larger scale when L >= 16.
+def build_cover(window_length: int) -> tuple[tuple[int, int], ...]:
+    """Ordered (start, stop) token ranges: base subwindows (length 8,
+    stride 4), then one larger scale (length 16, stride 8) when L >= 16.
 
     Windows shorter than 8 tokens get a single element spanning them. The
     final element of each scale is right-aligned so every index is covered.
     """
     if window_length < BASE_LENGTH:
-        return Cover([CoverElement(0, window_length, "base")], window_length)
-    elements = [
-        CoverElement(s, BASE_LENGTH, "base")
-        for s in _strided_starts(window_length, BASE_LENGTH, BASE_STRIDE)
-    ]
+        return ((0, window_length),)
+    scales = [(BASE_LENGTH, BASE_STRIDE)]
     if window_length >= WIDE_LENGTH:
-        elements += [
-            CoverElement(s, WIDE_LENGTH, "wide")
-            for s in _strided_starts(window_length, WIDE_LENGTH, WIDE_STRIDE)
-        ]
-    return Cover(elements, window_length)
+        scales.append((WIDE_LENGTH, WIDE_STRIDE))
+    return tuple(
+        (s, s + length)
+        for length, stride in scales
+        for s in _strided_starts(window_length, length, stride)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +134,11 @@ def _window_stats(tokens: np.ndarray) -> np.ndarray:
     )
 
 
-def local_block_tensor(windows: np.ndarray, cover: Cover, spec: KernelSpec):
+def local_block_tensor(windows: np.ndarray, cover, spec: KernelSpec):
     """Diagram-vector blocks and subwindow stats for a stack of windows.
 
-    Returns ``blocks`` of shape (W, M, 7, 9) and ``stats`` of shape
+    ``cover`` is the (start, stop) ranges of :func:`build_cover`. Returns
+    ``blocks`` of shape (W, M, 7, 9) and ``stats`` of shape
     (W, M, 5p). This is the expensive part of the local residual; one
     Rips reduction per (window, cover element).
     """
@@ -176,8 +148,8 @@ def local_block_tensor(windows: np.ndarray, cover: Cover, spec: KernelSpec):
     blocks = np.zeros((n_windows, m, len(LOCAL_BLOCKS), DIAGRAM_VECTOR_LEN))
     stats = np.zeros((n_windows, m, N_WINDOW_STATS * p))
     for w in range(n_windows):
-        for i, el in enumerate(cover.elements):
-            sub = windows[w, el.start : el.stop]
+        for i, (start, stop) in enumerate(cover):
+            sub = windows[w, start:stop]
             dgms = local_diagrams(sub, spec)
             for b, name in enumerate(LOCAL_BLOCKS):
                 blocks[w, i, b] = vectorize_diagram(dgms[name])
@@ -247,7 +219,6 @@ class LocalProjection:
     proj: np.ndarray  # (F, 16)
     query: np.ndarray  # (16,)
     position_scores: np.ndarray  # (M,) train R^2 per cover position
-    fitted: bool = False
 
 
 def _pls_directions(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -324,7 +295,6 @@ def fit_local_projection(phi_train: np.ndarray, train_targets: np.ndarray, seed:
         proj=proj,
         query=query,
         position_scores=position_scores,
-        fitted=True,
     )
 
 
@@ -342,8 +312,6 @@ def local_representation_matrix(
     elements overlap, so near-tied scores would otherwise smear phase-
     distinct projections together). Output: PROJECTION_DIM + 12 per window.
     """
-    if not projection.fitted:
-        raise CalibrationMissing("local projection has not been fitted")
     z = (phi - projection.feature_mean) / projection.feature_std
     projected = z @ projection.proj  # (W, M, 16)
     logits = projected @ projection.query + contrast_scores

@@ -264,10 +264,12 @@ class SplitContext:
     def __init__(self, ds: WindowedDataset, offset: float):
         self.ds = ds
         self.offset = offset
-        self.train_range, self.val_range, self.test_range = chronological_split(len(ds.targets), offset)
-        self.scaler = fit_scaler(ds.windows[list(self.train_range)])
+        self.train_idx, self.val_idx, self.test_idx = (
+            list(r) for r in chronological_split(len(ds.targets), offset)
+        )
+        self.scaler = fit_scaler(ds.windows[self.train_idx])
         self.scaled = apply_scaler(self.scaler, ds.windows)
-        train_scaled = self.scaled[list(self.train_range)]
+        train_scaled = self.scaled[self.train_idx]
         self.kernel_bandwidth = pooled_sigma([pairwise_euclidean(w) for w in train_scaled])
         self.bandwidth_grid = tuple(f * self.kernel_bandwidth for f in BANDWIDTH_FACTORS)
         self.cover = build_cover(ds.windows.shape[1])
@@ -303,8 +305,7 @@ class SplitContext:
     # -- train-only calibrations -------------------------------------------
     def aet_params(self, seed: int) -> AetParams:
         if seed not in self._aet:
-            train_scaled = self.scaled[list(self.train_range)]
-            self._aet[seed] = aet_calibrate(list(train_scaled), seed=seed)
+            self._aet[seed] = aet_calibrate(list(self.scaled[self.train_idx]), seed=seed)
         return self._aet[seed]
 
     def local_blocks(self):
@@ -336,9 +337,7 @@ def calibrate_cell(ctx: SplitContext, seed: int, modes: list[TopologyMode] | Non
     needs_aet, needs_kernel, needs_local = _calibration_needs(modes)
     projection = None
     if needs_local:
-        phi = ctx.local_phi()
-        train_idx = list(ctx.train_range)
-        projection = fit_local_projection(phi[train_idx], ctx.ds.targets[train_idx], seed=seed)
+        projection = fit_local_projection(ctx.local_phi()[ctx.train_idx], ctx.ds.targets[ctx.train_idx], seed=seed)
     calib = CellCalibration(
         dataset=ctx.ds.name,
         seed=seed,
@@ -361,79 +360,74 @@ def _mae(pred, y) -> float:
     return float(np.mean(np.abs(np.asarray(pred) - np.asarray(y))))
 
 
-def _fit_static(ctx: SplitContext, base, mode: TopologyMode, seed: int, train_idx, val_idx, train_y, val_y):
-    """Greedy per-channel strength search, then a joint grid on the best pair."""
+def _fit_head(ctx: SplitContext, base, stacks: dict, strengths: dict):
+    """Forward pass over every window, then Ridge on the train rows with
+    lambda picked on the validation rows. Returns (features, ridge)."""
+    feats = forward_features(ctx.scaled, base, stacks, strengths)
+    y = ctx.ds.targets
+    return feats, ridge_fit(feats[ctx.train_idx], y[ctx.train_idx], feats[ctx.val_idx], y[ctx.val_idx])
+
+
+def _fit_static(ctx: SplitContext, mode: TopologyMode, seed: int):
+    """Greedy per-channel strength search, then a joint grid on the best pair.
+
+    A mode with no channels (classical) gets the zero-strength fit. Returns
+    (strengths, features, ridge) of the validation winner.
+    """
+    base = attention_logits_batch(ctx.scaled, init_attention_params(ctx.scaled.shape[2], seed))
+
     def evaluate(strengths: dict, bandwidth=None):
         stacks = ctx.stacks_for([c for c, s in strengths.items() if s != 0.0], seed, bandwidth)
-        feats = forward_features(ctx.scaled, base, stacks, strengths)
-        ridge = ridge_fit(feats[train_idx], train_y, feats[val_idx], val_y)
-        return ridge.val_rmse, feats, ridge
+        feats, ridge = _fit_head(ctx, base, stacks, strengths)
+        return ridge.val_rmse, strengths, feats, ridge
 
-    zero_rmse, zero_feats, zero_ridge = evaluate({})
+    zero = evaluate({})
+    if not mode.channels:
+        return zero[1:]
     per_channel = {}
     for channel in mode.channels:
         bandwidths = ctx.bandwidth_grid if (channel in RKHS_CHANNELS and len(mode.channels) == 1) else (None,)
-        best = (zero_rmse, {}, None, zero_feats, zero_ridge)
+        best = zero
         for bw in bandwidths:
             for s in STRENGTH_GRID:
                 if s == 0.0:
                     continue
-                rmse, feats, ridge = evaluate({channel: s}, bw)
-                if rmse < best[0]:
-                    best = (rmse, {channel: s}, bw, feats, ridge)
+                candidate = evaluate({channel: s}, bw)
+                if candidate[0] < best[0]:
+                    best = candidate
         per_channel[channel] = best
-
     if len(mode.channels) == 1:
-        _, strengths, bw, feats, ridge = per_channel[mode.channels[0]]
-        return strengths, bw, feats, ridge
+        return per_channel[mode.channels[0]][1:]
 
     ranked = sorted(mode.channels, key=lambda c: (per_channel[c][0], mode.channels.index(c)))
     c1, c2 = ranked[0], ranked[1]
-    best = (zero_rmse, {}, zero_feats, zero_ridge)
+    best = zero
     for s1 in STRENGTH_GRID:
         for s2 in STRENGTH_GRID:
-            strengths = {}
-            if s1 != 0.0:
-                strengths[c1] = s1
-            if s2 != 0.0:
-                strengths[c2] = s2
+            strengths = {c: s for c, s in ((c1, s1), (c2, s2)) if s != 0.0}
             if not strengths:
                 continue
-            rmse, feats, ridge = evaluate(strengths)
-            if rmse < best[0]:
-                best = (rmse, strengths, feats, ridge)
-    _, strengths, feats, ridge = best
-    return strengths, None, feats, ridge
+            candidate = evaluate(strengths)
+            if candidate[0] < best[0]:
+                best = candidate
+    return best[1:]
 
 
-def _fit_global_stage(ctx: SplitContext, mode: TopologyMode, seed: int, train_idx, val_idx, train_y, val_y):
-    """Global attention + ridge fit of a mode, independent of the residual flag."""
-    attn = init_attention_params(ctx.scaled.shape[2], seed)
-    base = attention_logits_batch(ctx.scaled, attn)
-    strengths: dict = {}
-    alpha_raw: dict = {}
-    if mode.strength_source == "static-grid":
-        strengths, _bandwidth, feats, ridge = _fit_static(
-            ctx, base, mode, seed, train_idx, val_idx, train_y, val_y
-        )
-    elif mode.strength_source == "learned-eta":
-        channels = mode.channels
-        stacks = ctx.stacks_for(channels, seed)
-        temps, attn, _info = train_temperatures(
-            ctx.scaled[train_idx], train_y, ctx.scaled[val_idx], val_y,
-            {c: stacks[c][train_idx] for c in channels},
-            {c: stacks[c][val_idx] for c in channels},
-            channels, seed,
-        )
-        strengths = temps.eta()
-        alpha_raw = temps.raw
-        base = attention_logits_batch(ctx.scaled, attn)
-        feats = forward_features(ctx.scaled, base, stacks, strengths)
-        ridge = ridge_fit(feats[train_idx], train_y, feats[val_idx], val_y)
-    else:  # classical
-        feats = forward_features(ctx.scaled, base, {}, {})
-        ridge = ridge_fit(feats[train_idx], train_y, feats[val_idx], val_y)
-    return strengths, feats, ridge, alpha_raw
+def _fit_global_stage(ctx: SplitContext, mode: TopologyMode, seed: int):
+    """Global attention + ridge fit of a mode, independent of the residual
+    flag. Returns (strengths, features, ridge, raw learned temperatures)."""
+    if mode.strength_source != "learned-eta":
+        return (*_fit_static(ctx, mode, seed), {})
+    stacks = ctx.stacks_for(mode.channels, seed)
+    tr, va, y = ctx.train_idx, ctx.val_idx, ctx.ds.targets
+    alpha, attn, _info = train_temperatures(
+        ctx.scaled[tr], y[tr], ctx.scaled[va], y[va],
+        {c: b[tr] for c, b in stacks.items()}, {c: b[va] for c, b in stacks.items()},
+        mode.channels, seed,
+    )
+    strengths = {c: float(np.logaddexp(0.0, a)) for c, a in alpha.items()}
+    feats, ridge = _fit_head(ctx, attention_logits_batch(ctx.scaled, attn), stacks, strengths)
+    return strengths, feats, ridge, alpha
 
 
 def run_mode_detailed(
@@ -446,7 +440,12 @@ def run_mode_detailed(
     force_guard_reject: bool = False,
     model_sink: dict | None = None,
 ):
-    """Like :func:`run_mode` but also returns the final test predictions.
+    """Fit one mode on train, select on validation, report test metrics once.
+
+    Returns (RunResult, final test predictions). The fit/selection path
+    sees train and validation targets only; ``test_targets`` enter metric
+    computation at the very end (the leakage-mutation hook passes a
+    corrupted copy here).
 
     ``global_cache`` (keyed by the residual-stripped mode id) lets residual
     variants reuse their base mode's global fit; ``force_guard_reject`` is
@@ -457,9 +456,7 @@ def run_mode_detailed(
     """
     if calibration is None:
         raise CalibrationMissing(f"no calibration ledger entry for {ctx.ds.name} seed {seed}")
-    train_idx = list(ctx.train_range)
-    val_idx = list(ctx.val_range)
-    test_idx = list(ctx.test_range)
+    train_idx, val_idx, test_idx = ctx.train_idx, ctx.val_idx, ctx.test_idx
     targets = ctx.ds.targets
     train_y, val_y = targets[train_idx], targets[val_idx]
     if test_targets is None:
@@ -477,9 +474,7 @@ def run_mode_detailed(
         if global_cache is not None and cache_key in global_cache:
             strengths, feats, ridge, alpha_raw = global_cache[cache_key]
         else:
-            strengths, feats, ridge, alpha_raw = _fit_global_stage(
-                ctx, mode, seed, train_idx, val_idx, train_y, val_y
-            )
+            strengths, feats, ridge, alpha_raw = _fit_global_stage(ctx, mode, seed)
             if global_cache is not None:
                 global_cache[cache_key] = (strengths, feats, ridge, alpha_raw)
 
@@ -537,24 +532,6 @@ def run_mode_detailed(
             payload["local_head_intercept"] = float(local_ridge.intercept)
         model_sink[mode.mode_id] = payload
     return result, y_test
-
-
-def run_mode(
-    ctx: SplitContext,
-    mode: TopologyMode,
-    seed: int,
-    calibration: CellCalibration | None,
-    test_targets: np.ndarray | None = None,
-    global_cache: dict | None = None,
-) -> RunResult:
-    """Fit one mode on train, select on validation, report test metrics once.
-
-    The fit/selection path sees train and validation targets only;
-    ``test_targets`` enter metric computation at the very end (the
-    leakage-mutation hook passes a corrupted copy here).
-    """
-    result, _predictions = run_mode_detailed(ctx, mode, seed, calibration, test_targets, global_cache)
-    return result
 
 
 def select_by_validation(results: list[RunResult]) -> RunResult:
@@ -632,9 +609,9 @@ def _run_split_block(
         }
         modes = [m for m in MODE_REGISTRY if m.mode_id in mode_ids or m.mode_id in kept]
         calibration = calibrate_cell(ctx, seed, modes)
-        test_targets = ctx.ds.targets[list(ctx.test_range)]
+        test_targets = ctx.ds.targets[ctx.test_idx]
         if corrupt_test_targets:
-            test_targets = np.zeros(len(ctx.test_range))
+            test_targets = np.zeros(len(ctx.test_idx))
         global_cache: dict = {}
         sink: dict = {}
         cell_rows = dict(kept)
@@ -712,6 +689,11 @@ def run_campaign(
     workers = max(1, n_workers or 1)
     if cache is not None and workers > 1:
         raise InvalidInput("a CampaignCache lives in one process; run it with n_workers=1")
+    tags = [_cell_tag("", 0, offset) for offset in offsets]
+    if len(set(tags)) != len(tags):
+        raise InvalidInput(
+            f"offsets {list(offsets)} would share output files: two are equal or round to one 2-decimal tag"
+        )
 
     prior = {r.key(): r for r in existing or ()}
     tasks = [
@@ -723,7 +705,7 @@ def run_campaign(
     ledger_payloads: dict[tuple, tuple[str, str]] = {}
     skipped: dict[str, str] = {}
     parallel = workers > 1 and len(tasks) > 1
-    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) if parallel else nullcontext() as pool:
         runner = pool.map if parallel else map
         # with no blocks, one empty block still writes the outputs once
         blocks = runner(_run_split_block, *zip(*tasks)) if tasks else [([], {}, {}, {})]

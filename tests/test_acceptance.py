@@ -21,7 +21,7 @@ from topoattn.datasets import (
     gen_shell_h2,
     ims_health_indicator,
 )
-from topoattn.attention import temperature_loss_and_grads, init_attention_params
+from topoattn.attention import TRAIN_PARAMS, temperature_loss_and_grads, init_attention_params
 from topoattn.persistence import capped_exact_diagrams
 from topoattn.protocol import (
     CampaignCache,
@@ -144,31 +144,26 @@ def test_criterion_05_temperature_gradients(campaign_state):
     ds = gen_higher_topology(1)
     ctx = cache.context(ds, 1, 0.0)
     rng = np.random.default_rng(55)
-    idx = rng.choice(len(ctx.train_range), size=20, replace=False)
-    windows = ctx.scaled[list(ctx.train_range)][idx]
-    targets = ds.targets[list(ctx.train_range)][idx]
+    idx = rng.choice(len(ctx.train_idx), size=20, replace=False)
+    windows = ctx.scaled[ctx.train_idx][idx]
+    targets = ds.targets[ctx.train_idx][idx]
     stacks_full = ctx.stacks_for(CHANNELS, seed=1)
-    stacks = {c: stacks_full[c][list(ctx.train_range)][idx] for c in CHANNELS}
-    params = init_attention_params(windows.shape[2], seed=1)
+    stacks = {c: stacks_full[c][ctx.train_idx][idx] for c in CHANNELS}
+    attn = init_attention_params(windows.shape[2], seed=1)
     alpha = rng.normal(scale=0.4, size=len(CHANNELS))
     head_w = rng.normal(scale=0.1, size=5 * windows.shape[2])
     head_b = float(rng.normal())
+    params = dict(zip(TRAIN_PARAMS, (alpha, attn.w_query, attn.w_key, head_w, head_b)))
 
-    _, grads = temperature_loss_and_grads(
-        windows, targets, stacks, CHANNELS, alpha, params.w_query, params.w_key, head_w, head_b
-    )
+    _, grads = temperature_loss_and_grads(windows, targets, stacks, CHANNELS, params)
     h = 1e-5
     worst = 0.0
     for c in range(len(CHANNELS)):
         up, down = alpha.copy(), alpha.copy()
         up[c] += h
         down[c] -= h
-        l_up, _ = temperature_loss_and_grads(
-            windows, targets, stacks, CHANNELS, up, params.w_query, params.w_key, head_w, head_b
-        )
-        l_dn, _ = temperature_loss_and_grads(
-            windows, targets, stacks, CHANNELS, down, params.w_query, params.w_key, head_w, head_b
-        )
+        l_up, _ = temperature_loss_and_grads(windows, targets, stacks, CHANNELS, {**params, "alpha": up})
+        l_dn, _ = temperature_loss_and_grads(windows, targets, stacks, CHANNELS, {**params, "alpha": down})
         fd = (l_up - l_dn) / (2 * h)
         rel = abs(grads["alpha"][c] - fd) / max(abs(fd), abs(grads["alpha"][c]), 1e-8)
         worst = max(worst, rel)

@@ -9,7 +9,7 @@ from topoattn.attention import (
     ForecastModel,
     RIDGE_GRID,
     STRENGTH_GRID,
-    TemperatureParams,
+    TRAIN_PARAMS,
     RidgeModel,
     TopologyMode,
     attention_logits_batch,
@@ -91,8 +91,8 @@ class TestBiasedLogits:
         assert np.allclose(out - base, 0.7 * b, atol=1e-12)
 
     def test_softplus_zero_init(self):
-        temps = TemperatureParams(raw={"H0": 0.0})
-        assert np.isclose(temps.eta()["H0"], np.log(2.0))
+        # the trainer starts from alpha = 0, i.e. eta = softplus(0) = log 2
+        assert np.isclose(attention._softplus(np.zeros(1))[0], np.log(2.0))
 
     def test_missing_channel(self):
         with pytest.raises(InvalidInput):
@@ -199,68 +199,57 @@ class TestTemperatureTraining:
         self.channels = ("H0", "H1")
         self.stacks = make_stacks(self.windows, self.channels)
 
+    def params(self, alpha, seed, head_w, head_b):
+        attn = init_attention_params(2, seed=seed)
+        return dict(zip(TRAIN_PARAMS, (alpha, attn.w_query, attn.w_key, head_w, head_b)))
+
+    def loss_and_grads(self, params, targets=None):
+        targets = self.targets if targets is None else targets
+        return temperature_loss_and_grads(self.windows, targets, self.stacks, self.channels, params)
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(14)
         alpha = rng.normal(scale=0.3, size=2)
-        params = init_attention_params(2, seed=3)
-        head_w = rng.normal(scale=0.1, size=10)
-        head_b = 0.2
-
-        def loss_at(a):
-            loss, _ = temperature_loss_and_grads(
-                self.windows, self.targets, self.stacks, self.channels,
-                a, params.w_query, params.w_key, head_w, head_b,
-            )
-            return loss
-
-        _, grads = temperature_loss_and_grads(
-            self.windows, self.targets, self.stacks, self.channels,
-            alpha, params.w_query, params.w_key, head_w, head_b,
-        )
+        params = self.params(alpha, 3, rng.normal(scale=0.1, size=10), 0.2)
+        _, grads = self.loss_and_grads(params)
+        assert tuple(grads) == TRAIN_PARAMS
         h = 1e-5
         for c in range(2):
             up = alpha.copy()
             up[c] += h
             down = alpha.copy()
             down[c] -= h
-            fd = (loss_at(up) - loss_at(down)) / (2 * h)
+            fd = (self.loss_and_grads({**params, "alpha": up})[0]
+                  - self.loss_and_grads({**params, "alpha": down})[0]) / (2 * h)
             rel = abs(grads["alpha"][c] - fd) / max(abs(fd), abs(grads["alpha"][c]), 1e-8)
             assert rel <= 1e-4
 
     def test_head_gradients_match_finite_differences(self):
         rng = np.random.default_rng(15)
-        alpha = np.zeros(2)
-        params = init_attention_params(2, seed=4)
         head_w = rng.normal(scale=0.1, size=10)
-        _, grads = temperature_loss_and_grads(
-            self.windows, self.targets, self.stacks, self.channels,
-            alpha, params.w_query, params.w_key, head_w, 0.0,
-        )
+        params = self.params(np.zeros(2), 4, head_w, 0.0)
+        _, grads = self.loss_and_grads(params)
         h = 1e-6
         for idx in (0, 3, 9):
             up, down = head_w.copy(), head_w.copy()
             up[idx] += h
             down[idx] -= h
-            l_up, _ = temperature_loss_and_grads(
-                self.windows, self.targets, self.stacks, self.channels,
-                alpha, params.w_query, params.w_key, up, 0.0,
-            )
-            l_dn, _ = temperature_loss_and_grads(
-                self.windows, self.targets, self.stacks, self.channels,
-                alpha, params.w_query, params.w_key, down, 0.0,
-            )
+            l_up, _ = self.loss_and_grads({**params, "head_w": up})
+            l_dn, _ = self.loss_and_grads({**params, "head_w": down})
             fd = (l_up - l_dn) / (2 * h)
             assert abs(grads["head_w"][idx] - fd) / max(abs(fd), 1e-8) <= 1e-4
 
     def test_epoch_budget_and_eta_nonnegative(self):
-        temps, _attn, info = train_temperatures(
+        alpha, _attn, info = train_temperatures(
             self.windows[:30], self.targets[:30], self.windows[30:], self.targets[30:],
             {c: self.stacks[c][:30] for c in self.channels},
             {c: self.stacks[c][30:] for c in self.channels},
             self.channels, seed=5,
         )
         assert info["epochs_run"] <= 16
-        assert all(v >= 0.0 for v in temps.eta().values())
+        assert len(info["val_history"]) == info["epochs_run"] + 1
+        assert tuple(alpha) == self.channels
+        assert all(attention._softplus(a) >= 0.0 for a in alpha.values())
 
     def test_patience_stops_training(self, monkeypatch):
         # lr=0 freezes parameters, so validation never improves: the loop
@@ -278,11 +267,7 @@ class TestTemperatureTraining:
         bad_targets = self.targets.copy()
         bad_targets[0] = np.inf
         with pytest.raises(TrainingDiverged):
-            temperature_loss_and_grads(
-                self.windows, bad_targets, self.stacks, self.channels,
-                np.zeros(2), init_attention_params(2, 0).w_query,
-                init_attention_params(2, 0).w_key, np.zeros(10), 0.0,
-            )
+            self.loss_and_grads(self.params(np.zeros(2), 0, np.zeros(10), 0.0), bad_targets)
 
 
 class TestPredict:

@@ -94,6 +94,34 @@ def test_traced_call_pattern(traced_ctx):
     assert calls("static_h0_resid", "local_residual.zeng_head") == 0
 
 
+def test_traced_learned_eta_epochs(traced_ctx, monkeypatch):
+    # the traced run reads epochs_run from index 2 of train_temperatures' result
+    ctx, by_id, calibration = traced_ctx
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer()
+    infos = []
+    try:
+        tracer_module.install_all_layers(tracer)
+        traced = protocol.train_temperatures
+
+        def recording(*args, **kwargs):
+            result = traced(*args, **kwargs)
+            infos.append(result[2])
+            return result
+
+        with monkeypatch.context() as patch:
+            patch.setattr(protocol, "train_temperatures", recording)
+            tracer.run_id = "learned"
+            protocol.run_mode_detailed(ctx, by_id["learned_eta_euclidean"], 1, calibration)
+    finally:
+        tracer.restore()
+    counts = tracer_module.span_counts(tracer, "learned")
+    assert counts.get("attention.train_temperatures") == 1
+    (info,) = infos
+    epochs = tracer.counter("learned", "attention.epochs_run")
+    assert epochs == len(info["val_history"]) - 1 and epochs > 0
+
+
 def test_train_sigmas_reach_traced_distance():
     # the traced run counts geometry.pairwise_euclidean spans through the
     # protocol and topo_bias attributes; both train-sigma calibrations use them

@@ -95,6 +95,17 @@ class TestRun:
         assert code == 1
         assert "timestamp,value" in capsys.readouterr().err
 
+    def test_ims_snapshot_missing_channel_fails_actionably(self, tmp_path, capsys):
+        csv = tmp_path / "ims2.csv"
+        rows = [f"{snap},{chan},1.0,1.0,3.0" for snap in range(40) for chan in (1, 2, 3, 4)]
+        rows.remove("7,3,1.0,1.0,3.0")
+        csv.write_text("snapshot,channel,rms,std,kurt\n" + "\n".join(rows) + "\n")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"datasets = ims2\nims2_csv = {csv}\nout = {tmp_path / 'runs'}\n")
+        assert run_cli("run", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "snapshot 7 has no row for channel 3" in err
+
     def test_bad_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.txt"
         cfg.write_text("nonsense = 1\n")

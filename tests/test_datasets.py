@@ -233,6 +233,17 @@ class TestIms:
         assert ds.windows.shape[1] == 24
         assert ds.windows.shape[2] == 1 + 3 * 2  # HI + z features for 2 channels
 
+    def test_load_ims_set_missing_channel(self, tmp_path):
+        lines = ["snapshot,channel,rms,std,kurt"]
+        for snap in range(60):
+            for chan in (1, 2):
+                if (snap, chan) != (17, 2):
+                    lines.append(f"{snap},{chan},{1 + snap / 60:.4f},1.0,3.0")
+        path = tmp_path / "gap.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidInput, match="snapshot 17 has no row for channel 2"):
+            load_ims_set(path, groups=((1,), (2,)), name="gap")
+
     def test_load_ims_set_all_degenerate(self, tmp_path):
         lines = ["snapshot,channel,rms,std,kurt"]
         for snap in range(60):

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from topoattn import local_residual
-from topoattn.errors import CalibrationMissing, InvalidInput
+from topoattn.errors import InvalidInput
 from topoattn.geometry import KernelSpec, pairwise_euclidean
 from topoattn.local_residual import (
     ALPHA_GRID,
     CONTRAST_CHANNELS,
     DELTA_LOC,
     LOCAL_BLOCKS,
-    LocalProjection,
     assemble_local_features,
     build_cover,
     contrast_features,
@@ -26,36 +25,35 @@ from topoattn.local_residual import (
 from topoattn.persistence import capped_exact_diagrams
 
 
+def starts(cover, length):
+    """Starts of the cover elements of one scale, told apart by their length."""
+    return [start for start, stop in cover if stop - start == length]
+
+
 class TestCover:
     def test_length_32(self):
         cover = build_cover(32)
-        base = [el.start for el in cover.elements if el.scale == "base"]
-        assert base == [0, 4, 8, 12, 16, 20, 24]
-        wide = [el.start for el in cover.elements if el.scale == "wide"]
-        assert wide == [0, 8, 16]
+        assert starts(cover, 8) == [0, 4, 8, 12, 16, 20, 24]
+        assert starts(cover, 16) == [0, 8, 16]
+        assert len(cover) == 10
 
     def test_length_24(self):
-        cover = build_cover(24)
-        base = [el.start for el in cover.elements if el.scale == "base"]
-        assert base == [0, 4, 8, 12, 16]
+        assert starts(build_cover(24), 8) == [0, 4, 8, 12, 16]
 
     def test_right_aligned_tail(self):
-        cover = build_cover(30)
-        base = [el.start for el in cover.elements if el.scale == "base"]
-        assert base[-1] == 22  # right-aligned so index 29 is covered
+        assert starts(build_cover(30), 8)[-1] == 22  # right-aligned so index 29 is covered
 
     def test_every_index_covered(self):
         for length in (8, 11, 16, 24, 30, 32, 40):
             cover = build_cover(length)
-            masks = cover.masks()
-            base_masks = masks[[i for i, el in enumerate(cover.elements) if el.scale == "base"]]
-            assert np.all(base_masks.sum(axis=0) >= 1)
-            assert set(np.unique(masks)) <= {0, 1}
+            assert all(0 <= start < stop <= length for start, stop in cover)
+            covered = np.zeros(length, dtype=int)
+            for start in starts(cover, 8):
+                covered[start : start + 8] += 1
+            assert np.all(covered >= 1)
 
     def test_short_window_single_element(self):
-        cover = build_cover(5)
-        assert len(cover.elements) == 1
-        assert cover.elements[0].start == 0 and cover.elements[0].length == 5
+        assert build_cover(5) == ((0, 5),)
 
 
 class TestLocalDiagrams:
@@ -186,14 +184,6 @@ class TestRepresentation:
         one = local_representation_matrix(phi[:1], proj, scores[:1], cstats[:1])
         batch = local_representation_matrix(phi, proj, scores, cstats)
         assert np.allclose(one[0], batch[0], atol=1e-12)
-
-    def test_unfitted_projection_rejected(self):
-        proj = LocalProjection(
-            feature_mean=np.zeros(4), feature_std=np.ones(4), proj=np.zeros((4, 16)),
-            query=np.zeros(16), position_scores=np.zeros(2), fitted=False,
-        )
-        with pytest.raises(CalibrationMissing):
-            local_representation_matrix(np.zeros((1, 2, 4)), proj, np.zeros((1, 2)), np.zeros((1, 12)))
 
     def test_deterministic(self, small_blocks):
         _, blocks, stats, targets = small_blocks

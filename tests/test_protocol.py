@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from topoattn.attention import ridge_fit, ridge_predict
-from topoattn.datasets import gen_cyclic_h1, gen_shell_h2, WindowedDataset
+from topoattn.datasets import SPLIT_OFFSETS, gen_cyclic_h1, gen_shell_h2, WindowedDataset
 from topoattn.errors import CalibrationMissing, InvalidInput, TopoAttnError
 from topoattn.local_residual import zeng_features
 from topoattn.persistence import DIAGRAM_VECTOR_LEN
@@ -21,7 +21,7 @@ from topoattn.protocol import (
     calibrate_cell,
     parse_results_csv,
     run_campaign,
-    run_mode,
+    run_mode_detailed,
     select_by_validation,
     target_sanity_check,
     write_results_csv,
@@ -38,7 +38,7 @@ def restricted_phi_refit(ctx: SplitContext) -> np.ndarray:
     """
     phi = ctx.local_phi()[:, :, : 2 * DIAGRAM_VECTOR_LEN]
     x = phi.reshape(phi.shape[0], -1)
-    tr, va, te = list(ctx.train_range), list(ctx.val_range), list(ctx.test_range)
+    tr, va, te = ctx.train_idx, ctx.val_idx, ctx.test_idx
     y = ctx.ds.targets
     ridge = ridge_fit(x[tr], y[tr], x[va], y[va])
     return ridge_predict(ridge, x[te])
@@ -74,29 +74,29 @@ class TestRegistry:
 
 class TestRunMode:
     def test_classical_finite_no_alpha(self, small_ctx, small_calib):
-        r = run_mode(small_ctx, BY_ID["classical"], 1, small_calib)
+        r = run_mode_detailed(small_ctx, BY_ID["classical"], 1, small_calib)[0]
         assert np.isfinite(r.val_rmse) and np.isfinite(r.test_rmse) and np.isfinite(r.test_mae)
         assert r.alpha_loc is None and r.strengths == {}
         assert r.penalty in (0.001, 0.01, 0.1, 1.0, 10.0, 50.0, 100.0)
 
     def test_rerun_identical(self, small_ctx, small_calib):
-        a = run_mode(small_ctx, BY_ID["static_h1"], 1, small_calib)
-        b = run_mode(small_ctx, BY_ID["static_h1"], 1, small_calib)
+        a = run_mode_detailed(small_ctx, BY_ID["static_h1"], 1, small_calib)[0]
+        b = run_mode_detailed(small_ctx, BY_ID["static_h1"], 1, small_calib)[0]
         assert a == b
 
     def test_missing_calibration(self, small_ctx):
         with pytest.raises(CalibrationMissing):
-            run_mode(small_ctx, BY_ID["classical"], 1, None)
+            run_mode_detailed(small_ctx, BY_ID["classical"], 1, None)
 
     def test_residual_needs_projection(self, small_ctx):
         calib = calibrate_cell(small_ctx, 1, modes=[BY_ID["classical"]])
         with pytest.raises(CalibrationMissing):
-            run_mode(small_ctx, BY_ID["classical_resid"], 1, calib)
+            run_mode_detailed(small_ctx, BY_ID["classical_resid"], 1, calib)
 
     def test_leakage_mutation(self, small_ctx, small_calib):
-        clean = run_mode(small_ctx, BY_ID["static_h0_resid"], 1, small_calib)
-        zeros = np.zeros(len(small_ctx.test_range))
-        corrupted = run_mode(small_ctx, BY_ID["static_h0_resid"], 1, small_calib, test_targets=zeros)
+        clean = run_mode_detailed(small_ctx, BY_ID["static_h0_resid"], 1, small_calib)[0]
+        zeros = np.zeros(len(small_ctx.test_idx))
+        corrupted, _ = run_mode_detailed(small_ctx, BY_ID["static_h0_resid"], 1, small_calib, test_targets=zeros)
         assert corrupted.val_rmse == clean.val_rmse
         assert corrupted.penalty == clean.penalty
         assert corrupted.strengths == clean.strengths
@@ -112,16 +112,18 @@ class TestZeng:
         assert zeng_features(blocks).shape == (blocks.shape[0], m * 2 * 9)
 
     def test_containment_restriction(self, small_ctx, small_calib):
-        base = run_mode(small_ctx, BY_ID["zeng_local_h0"], 1, small_calib)
+        base = run_mode_detailed(small_ctx, BY_ID["zeng_local_h0"], 1, small_calib)[0]
         restricted = restricted_phi_refit(small_ctx)
-        te = list(small_ctx.test_range)
+        te = small_ctx.test_idx
         y = small_ctx.ds.targets[te]
         zeng_rmse = float(np.sqrt(np.mean((restricted - y) ** 2)))
         assert abs(zeng_rmse - base.test_rmse) <= 1e-12
 
     def test_deterministic(self, small_ctx, small_calib):
         zeng = BY_ID["zeng_local_h0"]
-        assert run_mode(small_ctx, zeng, 1, small_calib) == run_mode(small_ctx, zeng, 1, small_calib)
+        first, _ = run_mode_detailed(small_ctx, zeng, 1, small_calib)
+        second, _ = run_mode_detailed(small_ctx, zeng, 1, small_calib)
+        assert first == second
 
 
 class TestSelection:
@@ -315,6 +317,43 @@ def test_cache_with_workers_rejected():
     with pytest.raises(InvalidInput, match="n_workers=1"):
         run_campaign([SMALL_CYCLIC], seeds=(1,), offsets=(0.0, 0.05), mode_ids=["classical"],
                      cache=CampaignCache(), n_workers=2)
+
+
+def test_pool_capped_at_block_count(monkeypatch):
+    # an in-process stand-in records the pool size; no process is started
+    from topoattn import protocol
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(protocol, "ProcessPoolExecutor", RecordingPool)
+    rows, _ = run_campaign([SMALL_CYCLIC], seeds=(1,), offsets=(0.0, 0.05), mode_ids=["classical"], n_workers=64)
+    assert sizes == [2]
+    assert len(rows) == 2
+
+
+def test_offsets_sharing_a_file_tag_rejected(tmp_path, monkeypatch):
+    from topoattn import protocol
+
+    fits = []
+    monkeypatch.setattr(protocol, "run_mode_detailed", lambda *a, **k: fits.append(a[1]))
+    for offsets in ((0.025, 0.03), (0.05, 0.05)):
+        with pytest.raises(InvalidInput, match="offsets"):
+            run_campaign([SMALL_CYCLIC], seeds=(1,), offsets=offsets, mode_ids=["classical"], out_dir=tmp_path)
+    assert fits == [] and not tmp_path.joinpath("results.csv").exists()
+    tags = [protocol._cell_tag("cyclic", 1, offset) for offset in SPLIT_OFFSETS]
+    assert tags == ["cyclic_s1_om0_05", "cyclic_s1_op0_00", "cyclic_s1_op0_05"]
 
 
 def test_builder_outputs_named_from_dataset(tmp_path):
