@@ -9,15 +9,15 @@ sign-flip randomization p-value (exact enumeration for small n).
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidInput
+from .protocol import _replace_file, parse_results_csv, select_by_validation, write_csv
 
 #: Name of the audited architecture in audit_summary.csv.
 ARCHITECTURE = "lightweight_attention_ridge"
@@ -158,8 +158,6 @@ def signflip_p(units, max_exact_n: int = MAX_EXACT_N, n_resamples: int = SIGNFLI
 def pair_units(results) -> list[PairedUnit]:
     """One paired unit per (dataset, seed, offset): :data:`BASELINE_MODE` vs
     the validation-selected mode."""
-    from .protocol import select_by_validation
-
     cells: dict[tuple, list] = {}
     for r in results:
         cells.setdefault((r.dataset, r.seed, r.split_offset), []).append(r)
@@ -222,59 +220,6 @@ def per_dataset_breakdown(units) -> list[dict]:
     return rows
 
 
-AUDIT_HEADER = (
-    "architecture,units,improved,worsened,tied,mean_relative_reduction,"
-    "ci_lo,ci_hi,d_z,p_value"
-)
-DATASET_HEADER = (
-    "dataset,units,improved,worsened,tied,baseline_rmse,guarded_rmse,mean_relative_reduction"
-)
-
-
-def write_audit_summary(path, summaries: list[AuditSummary]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(AUDIT_HEADER.split(","))
-        for s in summaries:
-            writer.writerow(
-                [
-                    s.architecture,
-                    s.units,
-                    s.improved,
-                    s.worsened,
-                    s.tied,
-                    repr(s.mean_relative_reduction),
-                    repr(s.ci_lo),
-                    repr(s.ci_hi),
-                    repr(s.d_z),
-                    repr(s.p_value),
-                ]
-            )
-
-
-def write_dataset_breakdown(path, rows: list[dict]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DATASET_HEADER.split(","))
-        for row in rows:
-            writer.writerow(
-                [
-                    row["dataset"],
-                    row["units"],
-                    row["improved"],
-                    row["worsened"],
-                    row["tied"],
-                    repr(row["baseline_rmse"]),
-                    repr(row["guarded_rmse"]),
-                    repr(row["mean_relative_reduction"]),
-                ]
-            )
-
-
 def render_bar_svg(path, rows: list[dict]) -> None:
     """Static 640x360 baseline-vs-guarded RMSE bar chart, one dataset per group."""
     path = Path(path)
@@ -317,14 +262,12 @@ def render_bar_svg(path, rows: list[dict]) -> None:
             f'<text x="{cx:.1f}" y="{margin_top + plot_h + 16}" text-anchor="middle">{row["dataset"]}</text>'
         )
     parts.append("</svg>")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(parts) + "\n")
+    _replace_file(path, "\n".join(parts) + "\n")
 
 
 def audit_results_dir(results_dir, out_dir=None):
-    """Full audit of a campaign directory: summary CSVs plus the SVG chart."""
-    from .protocol import parse_results_csv
-
+    """Full audit of a campaign directory: summary CSVs, the paired units
+    and the SVG chart, each replaced atomically. Returns (summary, breakdown)."""
     results_dir = Path(results_dir)
     results_path = results_dir / "results.csv"
     if not results_path.exists():
@@ -336,18 +279,8 @@ def audit_results_dir(results_dir, out_dir=None):
     summary = audit_units(units)
     breakdown = per_dataset_breakdown(units)
     out_dir = Path(out_dir) if out_dir is not None else results_dir
-    write_audit_summary(out_dir / "audit_summary.csv", [summary])
-    write_dataset_breakdown(out_dir / "audit_by_dataset.csv", breakdown)
+    write_csv(out_dir / "audit_summary.csv", [f.name for f in fields(summary)], [astuple(summary)])
+    write_csv(out_dir / "audit_by_dataset.csv", list(breakdown[0]), [row.values() for row in breakdown])
     render_bar_svg(out_dir / "audit_bars.svg", breakdown)
-    units_payload = [
-        {
-            "dataset": u.dataset,
-            "seed": u.seed,
-            "split_offset": u.split_offset,
-            "baseline_rmse": u.baseline_rmse,
-            "guarded_rmse": u.guarded_rmse,
-        }
-        for u in units
-    ]
-    (out_dir / "paired_units.json").write_text(json.dumps(units_payload, indent=1) + "\n")
+    _replace_file(out_dir / "paired_units.json", json.dumps([asdict(u) for u in units], indent=1) + "\n")
     return summary, breakdown

@@ -349,7 +349,11 @@ def load_ims_set(path, groups, name: str = "ims") -> WindowedDataset:
                 vals = (float(row["rms"]), float(row["std"]), float(row["kurt"]))
             except (TypeError, ValueError):
                 raise InvalidInput(f"{path}: row {row_num}: non-numeric entry")
-            table.setdefault(snap, {})[chan] = vals
+            if not np.all(np.isfinite(vals)):
+                raise InvalidInput(f"{path}: row {row_num}: rms/std/kurt are not all finite")
+            if chan in table.setdefault(snap, {}):
+                raise InvalidInput(f"{path}: row {row_num}: snapshot {snap} has a second row for channel {chan}")
+            table[snap][chan] = vals
     snaps = sorted(table)
     for s in snaps:
         missing = [c for chans in groups for c in chans if c not in table[s]]

@@ -10,6 +10,7 @@ receives test targets.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import json
@@ -17,7 +18,7 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -127,29 +128,14 @@ class RunResult:
         return (self.dataset, self.mode_id, self.seed, self.split_offset)
 
     def to_csv_fields(self) -> list[str]:
-        return [
-            self.dataset,
-            self.mode_id,
-            str(self.seed),
-            repr(self.split_offset),
-            repr(self.val_rmse),
-            repr(self.test_rmse),
-            repr(self.test_mae),
-            "" if self.alpha_loc is None else repr(self.alpha_loc),
-            repr(self.penalty),
-            json.dumps(self.strengths, sort_keys=True),
-            self.ledger_hash,
-        ]
+        return [_cell(getattr(self, f.name)) for f in fields(self)]
 
 
 def parse_results_csv(path) -> list[RunResult]:
     """Read a results.csv written by :func:`write_results_csv`."""
-    import csv as _csv
-
     rows: list[RunResult] = []
     with Path(path).open(newline="") as fh:
-        reader = _csv.DictReader(fh)
-        for row in reader:
+        for row in csv.DictReader(fh):
             rows.append(
                 RunResult(
                     dataset=row["dataset"],
@@ -168,31 +154,43 @@ def parse_results_csv(path) -> list[RunResult]:
     return rows
 
 
+def _cell(value) -> str:
+    """One output value as text: None -> "", dict -> sorted JSON, str as is,
+    anything else (a Python int or float) -> repr."""
+    if value is None:
+        return ""
+    if isinstance(value, dict):
+        return json.dumps(value, sort_keys=True)
+    return value if isinstance(value, str) else repr(value)
+
+
 def _replace_file(path: Path, text: str) -> None:
     """Write ``text`` to a temporary sibling and rename it over ``path``, so
     a reader sees the old file or the new one, never half of one."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     with tmp.open("w", newline="") as fh:
         fh.write(text)
     os.replace(tmp, path)
 
 
+def write_csv(path, header, rows) -> None:
+    """A CSV table (CRLF lines) of ``header`` and ``rows``, each value
+    formatted by :func:`_cell`, replaced atomically."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([_cell(v) for v in row] for row in rows)
+    _replace_file(Path(path), buf.getvalue())
+
+
 def write_results_csv(path, results: list[RunResult]) -> None:
     """Canonically sorted results file with the fixed header."""
-    import csv as _csv
-
     ordered = sorted(
         results,
         key=lambda r: (r.dataset, MODE_ORDER.get(r.mode_id, 99), r.seed, r.split_offset),
     )
-    buf = io.StringIO(newline="")
-    writer = _csv.writer(buf)
-    writer.writerow(RESULT_HEADER.split(","))
-    for r in ordered:
-        writer.writerow(r.to_csv_fields())
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    _replace_file(path, buf.getvalue())
+    write_csv(path, RESULT_HEADER.split(","), (r.to_csv_fields() for r in ordered))
 
 
 # ---------------------------------------------------------------------------
@@ -281,23 +279,18 @@ class SplitContext:
 
     # -- bias stacks -------------------------------------------------------
     def stack_for(self, channel: str, seed: int, bandwidth: float | None = None) -> np.ndarray:
-        if channel == "AET":
-            key = ("AET", seed)
-            if key not in self._stacks:
-                self._stacks[key] = bias_stacks(
-                    self.scaled, ("AET",), aet_params=self.aet_params(seed)
-                )["AET"]
-            return self._stacks[key]
-        if channel in RKHS_CHANNELS:
-            bw = self.kernel_bandwidth if bandwidth is None else bandwidth
-            key = (channel, round(bw, 12))
-            if key not in self._stacks:
-                built = bias_stacks(self.scaled, (channel,), kernel_spec=KernelSpec(bw))
-                self._stacks[key] = built[channel]
-            return self._stacks[key]
-        if channel not in self._stacks:
-            self._stacks[channel] = bias_stacks(self.scaled, (channel,))[channel]
-        return self._stacks[channel]
+        """One channel's bias stack, cached by (channel, seed if AET, rounded
+        bandwidth if KH); ``bandwidth`` defaults to the train kernel scale."""
+        aet, kh = channel == "AET", channel in RKHS_CHANNELS
+        bw = self.kernel_bandwidth if bandwidth is None else bandwidth
+        key = (channel, seed if aet else None, round(bw, 12) if kh else None)
+        if key not in self._stacks:
+            self._stacks[key] = bias_stacks(
+                self.scaled, (channel,),
+                aet_params=self.aet_params(seed) if aet else None,
+                kernel_spec=KernelSpec(bw) if kh else None,
+            )[channel]
+        return self._stacks[key]
 
     def stacks_for(self, channels, seed: int, bandwidth: float | None = None) -> dict:
         return {c: self.stack_for(c, seed, bandwidth) for c in channels}
@@ -588,13 +581,15 @@ def _run_split_block(
     requested modes and for the modes of its rows in ``skip_rows``, so the
     ledger hash does not depend on which modes a rerun asks for; a mode
     whose row is missing or carries another hash is fitted. Returns
-    (results, ledgers, skipped, selected payloads); ledgers map (dataset,
-    seed, offset) to the serialized calibration and its hash.
+    (results, ledgers, skipped, files): ledgers map (dataset, seed, offset)
+    to the serialized calibration and its hash, and files map a path
+    relative to the output directory to its text, the model and
+    predictions of each cell whose selected mode was fitted here.
     """
     results: list[RunResult] = []
     ledgers: dict[tuple, tuple[str, str]] = {}
     skipped: dict[str, str] = {}
-    selected_payloads: dict[tuple, dict] = {}
+    files: dict[str, str] = {}
     for seed in seeds:
         ds = source(seed) if callable(source) else source
         ok, reason = target_sanity_check(ds)
@@ -635,9 +630,8 @@ def _run_split_block(
                 global_cache=global_cache, model_sink=sink,
             )
         if chosen is not None and chosen.mode_id in sink:
-            payload = dict(sink[chosen.mode_id], mode=chosen.mode_id)
-            payload["y_test_true"] = [float(v) for v in test_targets]
-            selected_payloads[(ds.name, seed, offset)] = payload
+            # a narrower rerun that did not fit the selected mode keeps the earlier files
+            files.update(_selected_files(chosen, sink[chosen.mode_id], test_targets))
         # ledger immutability: the hash recorded before the runs must still
         # describe the calibration after them
         if calibration.compute_hash() != calibration.content_hash:
@@ -645,7 +639,43 @@ def _run_split_block(
                 f"calibration of {ds.name} seed {seed} offset {offset!r} mutated during runs"
             )
         ledgers[(ds.name, seed, offset)] = (calibration.serialize(), calibration.content_hash)
-    return results, ledgers, skipped, selected_payloads
+    return results, ledgers, skipped, files
+
+
+def _lines(rows) -> str:
+    """LF-terminated comma-joined lines, each value formatted by :func:`_cell`."""
+    return "".join(",".join(map(_cell, row)) + "\n" for row in rows)
+
+
+def _selected_files(chosen: RunResult, payload: dict, test_targets) -> dict[str, str]:
+    """models/<cell>.txt (documented key = value lines) and
+    predictions/<cell>.csv of a cell's selected mode, from its row, its
+    ``model_sink`` payload and the cell's test targets."""
+    state = [
+        ("dataset", chosen.dataset),
+        ("seed", chosen.seed),
+        ("split_offset", chosen.split_offset),
+        ("mode", chosen.mode_id),
+        ("lambda", chosen.penalty),
+        ("alpha_loc", chosen.alpha_loc),
+        ("strengths", chosen.strengths),
+        ("ledger_hash", chosen.ledger_hash),
+        ("alpha_raw", payload["alpha_raw"]),
+        ("head_intercept", payload["head_intercept"]),
+        ("head_weights", ",".join(map(repr, payload["head_weights"]))),
+    ]
+    if "local_head_weights" in payload:
+        state += [
+            ("local_lambda", payload["local_lambda"]),
+            ("local_head_intercept", payload["local_head_intercept"]),
+            ("local_head_weights", ",".join(map(repr, payload["local_head_weights"]))),
+        ]
+    tag = _cell_tag(chosen.dataset, chosen.seed, chosen.split_offset)
+    predictions = zip(payload["test_indices"], map(float, test_targets), payload["y_test_pred"])
+    return {
+        f"models/{tag}.txt": "".join(f"{key} = {_cell(value)}\n" for key, value in state),
+        f"predictions/{tag}.csv": _lines([("window", "y_true", "y_pred"), *predictions]),
+    }
 
 
 def run_campaign(
@@ -672,13 +702,16 @@ def run_campaign(
     for the modes of its existing rows too, so those rows keep their
     ledger. The (dataset, offset) blocks run in a pool of ``n_workers``
     processes when that is above 1, else in this process; ``cache`` lives
-    in one process and so needs ``n_workers=1``.
+    in one process and so needs ``n_workers=1``. Repeated seeds, offsets
+    that share a file tag, and two datasets with one name raise
+    :class:`InvalidInput`; the last is seen when a block returns a cell an
+    earlier block returned, before its outputs are written.
 
-    With ``out_dir``, outputs are written after each block:
-    ``results.csv`` and ``selected.csv`` from all rows so far (each
-    replaced atomically), and the ledgers, models and predictions of that
-    block's cells. An interrupted run thus leaves every finished block on
-    disk for a rerun with ``existing``.
+    With ``out_dir``, outputs are written after each block, every file
+    replaced atomically: ``results.csv`` and ``selected.csv`` from all
+    rows so far, and the ledgers, models and predictions of that block's
+    cells. An interrupted run thus leaves every finished block on disk for
+    a rerun with ``existing``.
     """
     if mode_ids is None:
         mode_ids = [m.mode_id for m in MODE_REGISTRY]
@@ -689,6 +722,9 @@ def run_campaign(
     workers = max(1, n_workers or 1)
     if cache is not None and workers > 1:
         raise InvalidInput("a CampaignCache lives in one process; run it with n_workers=1")
+    seeds = tuple(int(s) for s in seeds)  # file names and CSV cells print Python ints
+    if len(set(seeds)) != len(seeds):
+        raise InvalidInput(f"seeds {list(seeds)} repeat a seed; each cell would be fitted twice")
     tags = [_cell_tag("", 0, offset) for offset in offsets]
     if len(set(tags)) != len(tags):
         raise InvalidInput(
@@ -697,7 +733,7 @@ def run_campaign(
 
     prior = {r.key(): r for r in existing or ()}
     tasks = [
-        (source, offset, tuple(seeds), mode_ids, corrupt_test_targets, prior, cache)
+        (source, offset, seeds, mode_ids, corrupt_test_targets, prior, cache)
         for source in datasets
         for offset in offsets
     ]
@@ -709,81 +745,41 @@ def run_campaign(
         runner = pool.map if parallel else map
         # with no blocks, one empty block still writes the outputs once
         blocks = runner(_run_split_block, *zip(*tasks)) if tasks else [([], {}, {}, {})]
-        for block_results, ledgers, block_skipped, block_selected in blocks:
+        for block_results, ledgers, block_skipped, files in blocks:
+            repeated = sorted(ledgers.keys() & ledger_payloads.keys())
+            if repeated:
+                ds, seed, offset = repeated[0]
+                raise InvalidInput(
+                    f"two datasets are named {ds!r}: both gave cell seed {seed} offset {offset!r}"
+                )
             merged.update((r.key(), r) for r in block_results)
             ledger_payloads.update(ledgers)
             skipped.update(block_skipped)
             if out_dir is not None:
-                _write_campaign_outputs(Path(out_dir), list(merged.values()), ledgers, skipped, block_selected)
+                _write_campaign_outputs(Path(out_dir), list(merged.values()), ledgers, skipped, files)
     return list(merged.values()), ledger_payloads
 
 
-def _write_campaign_outputs(out_dir: Path, results, ledger_payloads, skipped, selected_payloads) -> None:
+def _write_campaign_outputs(out_dir: Path, results, ledger_payloads, skipped, files) -> None:
     """Checkpoint: results.csv and selected.csv from ``results``, plus the
-    ledger, model and prediction files of the given cells."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    given cells' ledgers and the block's rendered ``files``."""
     write_results_csv(out_dir / "results.csv", results)
-    ledger_dir = out_dir / "ledgers"
-    ledger_dir.mkdir(exist_ok=True)
     for cell, (payload, _hash) in sorted(ledger_payloads.items()):
-        (ledger_dir / f"{_cell_tag(*cell)}.json").write_text(payload + "\n")
+        _replace_file(out_dir / "ledgers" / f"{_cell_tag(*cell)}.json", payload + "\n")
     if skipped:
-        (out_dir / "skipped.json").write_text(json.dumps(skipped, indent=2, sort_keys=True) + "\n")
-    _write_selected(out_dir, results, selected_payloads)
+        _replace_file(out_dir / "skipped.json", json.dumps(skipped, indent=2, sort_keys=True) + "\n")
+    for rel, text in sorted(files.items()):
+        _replace_file(out_dir / rel, text)
+    cells: dict[tuple, list[RunResult]] = {}
+    for r in results:
+        cells.setdefault((r.dataset, r.seed, r.split_offset), []).append(r)
+    selected = [("dataset", "seed", "split_offset", "selected_mode", "val_rmse", "test_rmse")]
+    for (ds, seed, offset), rows in sorted(cells.items()):
+        chosen = select_by_validation(rows)
+        selected.append((ds, seed, offset, chosen.mode_id, chosen.val_rmse, chosen.test_rmse))
+    _replace_file(out_dir / "selected.csv", _lines(selected))
 
 
 def _cell_tag(ds: str, seed: int, offset: float) -> str:
     """File stem of one (dataset, seed, offset) cell in ledgers/, models/ and predictions/."""
     return f"{ds}_s{seed}_o" + format(offset, "+.2f").replace("+", "p").replace("-", "m").replace(".", "_")
-
-
-def _write_selected(out_dir: Path, results: list[RunResult], selected_payloads: dict) -> None:
-    """Per-cell validation-selected mode summary, model state, predictions.
-
-    Model state goes to models/<cell>.txt as documented key = value lines;
-    the selected mode's test predictions go to predictions/<cell>.csv.
-    """
-    cells: dict[tuple, list[RunResult]] = {}
-    for r in results:
-        cells.setdefault((r.dataset, r.seed, r.split_offset), []).append(r)
-    model_dir = out_dir / "models"
-    model_dir.mkdir(exist_ok=True)
-    pred_dir = out_dir / "predictions"
-    pred_dir.mkdir(exist_ok=True)
-    lines = ["dataset,seed,split_offset,selected_mode,val_rmse,test_rmse"]
-    for (ds, seed, offset), rows in sorted(cells.items()):
-        chosen = select_by_validation(rows)
-        lines.append(
-            f"{ds},{seed},{offset!r},{chosen.mode_id},{chosen.val_rmse!r},{chosen.test_rmse!r}"
-        )
-        payload = selected_payloads.get((ds, seed, offset))
-        if payload is None or payload["mode"] != chosen.mode_id:
-            continue  # a narrower rerun did not fit the selected mode: keep the earlier files
-        tag = _cell_tag(ds, seed, offset)
-        state = [
-            f"dataset = {ds}",
-            f"seed = {seed}",
-            f"split_offset = {offset!r}",
-            f"mode = {chosen.mode_id}",
-            f"lambda = {chosen.penalty!r}",
-            f"alpha_loc = {'' if chosen.alpha_loc is None else repr(chosen.alpha_loc)}",
-            f"strengths = {json.dumps(chosen.strengths, sort_keys=True)}",
-            f"ledger_hash = {chosen.ledger_hash}",
-            f"alpha_raw = {json.dumps(payload['alpha_raw'], sort_keys=True)}",
-            f"head_intercept = {payload['head_intercept']!r}",
-            "head_weights = " + ",".join(repr(v) for v in payload["head_weights"]),
-        ]
-        if "local_head_weights" in payload:
-            state += [
-                f"local_lambda = {payload['local_lambda']!r}",
-                f"local_head_intercept = {payload['local_head_intercept']!r}",
-                "local_head_weights = " + ",".join(repr(v) for v in payload["local_head_weights"]),
-            ]
-        (model_dir / f"{tag}.txt").write_text("\n".join(state) + "\n")
-        pred_lines = ["window,y_true,y_pred"]
-        for idx, y_true, y_pred in zip(
-            payload["test_indices"], payload["y_test_true"], payload["y_test_pred"]
-        ):
-            pred_lines.append(f"{idx},{y_true!r},{y_pred!r}")
-        (pred_dir / f"{tag}.csv").write_text("\n".join(pred_lines) + "\n")
-    _replace_file(out_dir / "selected.csv", "\n".join(lines) + "\n")

@@ -1,22 +1,22 @@
 """Paired audit statistics: exactness, determinism, invariances."""
 
+import json
+
 import numpy as np
 import pytest
 
 from topoattn import audit
 from topoattn.audit import (
     PairedUnit,
+    audit_results_dir,
     audit_units,
     bootstrap_ci,
     effect_size_dz,
     pair_units,
     per_dataset_breakdown,
     relative_reduction,
-    render_bar_svg,
     signflip_p,
     unit_counts,
-    write_audit_summary,
-    write_dataset_breakdown,
 )
 from topoattn.errors import InvalidInput
 
@@ -152,18 +152,31 @@ class TestReports:
             pair_units(rows)
 
     def test_breakdown_and_writers(self, tmp_path):
+        from topoattn.protocol import write_results_csv
+
         rows = self.make_rows()
         units = pair_units(rows)
         breakdown = per_dataset_breakdown(units)
         assert [r["dataset"] for r in breakdown] == ["a", "b"]
         assert all(r["units"] == 4 for r in breakdown)
-        summary = audit_units(units)
-        write_audit_summary(tmp_path / "audit_summary.csv", [summary])
-        write_dataset_breakdown(tmp_path / "audit_by_dataset.csv", breakdown)
-        render_bar_svg(tmp_path / "bars.svg", breakdown)
-        header = (tmp_path / "audit_summary.csv").read_text().splitlines()[0]
-        assert header == (
+        write_results_csv(tmp_path / "results.csv", rows)
+        summary, written = audit_results_dir(tmp_path)
+        assert summary == audit_units(units) and written == breakdown
+        lines = (tmp_path / "audit_summary.csv").read_bytes().decode().split("\r\n")
+        assert lines[0] == (
             "architecture,units,improved,worsened,tied,mean_relative_reduction,ci_lo,ci_hi,d_z,p_value"
         )
-        svg = (tmp_path / "bars.svg").read_text()
+        assert lines[1].split(",") == [
+            "lightweight_attention_ridge", "8", "8", "0", "0",
+            *map(repr, (summary.mean_relative_reduction, summary.ci_lo, summary.ci_hi, summary.d_z, summary.p_value)),
+        ]
+        lines = (tmp_path / "audit_by_dataset.csv").read_bytes().decode().split("\r\n")
+        assert lines[0] == "dataset,units,improved,worsened,tied,baseline_rmse,guarded_rmse,mean_relative_reduction"
+        assert lines[1].split(",")[:5] == ["a", "4", "4", "0", "0"]
+        assert lines[1].split(",")[5] == repr(breakdown[0]["baseline_rmse"]) and lines[3] == ""
+        paired = json.loads((tmp_path / "paired_units.json").read_text())
+        assert paired[0] == {"dataset": "a", "seed": 1, "split_offset": 0.0,
+                             "baseline_rmse": units[0].baseline_rmse, "guarded_rmse": units[0].guarded_rmse}
+        svg = (tmp_path / "audit_bars.svg").read_text()
         assert svg.startswith("<svg") and "rect" in svg
+        assert not list(tmp_path.glob("*.tmp"))

@@ -6,7 +6,9 @@ stop with an AttributeError; this test makes it fail here instead. The
 traced run also checks how often each wrapped layer is called
 (``EXPECTED_SPANS`` in ``bench/run.py``); the call-pattern test below
 checks the same counts on a small context, so a refactor that changes
-them fails here first.
+them fails here first. The predict-stream workload rebuilds a model from
+the ``model_sink`` payload of ``run_mode_detailed``; the payload test
+below rebuilds it the same way and checks its predictions.
 """
 
 import importlib.util
@@ -17,6 +19,7 @@ import pytest
 
 from topoattn import attention, local_residual, persistence, protocol, topo_bias
 from topoattn.datasets import gen_cyclic_h1
+from topoattn.geometry import KernelSpec
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -92,6 +95,30 @@ def test_traced_call_pattern(traced_ctx):
     assert calls("predict", "topo_bias.stack.") == 0
     assert calls("zeng_local_h0", "local_residual.zeng_head") == 1
     assert calls("static_h0_resid", "local_residual.zeng_head") == 0
+
+
+def test_model_sink_payload_rebuilds_predictions(traced_ctx):
+    # predict-stream rebuilds static_hybrid from these payload keys, as here
+    ctx, by_id, _ = traced_ctx
+    mode = by_id["static_hybrid"]
+    sink: dict = {}
+    protocol.run_mode_detailed(ctx, mode, 1, protocol.calibrate_cell(ctx, 1, [mode]), model_sink=sink)
+    payload = sink["static_hybrid"]
+    model = attention.ForecastModel(
+        mode=mode,
+        attn=attention.init_attention_params(ctx.scaled.shape[2], 1),
+        strengths=payload["strengths"],
+        ridge=attention.RidgeModel(
+            weights=np.asarray(payload["head_weights"]),
+            intercept=payload["head_intercept"],
+            penalty=payload["lambda"],
+        ),
+        kernel_spec=KernelSpec(ctx.kernel_bandwidth),
+        aet_params=ctx.aet_params(1),
+    )
+    assert payload["strengths"] and payload["test_indices"] == ctx.test_idx
+    predicted = [attention.predict(ctx.scaled[i], model) for i in payload["test_indices"]]
+    np.testing.assert_allclose(predicted, payload["y_test_pred"], rtol=0, atol=1e-9)
 
 
 def test_traced_learned_eta_epochs(traced_ctx, monkeypatch):

@@ -106,6 +106,17 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "snapshot 7 has no row for channel 3" in err
 
+    def test_ims_non_finite_row_fails_actionably(self, tmp_path, capsys):
+        csv = tmp_path / "ims2.csv"
+        rows = [f"{snap},{chan},{1 + snap / 40:.4f},1.0,3.0" for snap in range(40) for chan in (1, 2, 3, 4)]
+        rows[10 * 4 + 1] = "10,2,nan,1.0,3.0"
+        csv.write_text("snapshot,channel,rms,std,kurt\n" + "\n".join(rows) + "\n")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"datasets = ims2\nims2_csv = {csv}\nout = {tmp_path / 'runs'}\n")
+        assert run_cli("run", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "ims2.csv: row 42: rms/std/kurt are not all finite" in err
+
     def test_bad_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.txt"
         cfg.write_text("nonsense = 1\n")

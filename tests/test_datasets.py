@@ -244,6 +244,31 @@ class TestIms:
         with pytest.raises(InvalidInput, match="snapshot 17 has no row for channel 2"):
             load_ims_set(path, groups=((1,), (2,)), name="gap")
 
+    def test_load_ims_set_duplicate_row(self, tmp_path):
+        rms, std, kurt = (x.tolist() for x in self.make_features(n=80))
+        lines = ["snapshot,channel,rms,std,kurt"]
+        lines += [f"{snap},1,{rms[snap]!r},{std[snap]!r},{kurt[snap]!r}" for snap in range(80)]
+        clean = tmp_path / "clean.csv"
+        clean.write_text("\n".join(lines) + "\n")
+        load_ims_set(clean, groups=((1,),), name="clean")  # loads without the extra row
+        lines.append(f"5,1,{rms[5] + 1.0!r},{std[5]!r},{kurt[5]!r}")
+        path = tmp_path / "dup.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidInput, match=r"dup.csv: row 81: snapshot 5 has a second row for channel 1"):
+            load_ims_set(path, groups=((1,),), name="dup")
+
+    def test_load_ims_set_non_finite(self, tmp_path):
+        for bad in ("nan", "inf", "-inf"):
+            lines = ["snapshot,channel,rms,std,kurt"]
+            for snap in range(60):
+                for chan in (1, 2):
+                    kurt = bad if (snap, chan) == (10, 2) else "3.0"
+                    lines.append(f"{snap},{chan},{1 + snap / 60:.4f},1.0,{kurt}")
+            path = tmp_path / "nonfinite.csv"
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(InvalidInput, match="row 22: rms/std/kurt are not all finite"):
+                load_ims_set(path, groups=((1,), (2,)), name="nonfinite")
+
     def test_load_ims_set_all_degenerate(self, tmp_path):
         lines = ["snapshot,channel,rms,std,kurt"]
         for snap in range(60):

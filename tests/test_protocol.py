@@ -356,6 +356,27 @@ def test_offsets_sharing_a_file_tag_rejected(tmp_path, monkeypatch):
     assert tags == ["cyclic_s1_om0_05", "cyclic_s1_op0_00", "cyclic_s1_op0_05"]
 
 
+def test_repeated_seeds_rejected(tmp_path, monkeypatch):
+    from topoattn import protocol
+
+    fits = []
+    monkeypatch.setattr(protocol, "run_mode_detailed", lambda *a, **k: fits.append(a[1]))
+    with pytest.raises(InvalidInput, match=r"seeds \[1, 1\] repeat a seed"):
+        run_campaign([SMALL_CYCLIC], seeds=(1, 1), offsets=(0.0,), mode_ids=["classical"], out_dir=tmp_path)
+    assert fits == [] and not tmp_path.joinpath("results.csv").exists()
+
+
+def test_datasets_sharing_a_name_rejected(tmp_path):
+    # builders reveal their name only when called, so the second block is the first to see it
+    sources = [SMALL_CYCLIC, partial(gen_cyclic_h1, n_windows=80, n_tokens=16)]
+    kwargs = dict(seeds=(1,), offsets=(0.0,), mode_ids=["classical"])
+    run_campaign(sources[:1], out_dir=tmp_path / "first", **kwargs)
+    with pytest.raises(InvalidInput, match="two datasets are named 'cyclic': both gave cell seed 1 offset 0.0"):
+        run_campaign(sources, out_dir=tmp_path / "both", **kwargs)
+    # the second block raised before it wrote anything
+    assert _tree_bytes(tmp_path / "both") == _tree_bytes(tmp_path / "first")
+
+
 def test_builder_outputs_named_from_dataset(tmp_path):
     renamed = lambda seed: replace(SMALL_CYCLIC(seed), name="loop")  # noqa: E731
     run_campaign([renamed], seeds=(1,), offsets=(0.0,), mode_ids=["classical"], out_dir=tmp_path)
