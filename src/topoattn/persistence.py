@@ -1,20 +1,25 @@
 """Exact Vietoris-Rips persistence (H0-H2) of small clouds and 1-D sublevel H0.
 
-The boundary-matrix reduction is the standard GF(2) column algorithm with
-columns stored as Python integers (bitsets), which keeps the XOR chain in
-C speed. Filtrations are totally ordered by (value, dimension,
-lexicographic vertices); persistence bar multisets do not depend on the
-refinement chosen for ties.
+The engine is persistent cohomology with clearing and apparent pairs, H0
+by union-find (Bauer, *Ripser*, arXiv:1908.02518; Bauer-Kerber-
+Reininghaus, *Clear and compress*, 2014). Each dimension is ranked by
+(value, lexicographic vertices). Kruskal's spanning tree gives the H0
+bars and clears the edge columns; apparent pairs, found in bulk with
+numpy, give most H1/H2 bars; the few columns left are reduced as Python
+integer bitsets, and the H1 pivot triangles clear the triangle columns.
+Persistence bar multisets do not depend on the refinement chosen for ties.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInput, InvalidParameter
+from .errors import InvalidInput, InvalidParameter, TopoAttnError
 
 #: Point-count cap for exact persistence.
 EXACT_POINT_CAP = 28
@@ -36,81 +41,158 @@ class PersistenceDiagram:
         return len(self.bars)
 
 
-def _reduce_bitset_columns(columns: list[int]) -> list[tuple[int, int]]:
-    """In-place GF(2) column reduction; returns the persistence pairs."""
-    low_to_col: dict[int, int] = {}
-    get = low_to_col.get
-    pairs: list[tuple[int, int]] = []
-    for j in range(len(columns)):
-        col = columns[j]
-        while col:
-            low = col.bit_length() - 1
-            k = get(low)
-            if k is None:
-                low_to_col[low] = j
-                pairs.append((low, j))
+class _ComplexTables(NamedTuple):
+    """Static structure of the full 3-skeleton on n points, all in lexicographic order."""
+
+    edges: np.ndarray  # (E, 2) vertex pairs
+    tri_facets: np.ndarray  # (T, 3) edge indices
+    tet_facets: np.ndarray  # (Q, 4) triangle indices
+    edge_cofaces: np.ndarray  # (E, n - 2) triangle indices
+    tri_cofaces: np.ndarray  # (T, n - 3) tetrahedron indices
+
+
+def _inverse_incidence(facets: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    # every face of the full complex has the same number of cofaces, so a
+    # stable sort of the flat facet table lists each face's cofaces in a row
+    cofaces = np.argsort(facets.ravel(), kind="stable") // facets.shape[1]
+    return cofaces.reshape(shape).astype(np.int32)
+
+
+@lru_cache(maxsize=EXACT_POINT_CAP + 1)
+def _complex_tables(n: int) -> _ComplexTables:
+    edges = np.column_stack(np.triu_indices(n, k=1)).astype(np.int32)
+    edge_id = np.full((n, n), -1, dtype=np.int32)
+    edge_id[edges[:, 0], edges[:, 1]] = np.arange(len(edges))
+    tris = np.array(list(combinations(range(n), 3)), dtype=np.int32).reshape(-1, 3)
+    tri_facets = edge_id[tris[:, [0, 0, 1]], tris[:, [1, 2, 2]]]
+    tri_id = np.full((n, n, n), -1, dtype=np.int32)
+    tri_id[tris[:, 0], tris[:, 1], tris[:, 2]] = np.arange(len(tris))
+    tets = np.array(list(combinations(range(n), 4)), dtype=np.int32).reshape(-1, 4)
+    tet_facets = tri_id[tets[:, [0, 0, 0, 1]], tets[:, [1, 1, 2, 2]], tets[:, [2, 3, 3, 3]]]
+    tables = _ComplexTables(
+        edges=edges,
+        tri_facets=tri_facets,
+        tet_facets=tet_facets,
+        edge_cofaces=_inverse_incidence(tri_facets, (len(edges), n - 2)),
+        tri_cofaces=_inverse_incidence(tet_facets, (len(tris), max(n - 3, 0))),
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+class _Ranked(NamedTuple):
+    """Filtration values of one dimension with their (value, lexicographic) ranks."""
+
+    values: np.ndarray
+    order: np.ndarray  # simplex index at each rank
+    rank: np.ndarray  # rank of each simplex
+
+
+def _ranked(values: np.ndarray) -> _Ranked:
+    order = np.argsort(values, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return _Ranked(values, order, rank)
+
+
+def _kruskal_tree(n: int, edges: np.ndarray, edge_order: np.ndarray) -> np.ndarray:
+    """Mask of the spanning-tree edges, taken in rank order: the H0 deaths."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    tree = np.zeros(len(edges), dtype=bool)
+    merges = 0
+    for e, (u, v) in zip(edge_order.tolist(), edges[edge_order].tolist()):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+            tree[e] = True
+            merges += 1
+            if merges == n - 1:
                 break
-            col ^= columns[k]
-        columns[j] = col
-    return pairs
+    return tree
 
 
-def _bars_from_reduction(columns, pairs, values, dims, max_hom_dim) -> PersistenceDiagram:
-    paired: set[int] = set()
-    bars: list[tuple[float, float, int]] = []
-    for i, j in pairs:
-        paired.add(i)
-        paired.add(j)
-        dim = dims[i]
-        birth, death = values[i], values[j]
-        if death > birth and dim <= max_hom_dim:
-            bars.append((float(birth), float(death), int(dim)))
-    for i in range(len(columns)):
-        if i not in paired and columns[i] == 0 and dims[i] <= max_hom_dim:
-            bars.append((float(values[i]), np.inf, int(dims[i])))
-    bars.sort(key=lambda b: (b[2], b[0], b[1]))
-    return PersistenceDiagram(bars=bars)
+def _cohomology_pairs(
+    dim: int,
+    faces: _Ranked,
+    cofaces: _Ranked,
+    coface_table: np.ndarray,
+    facet_table: np.ndarray,
+    cleared: np.ndarray,
+) -> tuple[list[tuple[float, float, int]], np.ndarray]:
+    """Bars of dimension ``dim`` by persistent cohomology with clearing.
 
+    Columns are the ``dim``-simplices not in ``cleared``, each the set of
+    ranks of its cofaces, reduced in decreasing rank order with the
+    lowest rank as pivot. Apparent pairs (a face whose earliest coface has
+    it as latest facet) need no reduction and are read off in bulk.
+    Returns the bars with positive lifetime and the mask of cofaces that
+    are pivots, which clear the columns of dimension ``dim + 1``.
+    """
+    n_faces = faces.values.size
+    coface_ranks = cofaces.rank[coface_table]
+    earliest = coface_table[np.arange(n_faces), coface_ranks.argmin(axis=1)]
+    latest = facet_table[np.arange(cofaces.values.size), faces.rank[facet_table].argmax(axis=1)]
+    apparent = np.flatnonzero(latest[earliest] == np.arange(n_faces))
+    pivots = np.zeros(cofaces.values.size, dtype=bool)
+    pivots[earliest[apparent]] = True
 
-# static combinatorial structure of the full complex on n points, cached per n
-_FULL_CACHE: dict[int, tuple] = {}
+    births = faces.values[apparent]
+    deaths = cofaces.values[earliest[apparent]]
+    alive = deaths > births
+    bars = [(b, d, dim) for b, d in zip(births[alive].tolist(), deaths[alive].tolist())]
 
+    def column_of(face: int) -> int:
+        return sum(1 << r for r in coface_ranks[face].tolist())
 
-def _full_complex_static(n: int):
-    if n in _FULL_CACHE:
-        return _FULL_CACHE[n]
-    simplices = [(i,) for i in range(n)]
-    for k in (2, 3, 4):
-        simplices.extend(combinations(range(n), k))
-    index = {s: i for i, s in enumerate(simplices)}
-    total = len(simplices)
-    dims = np.fromiter((len(s) - 1 for s in simplices), dtype=np.int64, count=total)
-
-    def pair_pos(i: int, j: int) -> int:  # row-major upper-triangle index
-        return i * n - i * (i + 1) // 2 + (j - i - 1)
-
-    pair_idx = np.full((total, 6), -1, dtype=np.int64)
-    face_pos = np.full((total, 4), -1, dtype=np.int64)
-    for si, s in enumerate(simplices):
-        if len(s) < 2:
-            continue
-        for c, (a, b) in enumerate(combinations(s, 2)):
-            pair_idx[si, c] = pair_pos(a, b)
-        for c, face in enumerate(combinations(s, len(s) - 1)):
-            face_pos[si, c] = index[face]
-    _FULL_CACHE[n] = (dims, pair_idx, face_pos)
-    return _FULL_CACHE[n]
+    # an apparent face owns its pivot; its column is built only if reached
+    apparent_at = dict(zip(cofaces.rank[earliest[apparent]].tolist(), apparent.tolist()))
+    reduced: dict[int, int] = {}
+    remaining = ~cleared
+    remaining[apparent] = False
+    descending = faces.order[::-1]
+    for face in descending[remaining[descending]].tolist():
+        column = column_of(face)
+        while column:
+            low = (column & -column).bit_length() - 1
+            other = reduced.get(low)
+            if other is None:
+                owner = apparent_at.get(low)
+                if owner is None:
+                    reduced[low] = column
+                    coface = int(cofaces.order[low])
+                    pivots[coface] = True
+                    birth, death = float(faces.values[face]), float(cofaces.values[coface])
+                    if death > birth:
+                        bars.append((birth, death, dim))
+                    break
+                other = reduced[low] = column_of(owner)
+            column ^= other
+        else:
+            # the full 3-skeleton has no H1 or H2 classes, so no column may vanish
+            raise TopoAttnError(
+                f"persistence engine fault: a dimension-{dim} column reduced to zero"
+            )
+    return bars, pivots
 
 
 def capped_exact_diagrams(D) -> PersistenceDiagram:
     """Exact H0-H2 bars of the full Vietoris-Rips filtration of at most 28 points.
 
     Every simplex up to dimension 3 enters at the maximum pairwise
-    distance of its vertices. The combinatorial structure is cached per
-    point count and the filtration values are computed vectorized.
-    Clouds above :data:`EXACT_POINT_CAP` points raise
-    :class:`InvalidParameter`; a matrix that is not square 2-D or has a
-    non-finite or negative entry raises :class:`InvalidInput`.
+    distance of its vertices. H0 comes from union-find over the edges,
+    H1 and H2 from cohomology with clearing and apparent pairs over
+    complex tables cached per point count. Clouds above
+    :data:`EXACT_POINT_CAP` points raise :class:`InvalidParameter`; a
+    matrix that is not square 2-D or has a non-finite or negative entry
+    raises :class:`InvalidInput`.
     """
     values = np.asarray(D, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
@@ -122,26 +204,27 @@ def capped_exact_diagrams(D) -> PersistenceDiagram:
         raise InvalidParameter(
             f"{n} points exceed the exact-persistence cap of {EXACT_POINT_CAP}"
         )
-    dims, pair_idx, face_pos = _full_complex_static(n)
-    iu = np.triu_indices(n, k=1)
-    condensed = np.concatenate([values[iu], [0.0]])
-    gathered = condensed[np.where(pair_idx >= 0, pair_idx, len(condensed) - 1)]
-    vals = gathered.max(axis=1)
-    order = np.lexsort((dims, vals))  # stable: ties keep (dim, lex) static order
-    sorted_pos = np.empty(len(order), dtype=np.int64)
-    sorted_pos[order] = np.arange(len(order))
-
-    pos_list = sorted_pos.tolist()
-    fp = face_pos
-    columns: list[int] = []
-    for static_i in order.tolist():
-        col = 0
-        for f in fp[static_i]:
-            if f >= 0:
-                col |= 1 << pos_list[f]
-        columns.append(col)
-    pairs = _reduce_bitset_columns(columns)
-    return _bars_from_reduction(columns, pairs, vals[order], dims[order], 2)
+    if n < 2:
+        return PersistenceDiagram(bars=[(0.0, np.inf, 0)] * n)
+    tables = _complex_tables(n)
+    edges = _ranked(values[tables.edges[:, 0], tables.edges[:, 1]])
+    tree = _kruskal_tree(n, tables.edges, edges.order)
+    bars = [(0.0, d, 0) for d in edges.values[tree].tolist() if d > 0.0]
+    bars.append((0.0, np.inf, 0))
+    if n >= 3:
+        tris = _ranked(edges.values[tables.tri_facets].max(axis=1))
+        h1, killers = _cohomology_pairs(
+            1, edges, tris, tables.edge_cofaces, tables.tri_facets, tree
+        )
+        bars += h1
+    if n >= 4:
+        tets = _ranked(tris.values[tables.tet_facets].max(axis=1))
+        h2, _ = _cohomology_pairs(
+            2, tris, tets, tables.tri_cofaces, tables.tet_facets, killers
+        )
+        bars += h2
+    bars.sort(key=lambda b: (b[2], b[0], b[1]))
+    return PersistenceDiagram(bars=bars)
 
 
 def path_sublevel_h0(series) -> PersistenceDiagram:
@@ -161,22 +244,21 @@ def path_sublevel_h0(series) -> PersistenceDiagram:
     n = vals.size
     if n == 1:
         return PersistenceDiagram(bars=[(float(vals[0]), np.inf, 0)])
-
-    parent = np.arange(n)
+    order = np.argsort(vals, kind="stable").tolist()
+    vals = vals.tolist()
+    parent = list(range(n))
 
     def find(x: int) -> int:
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
-        return int(x)
+        return x
 
     # birth of a component = (value, index) of its minimum; smaller is older
-    birth = [(float(vals[i]), i) for i in range(n)]
-    active = np.zeros(n, dtype=bool)
+    birth = list(zip(vals, range(n)))
+    active = [False] * n
     bars: list[tuple[float, float, int]] = []
-    order = np.lexsort((np.arange(n), vals))
     for idx in order:
-        idx = int(idx)
         active[idx] = True
         for nb in (idx - 1, idx + 1):
             if nb < 0 or nb >= n or not active[nb]:
@@ -188,7 +270,7 @@ def path_sublevel_h0(series) -> PersistenceDiagram:
                 survivor, dead = ra, rb
             else:
                 survivor, dead = rb, ra
-            death = float(vals[idx])
+            death = vals[idx]
             b = birth[dead][0]
             if death > b:
                 bars.append((b, death, 0))

@@ -1,9 +1,12 @@
 """Cover construction, local diagrams, contrasts, projection, guarded blend."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from topoattn import local_residual
+from topoattn.datasets import gen_cyclic_h1, gen_shell_h2
 from topoattn.errors import InvalidInput
 from topoattn.geometry import KernelSpec, pairwise_euclidean
 from topoattn.local_residual import (
@@ -23,6 +26,7 @@ from topoattn.local_residual import (
     zeng_features,
 )
 from topoattn.persistence import capped_exact_diagrams
+from topoattn.protocol import SplitContext
 
 
 def starts(cover, length):
@@ -278,3 +282,18 @@ class TestGuardedBlend:
     def test_grid_default(self):
         assert ALPHA_GRID == (0.0, 0.1, 0.25, 0.5, 0.75, 1.0)
         assert DELTA_LOC == 0.005
+
+
+@pytest.mark.parametrize(
+    "gen, digest",
+    [
+        (gen_cyclic_h1, "924cac6ff86f94a956aaccd4599dcaf2539d3195027b3d6d6516c74fb7e43700"),
+        (gen_shell_h2, "4c8b9338122c1e39b9875a295932c8863fa5fd4af28f793ebc275fb78c1555be"),
+    ],
+    ids=["cyclic", "shell"],
+)
+def test_local_blocks_byte_identical(gen, digest):
+    # digests of the local block tensor as a plain boundary-matrix reduction
+    # computes it; any persistence engine must reproduce them bit for bit
+    blocks, stats = SplitContext(gen(3, n_windows=40, n_tokens=16), 0.0).local_blocks()
+    assert hashlib.sha256(blocks.tobytes() + stats.tobytes()).hexdigest() == digest

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from itertools import combinations
 
-from topoattn.errors import InvalidInput, InvalidParameter
+from topoattn import persistence
+from topoattn.errors import InvalidInput, InvalidParameter, TopoAttnError
 from topoattn.geometry import pairwise_euclidean
 from topoattn.persistence import (
     EXACT_POINT_CAP,
     PersistenceDiagram,
-    _full_complex_static,
+    _complex_tables,
     capped_exact_diagrams,
     path_sublevel_h0,
     vectorize_diagram,
@@ -85,27 +86,44 @@ def euclidean_matrix(points):
 class TestRipsFiltration:
     def test_complete_triangle(self):
         d = np.ones((3, 3)) - np.eye(3)
-        dims = _full_complex_static(3)[0]
-        assert np.bincount(dims).tolist() == [3, 3, 1]
+        tables = _complex_tables(3)
+        assert [len(tables.edges), len(tables.tri_facets), len(tables.tet_facets)] == [3, 1, 0]
         # the 2-simplex enters with its edges at 1, so the loop never lives
         assert capped_exact_diagrams(d).bars == [(0.0, 1.0, 0), (0.0, 1.0, 0), (0.0, np.inf, 0)]
 
     def test_complete_simplex_count_binomial_sum(self):
-        n = 6
-        dims, pair_idx, face_pos = _full_complex_static(n)
-        assert len(dims) == sum(comb(n, r) for r in range(1, 5))
-        assert np.bincount(dims).tolist() == [comb(n, r) for r in range(1, 5)]
+        for n in (2, 3, 4, 6, EXACT_POINT_CAP):
+            tables = _complex_tables(n)
+            counts = [len(tables.edges), len(tables.tri_facets), len(tables.tet_facets)]
+            assert counts == [comb(n, r) for r in range(2, 5)]
+            assert tables.edge_cofaces.shape == (comb(n, 2), n - 2)
+            assert tables.tri_cofaces.shape == (comb(n, 3), max(n - 3, 0))
 
     def test_faces_precede_cofaces(self):
-        # static order puts every face first, and a face's vertex pairs are a
-        # subset of its coface's, so its value is never larger: the engine's
-        # stable (value, dimension) sort keeps faces before cofaces
-        dims, pair_idx, face_pos = _full_complex_static(7)
-        for si in range(len(dims)):
-            pairs = set(pair_idx[si][pair_idx[si] >= 0].tolist())
-            for f in face_pos[si][face_pos[si] >= 0]:
-                assert f < si and dims[f] == dims[si] - 1
-                assert set(pair_idx[f][pair_idx[f] >= 0].tolist()) <= pairs
+        # each facet entry is one dimension down (its vertices are a subset
+        # of the coface's, one fewer), the coface tables invert the facet
+        # tables, and so no facet's value exceeds its coface's: the stable
+        # per-dimension rank keeps the filtration a valid one
+        n = 7
+        tables = _complex_tables(n)
+        tris = [tuple(sorted(set(tables.edges[f].ravel().tolist()))) for f in tables.tri_facets]
+        assert tris == list(combinations(range(n), 3))
+        for t, facets in enumerate(tables.tri_facets):
+            assert all(set(tables.edges[e].tolist()) < set(tris[t]) for e in facets)
+        for q, facets in enumerate(tables.tet_facets):
+            verts = set().union(*(tris[t] for t in facets))
+            assert len(verts) == 4 and all(set(tris[t]) < verts for t in facets)
+            assert len(set(facets.tolist())) == 4
+        for faces, cofaces in ((tables.tri_facets, tables.edge_cofaces),
+                               (tables.tet_facets, tables.tri_cofaces)):
+            incidences = {(f, c) for c, row in enumerate(faces.tolist()) for f in row}
+            assert {(f, c) for f, row in enumerate(cofaces.tolist()) for c in row} == incidences
+        d = euclidean_matrix(np.random.default_rng(4).integers(0, 3, size=(n, 2)).astype(float))
+        edge_vals = d[tables.edges[:, 0], tables.edges[:, 1]]
+        tri_vals = edge_vals[tables.tri_facets].max(axis=1)
+        tet_vals = tri_vals[tables.tet_facets].max(axis=1)
+        assert np.all(edge_vals[:, None] <= tri_vals[tables.edge_cofaces])
+        assert np.all(tri_vals[:, None] <= tet_vals[tables.tri_cofaces])
 
     def test_cap_exceeded(self):
         far = np.zeros((41, 41))
@@ -218,6 +236,55 @@ class TestFastPath:
             assert ours == naive_reduction_oracle(d), f"bar mismatch on cloud {trial}"
             h2_bars += sum(1 for b in ours if b[2] == 2)
         assert h2_bars >= 1
+
+
+def lattice_clouds(rng, count, sizes):
+    """Integer-lattice clouds full of tied distances; every third has a duplicated point."""
+    clouds = []
+    for i in range(count):
+        n = int(rng.integers(sizes[0], sizes[1] + 1))
+        points = rng.integers(0, 3, size=(n, 2)).astype(np.float64)
+        if i % 3 == 0:
+            points[-1] = points[0]
+        clouds.append(points)
+    return clouds
+
+
+class TestCohomologyEngine:
+    def test_tie_heavy_lattice_clouds_match_oracle(self):
+        rng = np.random.default_rng(29)
+        for trial, points in enumerate(lattice_clouds(rng, 150, (2, 12))):
+            d = euclidean_matrix(points)
+            assert capped_exact_diagrams(d).bars == naive_reduction_oracle(d), f"cloud {trial}"
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            np.zeros((0, 2)),
+            [[0.0, 0.0]],
+            [[0.0, 0.0], [0.0, 0.0]],
+            [[0.0, 0.0], [2.0, 0.0]],
+            [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+            [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
+            [[0, 0], [1, 0], [1, 1], [0, 1]],
+            [[0, 0], [2, 0], [1, 1], [1, 1]],
+        ],
+    )
+    def test_small_point_counts_match_oracle(self, points):
+        d = euclidean_matrix(np.asarray(points, dtype=np.float64).reshape(-1, 2))
+        assert capped_exact_diagrams(d).bars == naive_reduction_oracle(d)
+
+    @pytest.mark.parametrize("dim, n, table", [(1, 4, "edge_cofaces"), (2, 5, "tri_cofaces")])
+    def test_vanishing_column_raises(self, monkeypatch, dim, n, table):
+        # the full 3-skeleton has no H1 or H2 class; identical coface rows
+        # make uncleared columns cancel, which only a broken engine can do
+        real = persistence._complex_tables(n)
+        rows = getattr(real, table)
+        broken = real._replace(**{table: np.repeat(rows[:1], len(rows), axis=0)})
+        monkeypatch.setattr(persistence, "_complex_tables", lambda _n: broken)
+        d = euclidean_matrix(np.random.default_rng(n).normal(size=(n, 3)))
+        with pytest.raises(TopoAttnError, match=f"dimension-{dim} column"):
+            capped_exact_diagrams(d)
 
 
 class TestCappedExact:
