@@ -103,12 +103,15 @@ def biased_logits(base: np.ndarray, stack: dict[str, np.ndarray], strengths: dic
     """base + sum_c strength_c * B^c. Zero strengths are skipped so the
     all-zero case returns the base bit-for-bit."""
     out = base.copy()
+    product = None
     for channel, strength in strengths.items():
         if strength == 0.0:
             continue
         if channel not in stack:
             raise InvalidInput(f"strength given for channel {channel} absent from the bias stack")
-        out += strength * stack[channel]
+        if product is None:
+            product = np.empty_like(out)
+        out += np.multiply(stack[channel], strength, out=product)
     return out
 
 
@@ -117,9 +120,10 @@ def row_softmax(logits: np.ndarray) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(logits)):
         raise InvalidInput("softmax input contains non-finite entries")
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def attention_feature_matrix(windows: np.ndarray, attn: np.ndarray) -> np.ndarray:
@@ -212,11 +216,13 @@ def temperature_loss_and_grads(
 
     xq = windows @ w_query
     xk = windows @ w_key
-    base = np.einsum("wnd,wmd->wnm", xq, xk) * scale
+    logits = np.einsum("wnd,wmd->wnm", xq, xk)
+    logits *= scale
     eta = _softplus(alpha)
-    logits = base
+    # one (W, N, N) scratch array for eta_c B_c, d_attn * attn and d_logits * B_c
+    product = np.empty(logits.shape)
     for c, channel in enumerate(channels):
-        logits = logits + eta[c] * stacks[channel]
+        logits += np.multiply(stacks[channel], eta[c], out=product)
     attn = row_softmax(logits)
     feats = attention_feature_matrix(windows, attn)
     resid = feats @ head_w + head_b - targets
@@ -241,14 +247,15 @@ def temperature_loss_and_grads(
     dctx = np.repeat(df_mean[:, None, :] / n_tokens, n_tokens, axis=1)
     dctx[:, -1, :] += df_last
 
-    d_attn = np.einsum("wnp,wmp->wnm", dctx, windows)
-    inner = np.sum(d_attn * attn, axis=-1, keepdims=True)
-    d_logits = attn * (d_attn - inner)
+    d_logits = np.einsum("wnp,wmp->wnm", dctx, windows)  # d_attn, turned into d_logits below
+    inner = np.sum(np.multiply(d_logits, attn, out=product), axis=-1, keepdims=True)
+    d_logits -= inner
+    d_logits *= attn
 
     d_alpha = np.empty_like(alpha)
     sig = expit(alpha)
     for c, channel in enumerate(channels):
-        d_alpha[c] = np.sum(d_logits * stacks[channel]) * sig[c]
+        d_alpha[c] = np.sum(np.multiply(d_logits, stacks[channel], out=product)) * sig[c]
     d_alpha += weight_decay * alpha
 
     d_xq = np.einsum("wnm,wmd->wnd", d_logits, xk) * scale

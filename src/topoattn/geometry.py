@@ -9,7 +9,6 @@ matrices of shape (..., N, N); a single window is a stack of one.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,17 +86,25 @@ def window_sigma(d: np.ndarray) -> np.ndarray:
     """Median positive upper-triangle distance per window, shape (...).
 
     A window of identical tokens has no positive distance and gets
-    :data:`DEGENERATE_SIGMA`.
+    :data:`DEGENERATE_SIGMA`. The median of k positive entries is
+    (lo + hi) / 2 of the sorted entries at ranks l and k // 2, with l the
+    same rank for odd k and the one below for even k: the formula of
+    ``np.ma.median``, which ``np.nanmedian`` uses, so the value is the same
+    to the bit.
     """
     n = d.shape[-1]
+    if n < 2:
+        return np.full(d.shape[:-2], DEGENERATE_SIGMA)
     iu = np.triu_indices(n, k=1)
     upper = d[..., iu[0], iu[1]]
-    masked = np.where(upper > 0.0, upper, np.nan)
-    # identical tokens leave an all-NaN row, which gets DEGENERATE_SIGMA below
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        med = np.nanmedian(masked, axis=-1)
-    return np.where(np.isnan(med), DEGENERATE_SIGMA, med)
+    positive = upper > 0.0
+    k = np.count_nonzero(positive, axis=-1)[..., None]
+    # non-positive entries sort last, past every rank read below
+    upper = np.sort(np.where(positive, upper, np.inf), axis=-1)
+    h = k // 2
+    lo = np.take_along_axis(upper, np.where(k % 2 == 1, h, np.maximum(h - 1, 0)), axis=-1)[..., 0]
+    hi = np.take_along_axis(upper, h, axis=-1)[..., 0]
+    return np.where(k[..., 0] == 0, DEGENERATE_SIGMA, (lo + hi) / 2.0)
 
 
 def pooled_sigma(distance_matrices) -> float:

@@ -191,14 +191,18 @@ def capped_exact_diagrams(D) -> PersistenceDiagram:
     H1 and H2 from cohomology with clearing and apparent pairs over
     complex tables cached per point count. Clouds above
     :data:`EXACT_POINT_CAP` points raise :class:`InvalidParameter`; a
-    matrix that is not square 2-D or has a non-finite or negative entry
-    raises :class:`InvalidInput`.
+    matrix that is not square 2-D, has a non-finite or negative entry, is
+    not exactly symmetric or has a nonzero diagonal raises
+    :class:`InvalidInput`.
     """
     values = np.asarray(D, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise InvalidInput(f"distance matrix must be square 2-D, got shape {values.shape}")
     if not (np.all(np.isfinite(values)) and np.all(values >= 0.0)):
         raise InvalidInput("distance matrix entries must be finite and nonnegative")
+    # the filtration reads only the upper triangle
+    if not np.array_equal(values, values.T) or np.any(np.diagonal(values)):
+        raise InvalidInput("distance matrix must be exactly symmetric with a zero diagonal")
     n = values.shape[0]
     if n > EXACT_POINT_CAP:
         raise InvalidParameter(

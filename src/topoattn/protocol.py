@@ -46,7 +46,7 @@ from .datasets import (
     fit_scaler,
 )
 from .errors import CalibrationMissing, InvalidInput, TopoAttnError
-from .geometry import KernelSpec, pairwise_euclidean, pooled_sigma
+from .geometry import KernelSpec, pairwise_euclidean, pooled_sigma, stacked_euclidean, window_sigma
 from .local_residual import (
     LocalProjection,
     assemble_local_features,
@@ -271,6 +271,14 @@ class SplitContext:
         self.kernel_bandwidth = pooled_sigma([pairwise_euclidean(w) for w in train_scaled])
         self.bandwidth_grid = tuple(f * self.kernel_bandwidth for f in BANDWIDTH_FACTORS)
         self.cover = build_cover(ds.windows.shape[1])
+        # the Euclidean distance tensor and window sigmas every bias stack
+        # starts from, read-only. Built here, not at the first stack: made
+        # there and kept among a fit's temporaries, it raised the peak RSS
+        # of the predict-stream set-up by about 5 MB.
+        d = stacked_euclidean(self.scaled)
+        sigma = window_sigma(d)
+        d.flags.writeable = sigma.flags.writeable = False
+        self.euclidean = d, sigma
         self._stacks: dict = {}
         self._blocks = None
         self._stats = None
@@ -278,17 +286,23 @@ class SplitContext:
         self._local_phi = None
 
     # -- bias stacks -------------------------------------------------------
-    def stack_for(self, channel: str, seed: int, bandwidth: float | None = None) -> np.ndarray:
-        """One channel's bias stack, cached by (channel, seed if AET, rounded
-        bandwidth if KH); ``bandwidth`` defaults to the train kernel scale."""
-        aet, kh = channel == "AET", channel in RKHS_CHANNELS
+    def stack_key(self, channel: str, seed: int, bandwidth: float | None = None) -> tuple:
+        """(channel, seed if AET, rounded bandwidth if KH): what one channel's
+        bias stack depends on; ``bandwidth`` defaults to the train kernel scale."""
         bw = self.kernel_bandwidth if bandwidth is None else bandwidth
-        key = (channel, seed if aet else None, round(bw, 12) if kh else None)
+        return (channel, seed if channel == "AET" else None,
+                round(bw, 12) if channel in RKHS_CHANNELS else None)
+
+    def stack_for(self, channel: str, seed: int, bandwidth: float | None = None) -> np.ndarray:
+        """One channel's bias stack, cached by :meth:`stack_key`."""
+        key = self.stack_key(channel, seed, bandwidth)
         if key not in self._stacks:
+            bw = self.kernel_bandwidth if bandwidth is None else bandwidth
             self._stacks[key] = bias_stacks(
                 self.scaled, (channel,),
-                aet_params=self.aet_params(seed) if aet else None,
-                kernel_spec=KernelSpec(bw) if kh else None,
+                aet_params=self.aet_params(seed) if channel == "AET" else None,
+                kernel_spec=KernelSpec(bw) if channel in RKHS_CHANNELS else None,
+                euclidean=self.euclidean,
             )[channel]
         return self._stacks[key]
 
@@ -361,18 +375,29 @@ def _fit_head(ctx: SplitContext, base, stacks: dict, strengths: dict):
     return feats, ridge_fit(feats[ctx.train_idx], y[ctx.train_idx], feats[ctx.val_idx], y[ctx.val_idx])
 
 
-def _fit_static(ctx: SplitContext, mode: TopologyMode, seed: int):
+def _fit_static(ctx: SplitContext, mode: TopologyMode, seed: int, fits: dict | None = None):
     """Greedy per-channel strength search, then a joint grid on the best pair.
 
     A mode with no channels (classical) gets the zero-strength fit. Returns
-    (strengths, features, ridge) of the validation winner.
+    (strengths, features, ridge) of the validation winner. Each grid point's
+    head fit is kept in ``fits`` (a fresh dict by default) under (seed, the
+    (stack key, strength) of each channel in the order the logits add
+    them), so a point that another mode or another stage of this search
+    already fitted is not fitted again.
     """
-    base = attention_logits_batch(ctx.scaled, init_attention_params(ctx.scaled.shape[2], seed))
+    fits = {} if fits is None else fits
+    base = None
 
     def evaluate(strengths: dict, bandwidth=None):
-        stacks = ctx.stacks_for([c for c, s in strengths.items() if s != 0.0], seed, bandwidth)
-        feats, ridge = _fit_head(ctx, base, stacks, strengths)
-        return ridge.val_rmse, strengths, feats, ridge
+        nonlocal base
+        key = (seed, tuple((ctx.stack_key(c, seed, bandwidth), s) for c, s in strengths.items()))
+        if key not in fits:
+            if base is None:
+                base = attention_logits_batch(ctx.scaled, init_attention_params(ctx.scaled.shape[2], seed))
+            stacks = ctx.stacks_for([c for c, s in strengths.items() if s != 0.0], seed, bandwidth)
+            feats, ridge = _fit_head(ctx, base, stacks, strengths)
+            fits[key] = ridge.val_rmse, strengths, feats, ridge
+        return fits[key]
 
     zero = evaluate({})
     if not mode.channels:
@@ -406,11 +431,12 @@ def _fit_static(ctx: SplitContext, mode: TopologyMode, seed: int):
     return best[1:]
 
 
-def _fit_global_stage(ctx: SplitContext, mode: TopologyMode, seed: int):
+def _fit_global_stage(ctx: SplitContext, mode: TopologyMode, seed: int, fits: dict | None = None):
     """Global attention + ridge fit of a mode, independent of the residual
-    flag. Returns (strengths, features, ridge, raw learned temperatures)."""
+    flag. Returns (strengths, features, ridge, raw learned temperatures);
+    ``fits`` is the static grid's head-fit cache (see :func:`_fit_static`)."""
     if mode.strength_source != "learned-eta":
-        return (*_fit_static(ctx, mode, seed), {})
+        return (*_fit_static(ctx, mode, seed, fits), {})
     stacks = ctx.stacks_for(mode.channels, seed)
     tr, va, y = ctx.train_idx, ctx.val_idx, ctx.ds.targets
     alpha, attn, _info = train_temperatures(
@@ -441,7 +467,9 @@ def run_mode_detailed(
     corrupted copy here).
 
     ``global_cache`` (keyed by the residual-stripped mode id) lets residual
-    variants reuse their base mode's global fit; ``force_guard_reject`` is
+    variants reuse their base mode's global fit, and the static-grid modes
+    of a cell share the head fits of their grid points through it (see
+    :func:`_fit_static`); ``force_guard_reject`` is
     the preservation audit hook: it forces the residual guard to reject so
     the output must be bit-identical to the global pipeline's predictions.
     When ``model_sink`` is given, the fitted model state (head weights,
@@ -467,7 +495,7 @@ def run_mode_detailed(
         if global_cache is not None and cache_key in global_cache:
             strengths, feats, ridge, alpha_raw = global_cache[cache_key]
         else:
-            strengths, feats, ridge, alpha_raw = _fit_global_stage(ctx, mode, seed)
+            strengths, feats, ridge, alpha_raw = _fit_global_stage(ctx, mode, seed, global_cache)
             if global_cache is not None:
                 global_cache[cache_key] = (strengths, feats, ridge, alpha_raw)
 

@@ -195,14 +195,19 @@ def bias_stacks(
     channels,
     aet_params: AetParams | None = None,
     kernel_spec: KernelSpec | None = None,
+    euclidean: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
     """Smooth bias matrices for a stack of windows, one (W, N, N) array per channel.
 
     AET channels require ``aet_params``; KH channels require ``kernel_spec``.
+    ``euclidean`` is ``(stacked_euclidean(windows), its window_sigma)`` for
+    a caller that keeps them; without it they are computed here.
     """
     windows = np.asarray(windows, dtype=np.float64)
-    d = stacked_euclidean(windows)
-    sigma = window_sigma(d)
+    if euclidean is None:
+        d = stacked_euclidean(windows)
+        euclidean = d, window_sigma(d)
+    d, sigma = euclidean
 
     out: dict[str, np.ndarray] = {}
     need_kh = [c for c in channels if c in RKHS_CHANNELS]

@@ -270,6 +270,117 @@ class TestTemperatureTraining:
             self.loss_and_grads(self.params(np.zeros(2), 0, np.zeros(10), 0.0), bad_targets)
 
 
+def old_biased_logits(base, stack, strengths):
+    out = base.copy()
+    for channel, strength in strengths.items():
+        if strength != 0.0:
+            out += strength * stack[channel]
+    return out
+
+
+def old_row_softmax(logits):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def old_loss_and_grads(windows, targets, stacks, channels, params):
+    """temperature_loss_and_grads as written before its temporaries were
+    reused in place: one fresh array per step."""
+    from scipy.special import expit
+
+    alpha, w_query, w_key, head_w, head_b = (params[k] for k in TRAIN_PARAMS)
+    n_windows, n_tokens, p = windows.shape
+    wd = attention.TRAIN_WEIGHT_DECAY
+    scale = 1.0 / np.sqrt(w_query.shape[1])
+    xq, xk = windows @ w_query, windows @ w_key
+    logits = np.einsum("wnd,wmd->wnm", xq, xk) * scale
+    eta = attention._softplus(alpha)
+    for c, channel in enumerate(channels):
+        logits = logits + eta[c] * stacks[channel]
+    attn = old_row_softmax(logits)
+    feats = attention_feature_matrix(windows, attn)
+    resid = feats @ head_w + head_b - targets
+    loss = float(np.mean(resid**2)) + 0.5 * wd * (
+        float(np.sum(alpha**2)) + float(np.sum(w_query**2))
+        + float(np.sum(w_key**2)) + float(np.sum(head_w**2))
+    )
+    dyhat = 2.0 * resid / n_windows
+    d_head_w = feats.T @ dyhat + wd * head_w
+    d_head_b = float(dyhat.sum())
+    dfeat = dyhat[:, None] * head_w[None, :]
+    dctx = np.repeat(dfeat[:, None, :p] / n_tokens, n_tokens, axis=1)
+    dctx[:, -1, :] += dfeat[:, p : 2 * p]
+    d_attn = np.einsum("wnp,wmp->wnm", dctx, windows)
+    inner = np.sum(d_attn * attn, axis=-1, keepdims=True)
+    d_logits = attn * (d_attn - inner)
+    d_alpha = np.empty_like(alpha)
+    sig = expit(alpha)
+    for c, channel in enumerate(channels):
+        d_alpha[c] = np.sum(d_logits * stacks[channel]) * sig[c]
+    d_alpha += wd * alpha
+    d_xq = np.einsum("wnm,wmd->wnd", d_logits, xk) * scale
+    d_xk = np.einsum("wnm,wnd->wmd", d_logits, xq) * scale
+    d_wq = np.einsum("wnp,wnd->pd", windows, d_xq) + wd * w_query
+    d_wk = np.einsum("wnp,wnd->pd", windows, d_xk) + wd * w_key
+    return loss, dict(zip(TRAIN_PARAMS, (d_alpha, d_wq, d_wk, d_head_w, d_head_b)))
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestInPlaceTemporaries:
+    """The forward and gradient code reuses its temporaries in place; it must
+    give the bits of the one-array-per-step formulas and leave its inputs as
+    they were."""
+
+    @pytest.mark.parametrize("shape", [(4, 4), (7, 9, 9), (3, 16, 16)])
+    def test_row_softmax_bitwise(self, shape):
+        logits = np.random.default_rng(31).normal(scale=3.0, size=shape)
+        before = logits.copy()
+        assert same_bits(row_softmax(logits), old_row_softmax(logits))
+        assert same_bits(logits, before)
+
+    @pytest.mark.parametrize("strengths", [
+        {}, {"H0": 0.0}, {"H1": 0.25}, {"H0": 0.1, "H1": 0.0}, {"H1": 0.5, "H0": 1.0},
+        {"H0": np.float64(0.37), "KH0": 0.1},
+    ])
+    def test_biased_logits_bitwise(self, strengths):
+        rng = np.random.default_rng(32)
+        base = rng.normal(size=(6, 8, 8))
+        stacks = {c: rng.normal(size=(6, 8, 8)) for c in ("H0", "H1", "KH0")}
+        kept = {c: b.copy() for c, b in stacks.items()}
+        base_before = base.copy()
+        assert same_bits(biased_logits(base, stacks, strengths), old_biased_logits(base, stacks, strengths))
+        assert same_bits(base, base_before)
+        assert all(same_bits(stacks[c], kept[c]) for c in stacks)
+
+    @pytest.mark.parametrize("channels", [(), ("H0",), ("H0", "H1", "H2")])
+    def test_loss_and_grads_bitwise(self, channels):
+        rng = np.random.default_rng(33)
+        windows = rng.normal(size=(24, 10, 3))
+        targets = rng.normal(size=24)
+        stacks = bias_stacks(windows, ("H0", "H1", "H2"))
+        attn = init_attention_params(3, seed=4)
+        params = dict(zip(TRAIN_PARAMS, (
+            rng.normal(scale=0.3, size=len(channels)), attn.w_query, attn.w_key,
+            rng.normal(scale=0.1, size=15), 0.3,
+        )))
+        kept = {k: np.copy(v) for k, v in params.items()}
+        kept_stacks = {c: b.copy() for c, b in stacks.items()}
+        windows_before, targets_before = windows.copy(), targets.copy()
+        loss, grads = temperature_loss_and_grads(windows, targets, stacks, channels, params)
+        old_loss, old_grads = old_loss_and_grads(windows, targets, stacks, channels, params)
+        assert loss == old_loss
+        assert tuple(grads) == tuple(old_grads) == TRAIN_PARAMS
+        assert all(same_bits(grads[k], old_grads[k]) for k in TRAIN_PARAMS)
+        assert all(same_bits(params[k], kept[k]) for k in TRAIN_PARAMS)
+        assert all(same_bits(stacks[c], kept_stacks[c]) for c in stacks)
+        assert same_bits(windows, windows_before) and same_bits(targets, targets_before)
+
+
 class TestPredict:
     def make_model(self, strengths, mode_channels=()):
         rng = np.random.default_rng(16)

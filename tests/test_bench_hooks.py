@@ -166,3 +166,34 @@ def test_train_sigmas_reach_traced_distance():
     for run_id in ("context", "aet"):
         counts = tracer_module.span_counts(tracer, run_id)
         assert counts.get("geometry.pairwise_euclidean", 0) >= 1
+
+
+def test_split_stacks_share_one_distance_tensor(monkeypatch):
+    # the traced run names bias-stack spans from bias_stacks' second
+    # positional argument; the split's distance tensor rides on a keyword
+    built = []
+    for owner in (protocol, topo_bias):
+        original = owner.stacked_euclidean
+
+        def counting(windows, original=original):
+            built.append(windows.shape)
+            return original(windows)
+
+        monkeypatch.setattr(owner, "stacked_euclidean", counting)
+    ctx = protocol.SplitContext(gen_cyclic_h1(3, n_windows=40, n_tokens=12), 0.0)
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer()
+    try:
+        tracer_module.install_all_layers(tracer)
+        tracer.run_id = "h0"
+        ctx.stack_for("H0", 1)
+        tracer.run_id = "rest"
+        for channel in topo_bias.CHANNELS:
+            ctx.stack_for(channel, 1)
+    finally:
+        tracer.restore()
+    assert tracer_module.span_counts(tracer, "h0") == {
+        "protocol.stack_for": 1, "topo_bias.stack.H0": 1}
+    rest = tracer_module.span_counts(tracer, "rest")
+    assert all(rest[f"topo_bias.stack.{c}"] == 1 for c in topo_bias.CHANNELS if c != "H0")
+    assert built == [ctx.scaled.shape]

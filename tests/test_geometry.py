@@ -4,6 +4,8 @@ The batched helpers act on stacks of shape (..., N, N); most checks run
 them on a stack of one window.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,6 +157,53 @@ class TestMedianNonzero:
         expected = [np.median(m[np.triu_indices(6, k=1)]) for m in stack]
         assert np.array_equal(window_sigma(stack), expected)
         assert pooled_sigma(list(stack)) == float(np.median(expected))
+
+
+def nanmedian_sigma(d):
+    """The np.nanmedian formula window_sigma replaced, kept as its oracle."""
+    iu = np.triu_indices(d.shape[-1], k=1)
+    upper = d[..., iu[0], iu[1]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        med = np.nanmedian(np.where(upper > 0.0, upper, np.nan), axis=-1)
+    return np.where(np.isnan(med), DEGENERATE_SIGMA, med)
+
+
+class TestSortedMedian:
+    """window_sigma sorts the positive entries; it must give the bits of the
+    np.nanmedian it replaced, and raise no warning on an all-zero window."""
+
+    @staticmethod
+    def stacks():
+        rng = np.random.default_rng(41)
+        for n in (2, 3, 4, 5, 8, 13, 16, 32):
+            # integer lattices: many ties, duplicated tokens, some all-zero windows
+            lattice = rng.integers(0, 3, size=(60, n, 2)).astype(float)
+            lattice[::7] = 0.0
+            for x in (lattice, rng.normal(size=(20, n, 3))):
+                d = stacked_euclidean(x)
+                yield d
+                yield hilbert_distance(d, 0.6)
+                yield hilbert_distance(d, 2.5)
+
+    def test_matches_nanmedian_bitwise(self):
+        parities = set()
+        for d in self.stacks():
+            iu = np.triu_indices(d.shape[-1], k=1)
+            parities.update(np.count_nonzero(d[..., iu[0], iu[1]] > 0.0, axis=-1) % 2)
+            got, expected = window_sigma(d), nanmedian_sigma(d)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        assert parities == {0, 1}  # even and odd positive counts both met
+
+    def test_single_matrix_and_all_zero_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert window_sigma(np.zeros((3, 2, 2))).tolist() == [DEGENERATE_SIGMA] * 3
+            d = pairwise_euclidean(np.array([[0.0], [1.0], [3.0], [3.0]]))
+            assert window_sigma(d).shape == ()
+            assert window_sigma(d) == nanmedian_sigma(d) == 2.0  # positives 1, 2, 2, 3, 3
+            for d in self.stacks():
+                window_sigma(d)
 
 
 class TestZscore:

@@ -133,7 +133,12 @@ class TestRipsFiltration:
     def test_malformed_matrix_rejected(self):
         nan_edge = np.ones((3, 3)) - np.eye(3)
         nan_edge[0, 2] = np.nan
-        for bad in (np.zeros((3, 4)), nan_edge, np.array([[0.0, -1.0], [-1.0, 0.0]])):
+        asymmetric = np.array([[0.0, 1.0], [5.0, 0.0]])
+        for bad in (
+            np.zeros((3, 4)), nan_edge, np.array([[0.0, -1.0], [-1.0, 0.0]]),
+            # only the upper triangle is read: these would give other bars
+            asymmetric, asymmetric.T, np.array([[7.0, 1.0], [1.0, 7.0]]),
+        ):
             with pytest.raises(InvalidInput):
                 capped_exact_diagrams(bad)
 

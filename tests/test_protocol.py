@@ -285,6 +285,41 @@ def test_ledger_mutation_raises(monkeypatch):
         protocol._run_split_block(builder, 0.0, (1,), ("classical",), False)
 
 
+def test_cell_fit_cache_shares_static_grid_points(monkeypatch):
+    from topoattn import protocol
+
+    ds = gen_cyclic_h1(3, n_windows=60, n_tokens=16)
+    modes = [m for m in MODE_REGISTRY if not m.with_residual and m.mode_id != "zeng_local_h0"]
+    assert len(modes) == 12
+    fit_head = protocol._fit_head
+    calls = []
+
+    def counting(ctx, base, stacks, strengths):
+        calls.append(tuple(strengths.items()))
+        return fit_head(ctx, base, stacks, strengths)
+
+    monkeypatch.setattr(protocol, "_fit_head", counting)
+    results, *_ = protocol._run_split_block(ds, 0.0, (1,), tuple(m.mode_id for m in modes), False)
+    # static grid: 1 zero fit + 16 Euclidean singles (4 channels x 4 strengths)
+    # + 36 KH singles (3 bandwidths x 4 strengths x 3 channels) + 16 joint
+    # pairs; then one head fit per learned-eta mode (113 + 3 without the cache)
+    assert len(calls) == 69 + 3
+    assert sum(len(c) == 2 for c in calls) == 16
+
+    # with no cache passed, one call still fits each distinct point once:
+    # static_hybrid's joint grid repeats 8 of its single-channel points
+    ctx = SplitContext(ds, 0.0)
+    calibration = calibrate_cell(ctx, 1, modes)
+    calls.clear()
+    run_mode_detailed(ctx, BY_ID["static_hybrid"], 1, calibration)
+    assert len(calls) == 1 + 7 * 4 + 16
+
+    # each row is what the mode gives run alone with a fresh cache
+    for result in results:
+        alone, _ = run_mode_detailed(ctx, BY_ID[result.mode_id], 1, calibration, global_cache={})
+        assert alone.to_csv_fields() == result.to_csv_fields()
+
+
 SMALL_CYCLIC = partial(gen_cyclic_h1, n_windows=60, n_tokens=16)
 
 
