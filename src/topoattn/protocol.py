@@ -33,6 +33,7 @@ from .attention import (
     ridge_predict,
     rmse,
     train_temperatures,
+    window_summary,
 )
 # kept only so that bench/tracer.py can wrap protocol.biased_logits,
 # protocol.row_softmax and protocol.attention_feature_matrix
@@ -262,9 +263,11 @@ class SplitContext:
     def __init__(self, ds: WindowedDataset, offset: float):
         self.ds = ds
         self.offset = offset
-        self.train_idx, self.val_idx, self.test_idx = (
-            list(r) for r in chronological_split(len(ds.targets), offset)
-        )
+        split = chronological_split(len(ds.targets), offset)
+        self.train_idx, self.val_idx, self.test_idx = (list(r) for r in split)
+        # the train and validation rows as slices, which index views:
+        # chronological splits are contiguous
+        self.train_rows, self.val_rows = (slice(r.start, r.stop) for r in split[:2])
         self.scaler = fit_scaler(ds.windows[self.train_idx])
         self.scaled = apply_scaler(self.scaler, ds.windows)
         train_scaled = self.scaled[self.train_idx]
@@ -279,6 +282,9 @@ class SplitContext:
         sigma = window_sigma(d)
         d.flags.writeable = sigma.flags.writeable = False
         self.euclidean = d, sigma
+        # the attention-free feature columns of every window, read-only
+        self.summary = window_summary(self.scaled)
+        self.summary.flags.writeable = False
         self._stacks: dict = {}
         self._blocks = None
         self._stats = None
@@ -370,7 +376,7 @@ def _mae(pred, y) -> float:
 def _fit_head(ctx: SplitContext, base, stacks: dict, strengths: dict):
     """Forward pass over every window, then Ridge on the train rows with
     lambda picked on the validation rows. Returns (features, ridge)."""
-    feats = forward_features(ctx.scaled, base, stacks, strengths)
+    feats = forward_features(ctx.scaled, base, stacks, strengths, summary=ctx.summary)
     y = ctx.ds.targets
     return feats, ridge_fit(feats[ctx.train_idx], y[ctx.train_idx], feats[ctx.val_idx], y[ctx.val_idx])
 
@@ -438,7 +444,7 @@ def _fit_global_stage(ctx: SplitContext, mode: TopologyMode, seed: int, fits: di
     if mode.strength_source != "learned-eta":
         return (*_fit_static(ctx, mode, seed, fits), {})
     stacks = ctx.stacks_for(mode.channels, seed)
-    tr, va, y = ctx.train_idx, ctx.val_idx, ctx.ds.targets
+    tr, va, y = ctx.train_rows, ctx.val_rows, ctx.ds.targets
     alpha, attn, _info = train_temperatures(
         ctx.scaled[tr], y[tr], ctx.scaled[va], y[va],
         {c: b[tr] for c, b in stacks.items()}, {c: b[va] for c, b in stacks.items()},
@@ -578,14 +584,27 @@ def target_sanity_check(ds: WindowedDataset) -> tuple[bool, str]:
 # campaign
 
 
+def _content_key(ds: WindowedDataset) -> tuple:
+    """(name, sha256 of the window and target shapes and bytes): what a split
+    context depends on, besides the offset."""
+    digest = hashlib.sha256()
+    for a in (ds.windows, ds.targets):
+        a = np.ascontiguousarray(a)
+        digest.update(repr(a.shape).encode())
+        digest.update(a.tobytes())
+    return ds.name, digest.hexdigest()
+
+
 class CampaignCache:
-    """Reusable per-(dataset, seed, offset) split contexts."""
+    """Reusable split contexts, keyed by the dataset's name and content and
+    the offset: every seed of a fixed dataset shares one context, and two
+    datasets with one name but other data never do."""
 
     def __init__(self):
         self.contexts: dict[tuple, SplitContext] = {}
 
-    def context(self, ds: WindowedDataset, seed: int, offset: float) -> SplitContext:
-        key = (ds.name, ds.provenance, seed, offset)
+    def context(self, ds: WindowedDataset, offset: float) -> SplitContext:
+        key = (*_content_key(ds), offset)
         if key not in self.contexts:
             self.contexts[key] = SplitContext(ds, offset)
         return self.contexts[key]
@@ -604,11 +623,13 @@ def _run_split_block(
 
     ``source`` is a fixed :class:`WindowedDataset` or a builder(seed); a
     builder is called once per campaign seed so the seed dimension of the
-    paired audit covers independent draws. Every key and file name comes
-    from the built dataset's ``name``. Each cell is calibrated for the
-    requested modes and for the modes of its rows in ``skip_rows``, so the
-    ledger hash does not depend on which modes a rerun asks for; a mode
-    whose row is missing or carries another hash is fitted. Returns
+    paired audit covers independent draws, while the seeds of a fixed
+    dataset share one split context (through ``cache`` when given). Every
+    key and file name comes from the built dataset's ``name``. Each cell
+    is calibrated for the requested modes and for the modes of its rows in
+    ``skip_rows``, so the ledger hash does not depend on which modes a
+    rerun asks for; a mode whose row is missing or carries another hash is
+    fitted. Returns
     (results, ledgers, skipped, files): ledgers map (dataset, seed, offset)
     to the serialized calibration and its hash, and files map a path
     relative to the output directory to its text, the model and
@@ -618,6 +639,7 @@ def _run_split_block(
     ledgers: dict[tuple, tuple[str, str]] = {}
     skipped: dict[str, str] = {}
     files: dict[str, str] = {}
+    ctx = None
     for seed in seeds:
         ds = source(seed) if callable(source) else source
         ok, reason = target_sanity_check(ds)
@@ -625,7 +647,10 @@ def _run_split_block(
             skipped[f"{ds.name}(seed={seed})"] = reason
             warnings.warn(f"dataset {ds.name} (seed {seed}) skipped: {reason}")
             continue
-        ctx = cache.context(ds, seed, offset) if cache is not None else SplitContext(ds, offset)
+        if cache is not None:
+            ctx = cache.context(ds, offset)
+        elif ctx is None or callable(source):
+            ctx = SplitContext(ds, offset)
         kept = {
             key[1]: row for key, row in (skip_rows or {}).items()
             if (key[0], key[2], key[3]) == (ds.name, seed, offset)

@@ -107,7 +107,7 @@ def test_criterion_03_preservation_bit_identical(campaign_state):
     for name, builder in BUILDERS:
         for seed in SEEDS:
             ds = builder(seed)
-            ctx = cache.context(ds, seed, 0.0)
+            ctx = cache.context(ds, 0.0)
             calibration = calibrate_cell(ctx, seed)
             global_cache: dict = {}
             for base_id in ("classical", "static_h1"):
@@ -130,7 +130,7 @@ def test_criterion_04_containment_reproduces_zeng(campaign_state):
     cache = campaign_state["cache"]
     for name, builder in BUILDERS:
         ds = builder(1)
-        ctx = cache.context(ds, 1, 0.0)
+        ctx = cache.context(ds, 0.0)
         calibration = calibrate_cell(ctx, 1)
         _, zeng_pred = run_mode_detailed(ctx, BY_ID["zeng_local_h0"], 1, calibration)
         restricted = restricted_phi_refit(ctx)
@@ -142,7 +142,7 @@ def test_criterion_04_containment_reproduces_zeng(campaign_state):
 def test_criterion_05_temperature_gradients(campaign_state):
     cache = campaign_state["cache"]
     ds = gen_higher_topology(1)
-    ctx = cache.context(ds, 1, 0.0)
+    ctx = cache.context(ds, 0.0)
     rng = np.random.default_rng(55)
     idx = rng.choice(len(ctx.train_idx), size=20, replace=False)
     windows = ctx.scaled[ctx.train_idx][idx]

@@ -23,9 +23,12 @@ from topoattn.attention import (
     row_softmax,
     temperature_loss_and_grads,
     train_temperatures,
+    window_summary,
 )
+from topoattn.datasets import gen_cyclic_h1, gen_higher_topology
 from topoattn.errors import CalibrationMissing, InvalidInput, TrainingDiverged
 from topoattn.geometry import KernelSpec
+from topoattn.protocol import SplitContext
 from topoattn.topo_bias import aet_calibrate, bias_stacks
 
 
@@ -357,16 +360,26 @@ class TestInPlaceTemporaries:
         assert same_bits(base, base_before)
         assert all(same_bits(stacks[c], kept[c]) for c in stacks)
 
-    @pytest.mark.parametrize("channels", [(), ("H0",), ("H0", "H1", "H2")])
-    def test_loss_and_grads_bitwise(self, channels):
+    # p = 2 and 3 take the written-out short-axis products, p = 6 einsum;
+    # p = 3 keeps the test ids of the channel sets alone
+    @pytest.mark.parametrize("channels, p", [
+        pytest.param(channels, p, id=f"channels{i}" + ("" if p == 3 else f"-p{p}"))
+        for p in (3, 2, 6)
+        for i, channels in enumerate([(), ("H0",), ("H0", "H1", "H2")])
+    ])
+    def test_loss_and_grads_bitwise(self, channels, p):
         rng = np.random.default_rng(33)
-        windows = rng.normal(size=(24, 10, 3))
+        # the trainer gets row slices of larger stacks, as the campaign passes them
+        full = rng.normal(size=(40, 10, p))
+        full_stacks = bias_stacks(full, ("H0", "H1", "H2"))
+        windows = full[8:32]
+        stacks = {c: b[8:32] for c, b in full_stacks.items()}
+        assert windows.base is full and all(b.base is not None for b in stacks.values())
         targets = rng.normal(size=24)
-        stacks = bias_stacks(windows, ("H0", "H1", "H2"))
-        attn = init_attention_params(3, seed=4)
+        attn = init_attention_params(p, seed=4)
         params = dict(zip(TRAIN_PARAMS, (
             rng.normal(scale=0.3, size=len(channels)), attn.w_query, attn.w_key,
-            rng.normal(scale=0.1, size=15), 0.3,
+            rng.normal(scale=0.1, size=5 * p), 0.3,
         )))
         kept = {k: np.copy(v) for k, v in params.items()}
         kept_stacks = {c: b.copy() for c, b in stacks.items()}
@@ -379,6 +392,172 @@ class TestInPlaceTemporaries:
         assert all(same_bits(params[k], kept[k]) for k in TRAIN_PARAMS)
         assert all(same_bits(stacks[c], kept_stacks[c]) for c in stacks)
         assert same_bits(windows, windows_before) and same_bits(targets, targets_before)
+
+
+#: window counts and token counts of the campaign's forward passes and
+#: learned-eta fits: one window (predict), the train/val/test splits of the
+#: pinned datasets at every offset, and whole datasets
+CAMPAIGN_WINDOWS = (1, 39, 45, 182, 210, 260, 300)
+CAMPAIGN_TOKENS = (24, 32)
+
+
+def with_signed_zeros(rng, shape):
+    """Normal draws with about a third of the entries set to +0.0 or -0.0."""
+    a = rng.normal(size=shape)
+    a[rng.random(shape) < 0.15] = 0.0
+    a[rng.random(shape) < 0.15] = -0.0
+    return a
+
+
+class TestEinsumPins:
+    """The written-out products reproduce numpy's einsum bit for bit at every
+    shape the campaign uses. Their order is einsum's internal lane order, so
+    these tests fail if a numpy release changes it."""
+
+    @pytest.mark.parametrize("width", [2, 3, 6, 8])
+    def test_short_axis_products_match_einsum(self, width):
+        rng = np.random.default_rng(41)
+        failures = []
+        for n_windows in CAMPAIGN_WINDOWS:
+            for n_tokens in CAMPAIGN_TOKENS:
+                shape = (n_windows, n_tokens, width)
+                cases = {
+                    "normal": (rng.normal(size=shape), rng.normal(size=shape)),
+                    "signed zeros": (with_signed_zeros(rng, shape), with_signed_zeros(rng, shape)),
+                    "all -0.0 products": (np.full(shape, -0.0), rng.normal(size=shape)),
+                }
+                scratch = np.empty((n_windows, n_tokens, n_tokens))
+                for label, (x, y) in cases.items():
+                    expected = np.einsum("wnd,wmd->wnm", x, y)
+                    for got in (attention._short_axis_products(x, y),
+                                attention._short_axis_products(x, y, scratch)):
+                        if not same_bits(got, expected):
+                            failures.append((n_windows, n_tokens, label))
+        assert not failures, f"width {width}: differs from einsum at (W, N, input) {failures}"
+
+    @pytest.mark.parametrize("width", [2, 3, 6])
+    def test_products_by_column_match_einsum(self, width):
+        rng = np.random.default_rng(42)
+        failures = []
+        for n_windows in CAMPAIGN_WINDOWS:
+            for n_tokens in CAMPAIGN_TOKENS:
+                square = (n_windows, n_tokens, n_tokens)
+                shape = (n_windows, n_tokens, width)
+                zero_slices = rng.normal(size=square)
+                zero_slices[:, :, ::3] = -0.0  # whole (W, N) slices of -0.0
+                cases = {
+                    "normal": (rng.normal(size=square), rng.normal(size=shape)),
+                    "signed zeros": (with_signed_zeros(rng, square), with_signed_zeros(rng, shape)),
+                    "all -0.0 slices": (zero_slices, with_signed_zeros(rng, shape)),
+                }
+                for label, (a, x) in cases.items():
+                    got = attention._products_by_column(a, x, np.empty(square))
+                    if not same_bits(got, np.einsum("wnm,wnd->wmd", a, x)):
+                        failures.append((n_windows, n_tokens, label))
+        assert not failures, f"width {width}: differs from einsum at (W, N, input) {failures}"
+
+
+def old_attention_logits_batch(windows, params):
+    q, k = windows @ params.w_query, windows @ params.w_key
+    return np.einsum("wnd,wmd->wnm", q, k) / np.sqrt(params.d_h)
+
+
+def old_feature_matrix(windows, attn):
+    ctx = np.matmul(attn, windows)
+    return np.concatenate([
+        ctx.mean(axis=-2), ctx[..., -1, :],
+        windows.mean(axis=-2), windows.std(axis=-2), windows[..., -1, :],
+    ], axis=-1)
+
+
+def old_train_temperatures(train_windows, train_y, val_windows, val_y, train_stacks, val_stacks, channels, seed):
+    """train_temperatures as written before the window summary was computed
+    once and the short-axis products were written out."""
+    p = train_windows.shape[2]
+    attn0 = init_attention_params(p, seed)
+    eta0 = float(np.logaddexp(0.0, 0.0))
+    feats0 = old_feature_matrix(train_windows, old_row_softmax(old_biased_logits(
+        old_attention_logits_batch(train_windows, attn0), train_stacks, {c: eta0 for c in channels})))
+    xc = feats0 - feats0.mean(axis=0)
+    yc = train_y - train_y.mean()
+    head_w = np.linalg.solve(xc.T @ xc + 1.0 * np.eye(feats0.shape[1]), xc.T @ yc)
+    head_b = float(train_y.mean() - feats0.mean(axis=0) @ head_w)
+    params = dict(zip(TRAIN_PARAMS, (np.zeros(len(channels)), attn0.w_query, attn0.w_key, head_w, head_b)))
+
+    def val_rmse(params):
+        eta = attention._softplus(params["alpha"])
+        attn = AttentionParams(w_query=params["w_query"], w_key=params["w_key"])
+        feats = old_feature_matrix(val_windows, old_row_softmax(old_biased_logits(
+            old_attention_logits_batch(val_windows, attn), val_stacks,
+            {channel: eta[c] for c, channel in enumerate(channels)})))
+        return float(np.sqrt(np.mean((feats @ params["head_w"] + params["head_b"] - val_y) ** 2)))
+
+    best = params
+    history = [val_rmse(params)]
+    bad_epochs = 0
+    for _ in range(attention.TRAIN_EPOCHS):
+        _loss, grads = old_loss_and_grads(train_windows, train_y, train_stacks, channels, params)
+        params = {k: v - attention.TRAIN_LR * grads[k] for k, v in params.items()}
+        history.append(val_rmse(params))
+        if history[-1] < min(history[:-1]):
+            best = params
+            bad_epochs = 0
+        else:
+            bad_epochs += 1
+            if bad_epochs >= attention.TRAIN_PATIENCE:
+                break
+    return best, history
+
+
+class TestSummaryPath:
+    """The attention-free columns computed once give the bits of the
+    per-call computation."""
+
+    @pytest.fixture(scope="class")
+    def ctx(self):
+        return SplitContext(gen_cyclic_h1(2, n_windows=60, n_tokens=16), 0.0)
+
+    def test_context_summary_bitwise_and_read_only(self, ctx):
+        assert same_bits(ctx.summary, window_summary(ctx.scaled))
+        assert not ctx.summary.flags.writeable
+        with pytest.raises(ValueError):
+            ctx.summary[0, 0] = 1.0
+        base = attention_logits_batch(ctx.scaled, init_attention_params(ctx.scaled.shape[2], 1))
+        stacks = ctx.stacks_for(("H0", "KH1"), 1)
+        strengths = {"H0": 0.25, "KH1": 0.5}
+        assert same_bits(forward_features(ctx.scaled, base, stacks, strengths, summary=ctx.summary),
+                         forward_features(ctx.scaled, base, stacks, strengths))
+        tr = ctx.train_rows
+        train_stacks = {c: b[tr] for c, b in stacks.items()}
+        assert same_bits(
+            forward_features(ctx.scaled[tr], base[tr], train_stacks, strengths, summary=ctx.summary[tr]),
+            forward_features(ctx.scaled[ctx.train_idx], base[ctx.train_idx],
+                             {c: b[ctx.train_idx] for c, b in stacks.items()}, strengths),
+        )
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_cyclic_h1(2, n_windows=60, n_tokens=16),  # p = 3
+        lambda: gen_higher_topology(2, n_windows=60, n_tokens=16),  # p = 2
+    ])
+    def test_train_temperatures_matches_pre_change_trainer(self, make):
+        ctx = SplitContext(make(), 0.0)
+        channels = ("H0", "H1", "KH0")
+        stacks = ctx.stacks_for(channels, 3)
+        y = ctx.ds.targets
+        tr, va = ctx.train_rows, ctx.val_rows
+        alpha, attn, info = train_temperatures(
+            ctx.scaled[tr], y[tr], ctx.scaled[va], y[va],
+            {c: b[tr] for c, b in stacks.items()}, {c: b[va] for c, b in stacks.items()}, channels, 3,
+        )
+        ti, vi = ctx.train_idx, ctx.val_idx
+        best, history = old_train_temperatures(
+            ctx.scaled[ti], y[ti], ctx.scaled[vi], y[vi],
+            {c: b[ti] for c, b in stacks.items()}, {c: b[vi] for c, b in stacks.items()}, channels, 3,
+        )
+        assert same_bits(np.array(list(alpha.values())), best["alpha"]) and tuple(alpha) == channels
+        assert same_bits(attn.w_query, best["w_query"]) and same_bits(attn.w_key, best["w_key"])
+        assert same_bits(np.array(info["val_history"]), np.array(history))
+        assert info["epochs_run"] == len(history) - 1
 
 
 class TestPredict:

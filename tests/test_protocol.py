@@ -320,6 +320,60 @@ def test_cell_fit_cache_shares_static_grid_points(monkeypatch):
         assert alone.to_csv_fields() == result.to_csv_fields()
 
 
+@pytest.mark.parametrize("with_cache", [False, True])
+def test_fixed_dataset_shares_one_context_across_seeds(monkeypatch, with_cache):
+    from topoattn import protocol
+
+    tensor = protocol.local_block_tensor
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return tensor(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "local_block_tensor", counting)
+    ds = gen_cyclic_h1(3, n_windows=40, n_tokens=16)
+    cache = CampaignCache() if with_cache else None
+    results, _ = run_campaign([ds], seeds=(1, 2, 3), offsets=(0.0,), mode_ids=["zeng_local_h0"], cache=cache)
+    assert len(results) == 3
+    assert len(calls) == 1
+    if with_cache:
+        assert len(cache.contexts) == 1
+
+
+def test_shared_context_rows_match_fresh_contexts():
+    # AET stacks depend on the seed; a context shared by two seeds keys them by it
+    ds = gen_cyclic_h1(3, n_windows=40, n_tokens=16)
+    modes = ["static_aet", "learned_eta_euclidean"]
+    shared, _ = run_campaign([ds], seeds=(1, 2), offsets=(0.0,), mode_ids=modes)
+    for result in shared:
+        ctx = SplitContext(ds, 0.0)
+        calibration = calibrate_cell(ctx, result.seed, [BY_ID[m] for m in modes])
+        fresh, _ = run_mode_detailed(ctx, BY_ID[result.mode_id], result.seed, calibration, global_cache={})
+        assert fresh.to_csv_fields() == result.to_csv_fields()
+
+
+def test_cache_keys_contexts_by_content():
+    a = gen_cyclic_h1(3, n_windows=40, n_tokens=16)
+    b = gen_cyclic_h1(4, n_windows=40, n_tokens=16)
+    csv_a = WindowedDataset("series", a.windows, a.targets, provenance="csv")
+    csv_b = WindowedDataset("series", b.windows, b.targets, provenance="csv")
+    cache = CampaignCache()
+    ctx_a = cache.context(csv_a, 0.0)
+    assert cache.context(csv_b, 0.0) is not ctx_a
+    assert cache.context(csv_b, 0.0).ds is csv_b
+    # equal content under the same name shares the context, whatever the object
+    again = WindowedDataset("series", a.windows.copy(), a.targets.copy(), provenance="csv")
+    assert cache.context(again, 0.0) is ctx_a
+    # one target changed, or another name, or another offset: another context
+    moved = a.targets.copy()
+    moved[-1] += 1.0
+    assert cache.context(WindowedDataset("series", a.windows, moved, provenance="csv"), 0.0) is not ctx_a
+    assert cache.context(WindowedDataset("other", a.windows, a.targets, provenance="csv"), 0.0) is not ctx_a
+    assert cache.context(csv_a, 0.05) is not ctx_a
+    assert len(cache.contexts) == 5
+
+
 SMALL_CYCLIC = partial(gen_cyclic_h1, n_windows=60, n_tokens=16)
 
 
