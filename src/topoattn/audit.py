@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInput
-from .protocol import _replace_file, parse_results_csv, select_by_validation, write_csv
+from .protocol import _replace_file, _selected_cells, parse_results_csv, write_csv
 
 #: Name of the audited architecture in audit_summary.csv.
 ARCHITECTURE = "lightweight_attention_ridge"
@@ -158,15 +158,11 @@ def signflip_p(units, max_exact_n: int = MAX_EXACT_N, n_resamples: int = SIGNFLI
 def pair_units(results) -> list[PairedUnit]:
     """One paired unit per (dataset, seed, offset): :data:`BASELINE_MODE` vs
     the validation-selected mode."""
-    cells: dict[tuple, list] = {}
-    for r in results:
-        cells.setdefault((r.dataset, r.seed, r.split_offset), []).append(r)
     units: list[PairedUnit] = []
-    for (ds, seed, offset), rows in sorted(cells.items()):
+    for (ds, seed, offset), rows, chosen in _selected_cells(results):
         baseline = [r for r in rows if r.mode_id == BASELINE_MODE]
         if not baseline:
             raise InvalidInput(f"cell ({ds}, {seed}, {offset}) lacks the {BASELINE_MODE} baseline")
-        chosen = select_by_validation(rows)
         units.append(
             PairedUnit(
                 dataset=ds,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DatasetSkipped, InvalidInput
 
@@ -45,6 +46,10 @@ class WindowedDataset:
             raise InvalidInput(f"windows must be W x N x p, got shape {self.windows.shape}")
         if len(self.targets) != len(self.windows):
             raise InvalidInput("one target per window required")
+        for label, values in (("windows", self.windows), ("targets", self.targets)):
+            bad = np.argwhere(~np.isfinite(values))
+            if len(bad):
+                raise InvalidInput(f"{self.name}: {label}{bad[0].tolist()} is not finite")
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -215,15 +220,9 @@ def build_co2_windows(series) -> WindowedDataset:
     if n <= window:
         raise InvalidInput(f"series of length {n} too short for {window}-month windows")
     months = np.arange(n)
-    season = np.stack([np.sin(2 * np.pi * months / 12.0), np.cos(2 * np.pi * months / 12.0)], axis=1)
-    n_windows = n - window
-    windows = np.empty((n_windows, window, 3))
-    targets = np.empty(n_windows)
-    for k in range(n_windows):
-        windows[k, :, 0] = series[k : k + window]
-        windows[k, :, 1:] = season[k : k + window]
-        targets[k] = series[k + window]
-    return WindowedDataset("co2", windows, targets, provenance="csv")
+    tokens = np.stack([series, np.sin(2 * np.pi * months / 12.0), np.cos(2 * np.pi * months / 12.0)], axis=1)
+    windows = _rolling_windows(tokens, window, n - window)
+    return WindowedDataset("co2", windows, series[window:].copy(), provenance="csv")
 
 
 def build_volatility_windows(prices) -> WindowedDataset:
@@ -252,14 +251,19 @@ def build_volatility_windows(prices) -> WindowedDataset:
         feats[t, 3] = seg.std()
         feats[t, 4] = seg.min()
         feats[t, 5] = seg.max()
-    ends = np.arange(window - 1, n - horizon)
-    windows = np.empty((len(ends), window, 6))
-    targets = np.empty(len(ends))
-    for k, e in enumerate(ends):
-        windows[k] = feats[e - window + 1 : e + 1]
-        future = returns[e + 1 : e + 1 + horizon]
-        targets[k] = np.sqrt(np.mean(future**2) * 252.0)
+    n_windows = n - horizon - window + 1
+    windows = _rolling_windows(feats, window, n_windows)
+    future = _rolling_windows(returns[window:] ** 2, horizon, n_windows)
+    targets = np.sqrt(np.mean(future, axis=-1) * 252.0)
     return WindowedDataset("spx_vol", windows, targets, provenance="csv")
+
+
+def _rolling_windows(tokens: np.ndarray, window: int, n_windows: int) -> np.ndarray:
+    """Windows ``tokens[k : k + window]`` for ``k < n_windows``, stacked on a
+    new axis 0, as a C-contiguous copy: a strided view would change how
+    later reductions over the windows run."""
+    view = np.moveaxis(sliding_window_view(tokens, window, axis=0), -1, 1)
+    return np.ascontiguousarray(view[:n_windows])
 
 
 def _median_smooth(x: np.ndarray, window: int) -> np.ndarray:
@@ -280,13 +284,6 @@ def _trailing_mean(x: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-def _zscore_columns(x: np.ndarray) -> np.ndarray:
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
-    std = np.maximum(std, 1e-8)
-    return (x - mean) / std
-
-
 def ims_health_indicator(rms: np.ndarray, std: np.ndarray, kurt: np.ndarray, name: str = "ims_bearing") -> WindowedDataset:
     """IMS_WINDOW-snapshot windows and next-snapshot targets of one bearing.
 
@@ -300,7 +297,7 @@ def ims_health_indicator(rms: np.ndarray, std: np.ndarray, kurt: np.ndarray, nam
     rms = np.atleast_2d(np.asarray(rms, dtype=np.float64).T).T
     std = np.atleast_2d(np.asarray(std, dtype=np.float64).T).T
     kurt = np.atleast_2d(np.asarray(kurt, dtype=np.float64).T).T
-    z_rms, z_std, z_kurt = _zscore_columns(rms), _zscore_columns(std), _zscore_columns(kurt)
+    z_rms, z_std, z_kurt = (apply_scaler(fit_scaler(x), x) for x in (rms, std, kurt))
     hi = (
         HI_WEIGHTS[0] * z_rms.mean(axis=1)
         + HI_WEIGHTS[1] * z_std.mean(axis=1)
@@ -315,12 +312,8 @@ def ims_health_indicator(rms: np.ndarray, std: np.ndarray, kurt: np.ndarray, nam
     if n <= window:
         raise DatasetSkipped(f"{name}: only {n} snapshots for window {window}")
     tokens = np.concatenate([hi[:, None], z_rms, z_std, z_kurt], axis=1)
-    n_windows = n - window
-    windows = np.empty((n_windows, window, tokens.shape[1]))
-    targets = np.empty(n_windows)
-    for k in range(n_windows):
-        windows[k] = tokens[k : k + window]
-        targets[k] = hi[k + window]
+    windows = _rolling_windows(tokens, window, n - window)
+    targets = hi[window:].copy()
     var = float(np.var(targets))
     if var < 1e-6:
         raise DatasetSkipped(f"{name}: target variance {var:.3e} below 1e-6, RMSE comparison misleading")

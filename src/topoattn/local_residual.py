@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import RidgeModel, ridge_fit, rmse
+from .attention import RidgeModel, ridge_fit, rmse, row_softmax
 from .errors import InvalidInput
 from .geometry import KernelSpec, hilbert_distance, pairwise_euclidean
 from .persistence import (
@@ -318,10 +318,7 @@ def local_representation_matrix(
     logits = logits + POSITION_KAPPA * projection.position_scores[None, :]
     focus = int(np.argmax(projection.position_scores))
     logits[..., focus] += FOCUS_BONUS
-    logits = logits - logits.max(axis=-1, keepdims=True)
-    weights = np.exp(logits)
-    weights = weights / weights.sum(axis=-1, keepdims=True)
-    pooled = np.einsum("wm,wmk->wk", weights, projected)
+    pooled = np.einsum("wm,wmk->wk", row_softmax(logits), projected)
     return np.concatenate([pooled, contrast_stats], axis=-1)
 
 

@@ -96,20 +96,21 @@ def _ranked(values: np.ndarray) -> _Ranked:
     return _Ranked(values, order, rank)
 
 
+def _find(parent: list[int], x: int) -> int:
+    """Union-find root of ``x``, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def _kruskal_tree(n: int, edges: np.ndarray, edge_order: np.ndarray) -> np.ndarray:
     """Mask of the spanning-tree edges, taken in rank order: the H0 deaths."""
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     tree = np.zeros(len(edges), dtype=bool)
     merges = 0
     for e, (u, v) in zip(edge_order.tolist(), edges[edge_order].tolist()):
-        ru, rv = find(u), find(v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru != rv:
             parent[max(ru, rv)] = min(ru, rv)
             tree[e] = True
@@ -251,13 +252,6 @@ def path_sublevel_h0(series) -> PersistenceDiagram:
     order = np.argsort(vals, kind="stable").tolist()
     vals = vals.tolist()
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     # birth of a component = (value, index) of its minimum; smaller is older
     birth = list(zip(vals, range(n)))
     active = [False] * n
@@ -267,7 +261,7 @@ def path_sublevel_h0(series) -> PersistenceDiagram:
         for nb in (idx - 1, idx + 1):
             if nb < 0 or nb >= n or not active[nb]:
                 continue
-            ra, rb = find(idx), find(nb)
+            ra, rb = _find(parent, idx), _find(parent, nb)
             if ra == rb:
                 continue
             if birth[ra] <= birth[rb]:
@@ -279,7 +273,7 @@ def path_sublevel_h0(series) -> PersistenceDiagram:
             if death > b:
                 bars.append((b, death, 0))
             parent[dead] = survivor
-    root = find(0)
+    root = _find(parent, 0)
     bars.append((birth[root][0], np.inf, 0))
     bars.sort(key=lambda b: (b[0], b[1]))
     return PersistenceDiagram(bars=bars)

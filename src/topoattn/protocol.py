@@ -568,6 +568,15 @@ def select_by_validation(results: list[RunResult]) -> RunResult:
     return min(results, key=lambda r: (r.val_rmse, MODE_ORDER.get(r.mode_id, 99)))
 
 
+def _selected_cells(results) -> list[tuple[tuple, list[RunResult], RunResult]]:
+    """((dataset, seed, offset), its rows, the validation-selected row) of
+    every cell in ``results``, in sorted cell order."""
+    cells: dict[tuple, list[RunResult]] = {}
+    for r in results:
+        cells.setdefault((r.dataset, r.seed, r.split_offset), []).append(r)
+    return [(cell, rows, select_by_validation(rows)) for cell, rows in sorted(cells.items())]
+
+
 def target_sanity_check(ds: WindowedDataset) -> tuple[bool, str]:
     """Reject near-degenerate targets before any run touches the dataset."""
     var = float(np.var(ds.targets))
@@ -823,12 +832,8 @@ def _write_campaign_outputs(out_dir: Path, results, ledger_payloads, skipped, fi
         _replace_file(out_dir / "skipped.json", json.dumps(skipped, indent=2, sort_keys=True) + "\n")
     for rel, text in sorted(files.items()):
         _replace_file(out_dir / rel, text)
-    cells: dict[tuple, list[RunResult]] = {}
-    for r in results:
-        cells.setdefault((r.dataset, r.seed, r.split_offset), []).append(r)
     selected = [("dataset", "seed", "split_offset", "selected_mode", "val_rmse", "test_rmse")]
-    for (ds, seed, offset), rows in sorted(cells.items()):
-        chosen = select_by_validation(rows)
+    for (ds, seed, offset), _rows, chosen in _selected_cells(results):
         selected.append((ds, seed, offset, chosen.mode_id, chosen.val_rmse, chosen.test_rmse))
     _replace_file(out_dir / "selected.csv", _lines(selected))
 

@@ -119,6 +119,15 @@ def _h2_values(d: np.ndarray, tokens: np.ndarray, sigma: np.ndarray) -> np.ndarr
     return symmetrize(zscore_offdiagonal(gauss * rho))
 
 
+#: The H0/H1/H2 formulas over (distances, sigmas, windows). KHk is the Hk
+#: formula on the kernel-Hilbert distance and its sigmas.
+_H_FORMULAS = {
+    "H0": lambda d, sigma, windows: _h0_values(d, sigma),
+    "H1": lambda d, sigma, windows: _h1_values(d, sigma),
+    "H2": lambda d, sigma, windows: _h2_values(d, windows, sigma),
+}
+
+
 def _aet_values(tokens: np.ndarray, d: np.ndarray, sigma: np.ndarray, params: AetParams) -> np.ndarray:
     if tokens.shape[-1] != params.directions.shape[1]:
         raise InvalidInput(
@@ -218,22 +227,14 @@ def bias_stacks(
         sigma_h = window_sigma(d_h)
 
     for channel in channels:
-        if channel == "H0":
-            out[channel] = _h0_values(d, sigma)
-        elif channel == "H1":
-            out[channel] = _h1_values(d, sigma)
-        elif channel == "H2":
-            out[channel] = _h2_values(d, windows, sigma)
-        elif channel == "AET":
+        if channel == "AET":
             if aet_params is None:
                 raise InvalidInput("AET channel needs calibrated AetParams")
             out[channel] = _aet_values(windows, d, sigma, aet_params)
-        elif channel == "KH0":
-            out[channel] = _h0_values(d_h, sigma_h)
-        elif channel == "KH1":
-            out[channel] = _h1_values(d_h, sigma_h)
-        elif channel == "KH2":
-            out[channel] = _h2_values(d_h, windows, sigma_h)
+        elif channel in _H_FORMULAS:
+            out[channel] = _H_FORMULAS[channel](d, sigma, windows)
+        elif channel in RKHS_CHANNELS:
+            out[channel] = _H_FORMULAS[channel[1:]](d_h, sigma_h, windows)
         else:
             raise InvalidInput(f"unknown channel {channel}")
     for channel, stack in out.items():

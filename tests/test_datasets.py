@@ -1,11 +1,24 @@
 """Generators, real loaders, splits, scaling: shapes, determinism, leakage."""
 
+import re
+
 import numpy as np
 import pytest
 
 from topoattn.datasets import (
+    CO2_WINDOW,
+    HI_MEDIAN_WINDOW,
+    HI_ROLLING_WINDOW,
+    HI_WEIGHTS,
+    IMS_WINDOW,
+    VOL_HORIZON,
+    VOL_ROLL,
+    VOL_WINDOW,
     ScalerState,
     SPLIT_OFFSETS,
+    WindowedDataset,
+    _median_smooth,
+    _trailing_mean,
     apply_scaler,
     build_co2_windows,
     build_volatility_windows,
@@ -20,6 +33,7 @@ from topoattn.datasets import (
     load_series_csv,
 )
 from topoattn.errors import DatasetSkipped, InvalidInput
+from topoattn.protocol import run_campaign
 
 
 class TestStress:
@@ -338,3 +352,166 @@ def test_export_dataset_roundtrip(tmp_path):
     assert (tmp_path / "shell_windows.csv").exists()
     assert (tmp_path / "shell_targets.csv").exists()
     assert (tmp_path / "shell_manifest.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# the loaders with one loop iteration per window, and the column z-score
+# written out: byte oracles for the rolling-window helper and for the train
+# scaler as the IMS z-score
+
+
+def co2_oracle(series):
+    window = CO2_WINDOW
+    series = np.asarray(series, dtype=np.float64)
+    n = len(series)
+    months = np.arange(n)
+    season = np.stack([np.sin(2 * np.pi * months / 12.0), np.cos(2 * np.pi * months / 12.0)], axis=1)
+    n_windows = n - window
+    windows = np.empty((n_windows, window, 3))
+    targets = np.empty(n_windows)
+    for k in range(n_windows):
+        windows[k, :, 0] = series[k : k + window]
+        windows[k, :, 1:] = season[k : k + window]
+        targets[k] = series[k + window]
+    return windows, targets
+
+
+def volatility_oracle(prices):
+    window, horizon, roll = VOL_WINDOW, VOL_HORIZON, VOL_ROLL
+    returns = np.diff(np.log(np.asarray(prices, dtype=np.float64)))
+    n = len(returns)
+    feats = np.empty((n, 6))
+    feats[:, 0] = returns
+    feats[:, 1] = np.abs(returns)
+    for t in range(n):
+        lo = max(0, t - roll + 1)
+        seg = returns[lo : t + 1]
+        feats[t, 2] = seg.mean()
+        feats[t, 3] = seg.std()
+        feats[t, 4] = seg.min()
+        feats[t, 5] = seg.max()
+    ends = np.arange(window - 1, n - horizon)
+    windows = np.empty((len(ends), window, 6))
+    targets = np.empty(len(ends))
+    for k, e in enumerate(ends):
+        windows[k] = feats[e - window + 1 : e + 1]
+        future = returns[e + 1 : e + 1 + horizon]
+        targets[k] = np.sqrt(np.mean(future**2) * 252.0)
+    return windows, targets
+
+
+def zscore_columns_oracle(x):
+    mean = x.mean(axis=0)
+    std = x.std(axis=0)
+    std = np.maximum(std, 1e-8)
+    return (x - mean) / std
+
+
+def ims_oracle(rms, std, kurt):
+    z_rms, z_std, z_kurt = (zscore_columns_oracle(np.atleast_2d(x.T).T) for x in (rms, std, kurt))
+    hi = HI_WEIGHTS[0] * z_rms.mean(axis=1) + HI_WEIGHTS[1] * z_std.mean(axis=1) + HI_WEIGHTS[2] * z_kurt.mean(axis=1)
+    hi = _median_smooth(hi, HI_MEDIAN_WINDOW)
+    hi = _trailing_mean(hi, HI_ROLLING_WINDOW)
+    hi = np.maximum.accumulate(np.maximum(hi, 0.0))
+    n = len(hi)
+    window = IMS_WINDOW
+    tokens = np.concatenate([hi[:, None], z_rms, z_std, z_kurt], axis=1)
+    n_windows = n - window
+    windows = np.empty((n_windows, window, tokens.shape[1]))
+    targets = np.empty(n_windows)
+    for k in range(n_windows):
+        windows[k] = tokens[k : k + window]
+        targets[k] = hi[k + window]
+    return windows, targets
+
+
+def assert_same_bytes(ds, windows, targets):
+    assert ds.windows.flags.c_contiguous and ds.targets.flags.c_contiguous
+    assert ds.windows.shape == windows.shape and ds.targets.shape == targets.shape
+    assert ds.windows.tobytes() == windows.tobytes()
+    assert ds.targets.tobytes() == targets.tobytes()
+
+
+class TestRollingWindowOracles:
+    @pytest.mark.parametrize("n", [CO2_WINDOW + 1, 90, 400])
+    def test_co2_matches_loop(self, n):
+        series = 315.0 + np.cumsum(np.random.default_rng(n).normal(0.1, 0.5, n))
+        assert_same_bytes(build_co2_windows(series), *co2_oracle(series))
+
+    @pytest.mark.parametrize("n_prices", [VOL_WINDOW + VOL_HORIZON + 1, 120, 600])
+    def test_volatility_matches_loop(self, n_prices):
+        # the first windows hold the partial warm-up rows (fewer than
+        # VOL_ROLL trailing returns)
+        rng = np.random.default_rng(n_prices)
+        prices = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.02, n_prices)))
+        ds = build_volatility_windows(prices)
+        windows, targets = volatility_oracle(prices)
+        assert_same_bytes(ds, windows, targets)
+        assert not np.array_equal(ds.windows[0, 0, 2:], ds.windows[0, VOL_ROLL, 2:])
+
+    @pytest.mark.parametrize("channels", [1, 2, 4])
+    def test_ims_matches_loop(self, channels):
+        rng = np.random.default_rng(channels)
+        n = 150
+        level = np.linspace(0.0, 3.0, n)[:, None]
+        rms = 1.0 + level + rng.normal(0, 0.1, (n, channels))
+        std = 1.0 + 0.5 * level + rng.normal(0, 0.1, (n, channels))
+        kurt = 3.0 + 0.2 * level + rng.normal(0, 0.1, (n, channels))
+        assert_same_bytes(ims_health_indicator(rms, std, kurt), *ims_oracle(rms, std, kurt))
+
+    def test_ims_set_of_two_bearings_matches_loop(self, tmp_path):
+        rng = np.random.default_rng(7)
+        n = 90
+        groups = ((1, 2), (3, 4))
+        values = {c: [] for g in groups for c in g}
+        lines = ["snapshot,channel,rms,std,kurt"]
+        for snap in range(n):
+            for chan in values:
+                row = (1 + chan * snap / n + rng.normal(0, 0.05), 1 + 0.5 * snap / n + rng.normal(0, 0.05),
+                       3 + rng.normal(0, 0.05))
+                values[chan].append(row)
+                lines.append(f"{snap},{chan}," + ",".join(repr(v) for v in row))
+        path = tmp_path / "ims.csv"
+        path.write_text("\n".join(lines) + "\n")
+        per_group = []
+        for chans in groups:
+            table = np.array([[values[c][snap] for c in chans] for snap in range(n)])  # (snapshots, channels, 3)
+            per_group.append(ims_oracle(*(np.ascontiguousarray(table[:, :, j]) for j in range(3))))
+        windows = np.stack([w for w, _ in per_group], axis=1).reshape(-1, IMS_WINDOW, per_group[0][0].shape[-1])
+        targets = np.stack([t for _, t in per_group], axis=1).reshape(-1)
+        ds = load_ims_set(path, groups=groups, name="ims_toy")
+        assert ds.windows.shape[0] == 2 * (n - IMS_WINDOW)
+        assert_same_bytes(ds, windows, targets)
+
+    @pytest.mark.parametrize("columns", [1, 2, 4])
+    def test_train_scaler_is_the_column_zscore(self, columns):
+        x = np.random.default_rng(columns).normal(2.0, 3.0, (120, columns))
+        x[:, 0] = 5.0  # a constant column takes the 1e-8 floor
+        assert apply_scaler(fit_scaler(x), x).tobytes() == zscore_columns_oracle(x).tobytes()
+
+    def test_targets_do_not_alias_the_series(self):
+        series = np.linspace(300.0, 360.0, 90)
+        ds = build_co2_windows(series)
+        ds.targets[0] = -1.0
+        assert series[CO2_WINDOW] != -1.0
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize(
+        "array, index, value",
+        [("targets", (5,), np.nan), ("targets", (55,), np.nan), ("windows", (50, 3, 0), np.inf)],
+        ids=["val_target_nan", "test_target_nan", "window_inf"],
+    )
+    def test_rejected_before_any_fit_or_write(self, tmp_path, array, index, value):
+        clean = gen_cyclic_h1(1, n_windows=60, n_tokens=16)
+        arrays = {"windows": clean.windows.copy(), "targets": clean.targets.copy()}
+        arrays[array][index] = value
+        message = re.escape(f"cyclic: {array}{list(index)} is not finite")
+        with pytest.raises(InvalidInput, match=message):
+            WindowedDataset("cyclic", arrays["windows"], arrays["targets"])
+        # a campaign whose builder meets the bad value fits and writes nothing
+        out = tmp_path / "out"
+        with pytest.raises(InvalidInput, match=message):
+            run_campaign([lambda seed: WindowedDataset("cyclic", arrays["windows"], arrays["targets"])],
+                         seeds=(1,), offsets=(0.0,), mode_ids=["classical"], out_dir=out)
+        assert not out.exists() or not any(out.rglob("*"))

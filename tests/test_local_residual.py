@@ -13,7 +13,9 @@ from topoattn.local_residual import (
     ALPHA_GRID,
     CONTRAST_CHANNELS,
     DELTA_LOC,
+    FOCUS_BONUS,
     LOCAL_BLOCKS,
+    POSITION_KAPPA,
     assemble_local_features,
     build_cover,
     contrast_features,
@@ -188,6 +190,45 @@ class TestRepresentation:
         one = local_representation_matrix(phi[:1], proj, scores[:1], cstats[:1])
         batch = local_representation_matrix(phi, proj, scores, cstats)
         assert np.allclose(one[0], batch[0], atol=1e-12)
+
+    def test_pooling_matches_inline_softmax(self, small_blocks):
+        def oracle(phi, projection, contrast_scores, contrast_stats):
+            # the representation with its pooling softmax written inline: a
+            # byte oracle for the pooling through attention.row_softmax
+            z = (phi - projection.feature_mean) / projection.feature_std
+            projected = z @ projection.proj
+            logits = projected @ projection.query + contrast_scores
+            logits = logits + POSITION_KAPPA * projection.position_scores[None, :]
+            focus = int(np.argmax(projection.position_scores))
+            logits[..., focus] += FOCUS_BONUS
+            logits = logits - logits.max(axis=-1, keepdims=True)
+            weights = np.exp(logits)
+            weights = weights / weights.sum(axis=-1, keepdims=True)
+            pooled = np.einsum("wm,wmk->wk", weights, projected)
+            return np.concatenate([pooled, contrast_stats], axis=-1)
+
+        _, blocks, stats, targets = small_blocks
+        phi = assemble_local_features(blocks, stats)
+        scores, cstats = contrast_features(blocks)
+        rng = np.random.default_rng(11)
+        cases = [(phi, targets, scores, cstats)]
+        for _ in range(5):
+            cases.append((rng.normal(size=(300, 10, 20)), rng.normal(size=300),
+                          rng.normal(size=(300, 10)), rng.normal(size=(300, 12))))
+        for seed, (phi, y, scores, cstats) in enumerate(cases):
+            proj = fit_local_projection(phi[:200], y[:200], seed=seed)
+            rep = local_representation_matrix(phi, proj, scores, cstats)
+            assert rep.tobytes() == oracle(phi, proj, scores, cstats).tobytes()
+
+    def test_non_finite_pooling_logits_rejected(self, small_blocks):
+        _, blocks, stats, targets = small_blocks
+        phi = assemble_local_features(blocks, stats)
+        proj = fit_local_projection(phi[:20], targets[:20], seed=0)
+        scores, cstats = contrast_features(blocks)
+        scores = scores.copy()
+        scores[4, 1] = np.nan
+        with pytest.raises(InvalidInput, match="non-finite"):
+            local_representation_matrix(phi, proj, scores, cstats)
 
     def test_deterministic(self, small_blocks):
         _, blocks, stats, targets = small_blocks

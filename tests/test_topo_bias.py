@@ -14,8 +14,9 @@ from scipy.stats import spearmanr
 
 from topoattn import topo_bias
 from topoattn.attention import window_bias_stack
+from topoattn.datasets import gen_cyclic_h1, gen_higher_topology
 from topoattn.errors import InvalidInput
-from topoattn.geometry import KernelSpec, pairwise_euclidean
+from topoattn.geometry import KernelSpec, hilbert_distance, pairwise_euclidean, stacked_euclidean, window_sigma
 from topoattn.topo_bias import (
     CHANNELS,
     H0_SCALES,
@@ -334,3 +335,43 @@ class TestGlobalProperties:
                 assert np.allclose(stacks[channel][i], single[channel], atol=1e-12)
             d = pairwise_euclidean(windows[i])
             assert np.allclose(stacks["H1"][i], h1_oracle(d, sigma_oracle(d)), atol=1e-10)
+
+
+def channel_branches_oracle(windows, channels, aet_params, kernel_spec):
+    """bias_stacks with one branch per channel written out: a byte oracle for
+    its table of H formulas, which the KH channels reuse."""
+    d = stacked_euclidean(windows)
+    sigma = window_sigma(d)
+    d_h = hilbert_distance(d, kernel_spec.bandwidth)
+    sigma_h = window_sigma(d_h)
+    out = {}
+    for channel in channels:
+        if channel == "H0":
+            out[channel] = topo_bias._h0_values(d, sigma)
+        elif channel == "H1":
+            out[channel] = topo_bias._h1_values(d, sigma)
+        elif channel == "H2":
+            out[channel] = topo_bias._h2_values(d, windows, sigma)
+        elif channel == "AET":
+            out[channel] = topo_bias._aet_values(windows, d, sigma, aet_params)
+        elif channel == "KH0":
+            out[channel] = topo_bias._h0_values(d_h, sigma_h)
+        elif channel == "KH1":
+            out[channel] = topo_bias._h1_values(d_h, sigma_h)
+        elif channel == "KH2":
+            out[channel] = topo_bias._h2_values(d_h, windows, sigma_h)
+    return out
+
+
+@pytest.mark.parametrize("gen", [gen_cyclic_h1, gen_higher_topology], ids=["cyclic_p3", "stress_p2"])
+def test_every_channel_matches_channel_branches(gen):
+    windows = gen(2, n_windows=12, n_tokens=16).windows
+    params = aet_calibrate(list(windows[:8]), seed=0)
+    spec = KernelSpec(0.9)
+    oracle = channel_branches_oracle(windows, CHANNELS, params, spec)
+    together = bias_stacks(windows, CHANNELS[::-1], aet_params=params, kernel_spec=spec)
+    assert tuple(together) == CHANNELS[::-1]
+    for channel in CHANNELS:
+        alone = bias_stacks(windows, (channel,), aet_params=params, kernel_spec=spec)[channel]
+        assert alone.tobytes() == oracle[channel].tobytes(), channel
+        assert together[channel].tobytes() == oracle[channel].tobytes(), channel
