@@ -34,6 +34,7 @@ norms = np.linalg.norm(shell.windows, axis=2).mean(axis=1)
 print(f"  mean token radius: shell class {norms[shell.targets == 1].mean():.3f}, "
       f"ball class {norms[shell.targets == 0].mean():.3f}")
 
-out = Path(tempfile.mkdtemp()) / "export"
-manifest = export_dataset(shell, out, seed=1)
-print(f"\nexported shell windows/targets/manifest to {out} -> {manifest['shape']}")
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "export"
+    manifest = export_dataset(shell, out, seed=1)
+    print(f"\nexported shell {sorted(p.name for p in out.iterdir())} -> {manifest['shape']}")

@@ -118,7 +118,8 @@ def _products_by_column(a: np.ndarray, x: np.ndarray, scratch: np.ndarray) -> np
     """(W, N, M) x (W, N, d) -> (W, M, d), summed over n: the bits of
     ``einsum("wnm,wnd->wmd", a, x)``, one of the d columns at a time. Each
     column is the same sequential sum over n, and faster; ``scratch`` is a
-    (W, N, M) buffer for the products."""
+    (W, N, M) buffer for the products. On ``a.transpose(0, 2, 1)`` it gives
+    the bits of ``einsum("wmn,wnd->wmd", a, x)``."""
     out = np.empty((a.shape[0], a.shape[2], x.shape[2]))
     for j in range(x.shape[2]):
         np.add.reduce(np.multiply(a, x[:, :, None, j], out=scratch), axis=1, out=out[:, :, j])
@@ -153,7 +154,7 @@ def biased_logits(base: np.ndarray, stack: dict[str, np.ndarray], strengths: dic
 def row_softmax(logits: np.ndarray) -> np.ndarray:
     """Row-stochastic softmax, stable under per-row constant shifts."""
     logits = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise InvalidInput("softmax input contains non-finite entries")
     e = logits - logits.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
@@ -259,7 +260,7 @@ def temperature_loss_and_grads(
     xq = windows @ w_query
     xk = windows @ w_key
     # one (W, N, N) scratch array for the short-axis products, eta_c B_c,
-    # d_attn * attn, d_logits * B_c and d_logits * xq
+    # d_attn * attn, d_logits * B_c, d_logits * xk and d_logits * xq
     product = np.empty((n_windows, n_tokens, n_tokens))
     logits = _short_axis_products(xq, xk, product)
     logits *= scale
@@ -301,7 +302,8 @@ def temperature_loss_and_grads(
         d_alpha[c] = np.sum(np.multiply(d_logits, stacks[channel], out=product)) * sig[c]
     d_alpha += weight_decay * alpha
 
-    d_xq = np.einsum("wnm,wmd->wnd", d_logits, xk) * scale
+    d_xq = _products_by_column(d_logits.transpose(0, 2, 1), xk, product)
+    d_xq *= scale
     d_xk = _products_by_column(d_logits, xq, product)
     d_xk *= scale
     d_wq = np.einsum("wnp,wnd->pd", windows, d_xq) + weight_decay * w_query

@@ -389,7 +389,9 @@ def chronological_split(n: int, offset: float):
 
 def fit_scaler(train_windows: np.ndarray) -> ScalerState:
     """Per-feature standardization statistics from training windows only."""
-    pooled = np.asarray(train_windows, dtype=np.float64).reshape(-1, train_windows.shape[-1])
+    # C order first: the column sums run in memory order, so another layout
+    # of the same values would give other bits
+    pooled = np.ascontiguousarray(train_windows, dtype=np.float64).reshape(-1, train_windows.shape[-1])
     return ScalerState(mean=pooled.mean(axis=0), std=np.maximum(pooled.std(axis=0), 1e-8))
 
 

@@ -9,6 +9,7 @@ matrices of shape (..., N, N); a single window is a stack of one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,17 +37,53 @@ def _as_tokens(cloud) -> np.ndarray:
     tokens = np.asarray(cloud, dtype=np.float64)
     if tokens.ndim != 2 or tokens.shape[0] < 2:
         raise InvalidInput(f"token matrix must be N x p with N >= 2, got shape {tokens.shape}")
-    if not np.all(np.isfinite(tokens)):
+    if not np.isfinite(tokens).all():
         raise InvalidInput("token matrix contains non-finite entries")
     return tokens
 
 
+# Index tables of an n x n matrix. They depend on n alone, so each is built
+# once per size and shared, read-only, by every later call.
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=32)
+def _diagonal_index(n: int) -> np.ndarray:
+    """0, ..., n - 1: the row (and column) index of each diagonal entry."""
+    return _read_only(np.arange(n))
+
+
+@functools.lru_cache(maxsize=32)
+def _upper_index(n: int) -> np.ndarray:
+    """Row-major flat positions of the strict upper triangle, i < j."""
+    rows, cols = np.triu_indices(n, k=1)
+    return _read_only(rows * n + cols)
+
+
+@functools.lru_cache(maxsize=32)
+def _off_diagonal_index(n: int) -> np.ndarray:
+    """Row-major flat positions of the off-diagonal entries, i != j."""
+    return _read_only(np.flatnonzero(~np.eye(n, dtype=bool)))
+
+
+def _flat(m: np.ndarray) -> np.ndarray:
+    """(..., N, N) -> (..., N * N); a view when ``m`` is C-contiguous."""
+    return m.reshape(*m.shape[:-2], m.shape[-1] * m.shape[-1])
+
+
+def _zero_diagonal(m: np.ndarray) -> np.ndarray:
+    i = _diagonal_index(m.shape[-1])
+    m[..., i, i] = 0.0
+    return m
+
+
 def symmetrize(m: np.ndarray) -> np.ndarray:
     """Average each matrix with its transpose and zero the diagonal."""
-    m = 0.5 * (m + np.swapaxes(m, -1, -2))
-    n = m.shape[-1]
-    m[..., np.arange(n), np.arange(n)] = 0.0
-    return m
+    return _zero_diagonal(0.5 * (m + np.swapaxes(m, -1, -2)))
 
 
 # Two Euclidean formulas stay on purpose: ``cdist`` for one window and the
@@ -87,24 +124,24 @@ def window_sigma(d: np.ndarray) -> np.ndarray:
 
     A window of identical tokens has no positive distance and gets
     :data:`DEGENERATE_SIGMA`. The median of k positive entries is
-    (lo + hi) / 2 of the sorted entries at ranks l and k // 2, with l the
-    same rank for odd k and the one below for even k: the formula of
-    ``np.ma.median``, which ``np.nanmedian`` uses, so the value is the same
-    to the bit.
+    (lo + hi) / 2 of the sorted entries at ranks (k - 1) // 2 and k // 2:
+    the formula of ``np.ma.median``, which ``np.nanmedian`` uses, so the
+    value is the same to the bit.
     """
     n = d.shape[-1]
     if n < 2:
         return np.full(d.shape[:-2], DEGENERATE_SIGMA)
-    iu = np.triu_indices(n, k=1)
-    upper = d[..., iu[0], iu[1]]
+    upper = _flat(d)[..., _upper_index(n)]
     positive = upper > 0.0
-    k = np.count_nonzero(positive, axis=-1)[..., None]
+    k = np.count_nonzero(positive, axis=-1)
     # non-positive entries sort last, past every rank read below
     upper = np.sort(np.where(positive, upper, np.inf), axis=-1)
-    h = k // 2
-    lo = np.take_along_axis(upper, np.where(k % 2 == 1, h, np.maximum(h - 1, 0)), axis=-1)[..., 0]
-    hi = np.take_along_axis(upper, h, axis=-1)[..., 0]
-    return np.where(k[..., 0] == 0, DEGENERATE_SIGMA, (lo + hi) / 2.0)
+    rows = upper.reshape(-1, upper.shape[-1])
+    ranks = k.reshape(-1)
+    row = np.arange(len(rows))
+    lo = rows[row, np.maximum((ranks - 1) // 2, 0)]
+    hi = rows[row, ranks // 2]
+    return np.where(k == 0, DEGENERATE_SIGMA, ((lo + hi) / 2.0).reshape(k.shape))
 
 
 def pooled_sigma(distance_matrices) -> float:
@@ -117,14 +154,31 @@ def zscore_offdiagonal(m: np.ndarray) -> np.ndarray:
     """Standardize each matrix's off-diagonal entries to mean 0, population std 1.
 
     The diagonal is zero. A matrix whose off-diagonal std is below 1e-12
-    maps to the all-zero matrix.
+    maps to the all-zero matrix. The mean and std are numpy's own formulas
+    written out (sum / count, then the root of the mean squared deviation),
+    so the bits are those of ``mean()`` and ``std()`` of the off-diagonal
+    entries.
     """
-    n = m.shape[-1]
-    off = ~np.eye(n, dtype=bool)
-    vals = m[..., off]
-    mean = vals.mean(axis=-1, keepdims=True)
-    std = vals.std(axis=-1, keepdims=True)
-    scaled = np.where(std < 1e-12, 0.0, (vals - mean) / np.where(std < 1e-12, 1.0, std))
-    out = np.zeros_like(m)
-    out[..., off] = scaled
+    off = _off_diagonal_index(m.shape[-1])
+    vals = _flat(m)[..., off]
+    mean = np.add.reduce(vals, axis=-1, keepdims=True) / off.size
+    std = _population_std(vals, mean, off.size)
+    constant = std < 1e-12
+    scaled = np.where(constant, 0.0, (vals - mean) / np.where(constant, 1.0, std))
+    out = np.zeros(m.shape, dtype=m.dtype)
+    _flat(out)[..., off] = scaled
     return out
+
+
+def _population_std(vals: np.ndarray, mean: np.ndarray, count: int) -> np.ndarray:
+    """``vals.std(axis=-1, keepdims=True)`` given ``mean``, in numpy's own
+    steps and so with its bits: the squared deviations in one temporary,
+    summed, divided by ``count``, rooted.
+
+    The temporary is freed on return, before the caller allocates its next
+    array of that size, as with numpy's std; keeping the deviations alive
+    instead measurably raised peak RSS.
+    """
+    dev = vals - mean
+    np.multiply(dev, dev, out=dev)
+    return np.sqrt(np.add.reduce(dev, axis=-1, keepdims=True) / count)

@@ -21,6 +21,7 @@ from .geometry import (
     DEGENERATE_SIGMA,
     KernelSpec,
     _as_tokens,
+    _zero_diagonal,
     hilbert_distance,
     pairwise_euclidean,
     pooled_sigma,
@@ -82,29 +83,38 @@ def _h0_values(d: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 def _soft_adjacency_values(d: np.ndarray, eps, tau) -> np.ndarray:
     eps = np.asarray(eps, dtype=np.float64)[..., None, None]
     tau = np.asarray(tau, dtype=np.float64)[..., None, None]
-    a = expit((eps - d) / tau)
-    n = d.shape[-1]
-    a[..., np.arange(n), np.arange(n)] = 0.0
-    return a
+    return _zero_diagonal(expit((eps - d) / tau))
 
 
 def _h1_values(d: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     n = d.shape[-1]
     sigma = np.asarray(sigma, dtype=np.float64)
+    tau = SOFT_TAU_FACTOR * sigma
     acc = np.zeros_like(d)
     for f in H1_SCALES:
-        a = _soft_adjacency_values(d, f * sigma, SOFT_TAU_FACTOR * sigma)
+        a = _soft_adjacency_values(d, f * sigma, tau)
         two_hop = np.matmul(a, a) / max(n - 2, 1)
         acc += two_hop * (1.0 - a)
     return symmetrize(zscore_offdiagonal(acc / len(H1_SCALES)))
 
 
+def _median(x: np.ndarray) -> np.ndarray:
+    """Median over the last axis, (s[(n - 1) // 2] + s[n // 2]) / 2 of the
+    sorted values: the bits of ``np.median`` on finite input without -0.0
+    (radii and absolute deviations never hold -0.0)."""
+    s = np.sort(x, axis=-1)
+    n = s.shape[-1]
+    return (s[..., (n - 1) // 2] + s[..., n // 2]) / 2.0
+
+
 def _shell_stats(d: np.ndarray, tokens: np.ndarray, sigma: np.ndarray):
     n = tokens.shape[-2]
     centroid = tokens.mean(axis=-2, keepdims=True)
-    radii = np.linalg.norm(tokens - centroid, axis=-1)
-    med = np.median(radii, axis=-1, keepdims=True)
-    mad = np.median(np.abs(radii - med), axis=-1)
+    offsets = tokens - centroid
+    # np.linalg.norm's own formula over one axis, without its dispatch
+    radii = np.sqrt(np.add.reduce(offsets * offsets, axis=-1))
+    med = _median(radii)
+    mad = _median(np.abs(radii - med[..., None]))
     scale = np.maximum(mad, 1e-6)
     within = (d <= np.asarray(sigma)[..., None, None]).sum(axis=-1) - 1  # exclude self
     sparsity = 1.0 - within / max(n - 1, 1)
@@ -238,8 +248,8 @@ def bias_stacks(
         else:
             raise InvalidInput(f"unknown channel {channel}")
     for channel, stack in out.items():
-        if not np.all(np.isfinite(stack)):
+        if not np.isfinite(stack).all():
             raise InvalidInput(f"bias channel {channel} produced non-finite entries")
-        if not np.array_equal(stack, np.swapaxes(stack, -1, -2)):
+        if not (stack == np.swapaxes(stack, -1, -2)).all():
             raise InvalidInput(f"bias channel {channel} lost symmetry")
     return out

@@ -29,7 +29,7 @@ from topoattn.datasets import gen_cyclic_h1, gen_higher_topology
 from topoattn.errors import CalibrationMissing, InvalidInput, TrainingDiverged
 from topoattn.geometry import KernelSpec
 from topoattn.protocol import SplitContext
-from topoattn.topo_bias import aet_calibrate, bias_stacks
+from topoattn.topo_bias import CHANNELS, aet_calibrate, bias_stacks
 
 
 def make_stacks(windows, channels=("H0", "H1")):
@@ -456,6 +456,28 @@ class TestEinsumPins:
                         failures.append((n_windows, n_tokens, label))
         assert not failures, f"width {width}: differs from einsum at (W, N, input) {failures}"
 
+    @pytest.mark.parametrize("width", [2, 3, 6])
+    def test_transposed_products_by_column_match_einsum(self, width):
+        # d_xq of temperature_loss_and_grads: the sum over m of d_logits * xk
+        rng = np.random.default_rng(43)
+        failures = []
+        for n_windows in CAMPAIGN_WINDOWS:
+            for n_tokens in CAMPAIGN_TOKENS:
+                square = (n_windows, n_tokens, n_tokens)
+                shape = (n_windows, n_tokens, width)
+                zero_rows = rng.normal(size=square)
+                zero_rows[:, ::3, :] = -0.0  # whole rows of -0.0: sums of -0.0 products
+                cases = {
+                    "normal": (rng.normal(size=square), rng.normal(size=shape)),
+                    "signed zeros": (with_signed_zeros(rng, square), with_signed_zeros(rng, shape)),
+                    "all -0.0 rows": (zero_rows, with_signed_zeros(rng, shape)),
+                }
+                for label, (a, x) in cases.items():
+                    got = attention._products_by_column(a.transpose(0, 2, 1), x, np.empty(square))
+                    if not same_bits(got, np.einsum("wnm,wmd->wnd", a, x)):
+                        failures.append((n_windows, n_tokens, label))
+        assert not failures, f"width {width}: differs from einsum at (W, N, input) {failures}"
+
 
 def old_attention_logits_batch(windows, params):
     q, k = windows @ params.w_query, windows @ params.w_key
@@ -613,6 +635,22 @@ class TestPredict:
         model.aet_params = aet_calibrate([rng.normal(size=(8, 2)) for _ in range(3)], seed=0)
         value = predict(rng.normal(size=(8, 2)), model)
         assert np.isfinite(value)
+
+    def test_second_call_builds_no_per_size_table(self, monkeypatch):
+        # the index tables depend on the window size alone and are built on
+        # the first call; the medians are sorted, not np.median
+        rng = np.random.default_rng(24)
+        model = self.make_model({c: 0.25 for c in CHANNELS}, CHANNELS)
+        model.aet_params = aet_calibrate([rng.normal(size=(8, 2)) for _ in range(3)], seed=0)
+        window = rng.normal(size=(8, 2))
+        first = predict(window, model)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a per-size table or np.median was rebuilt on a warm call")
+
+        for name in ("triu_indices", "eye", "take_along_axis", "median"):
+            monkeypatch.setattr(np, name, forbidden)
+        assert predict(window, model) == first
 
     def test_matches_batched_forward_path(self):
         # predict is the batched forward path on a stack of one

@@ -344,6 +344,31 @@ class TestScaler:
         out = apply_scaler(state, np.full((3, 2, 1), 5.0))
         assert np.all(out == 2.0)
 
+    @staticmethod
+    def layouts(x):
+        """The same values C-ordered, Fortran-ordered and as a transposed view."""
+        return (np.ascontiguousarray(x), np.asfortranarray(x), np.ascontiguousarray(x.T).T)
+
+    @pytest.mark.parametrize("shape", [(500, 3), (40, 10, 3), (120, 1)])
+    def test_statistics_do_not_depend_on_memory_layout(self, shape):
+        x = np.random.default_rng(6).normal(2.0, 3.0, shape)
+        states = [fit_scaler(v) for v in self.layouts(x)]
+        for state in states[1:]:
+            assert state.mean.tobytes() == states[0].mean.tobytes()
+            assert state.std.tobytes() == states[0].std.tobytes()
+
+    def test_ims_indicator_does_not_depend_on_memory_layout(self):
+        rng = np.random.default_rng(9)
+        n, channels = 500, 3
+        level = np.linspace(0.0, 3.0, n)[:, None]
+        features = (1.0 + level + rng.normal(0, 0.1, (n, channels)),
+                    1.0 + 0.5 * level + rng.normal(0, 0.1, (n, channels)),
+                    3.0 + 0.2 * level + rng.normal(0, 0.1, (n, channels)))
+        built = [ims_health_indicator(*arrays) for arrays in zip(*(self.layouts(f) for f in features))]
+        for ds in built[1:]:
+            assert ds.windows.tobytes() == built[0].windows.tobytes()
+            assert ds.targets.tobytes() == built[0].targets.tobytes()
+
 
 def test_export_dataset_roundtrip(tmp_path):
     ds = gen_shell_h2(1, n_windows=6, n_tokens=5)

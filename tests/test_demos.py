@@ -1,6 +1,7 @@
 """Demo smoke test: demos 01-04 each run to completion in a fresh
-interpreter and write no file into the repository. Demo 05 runs a whole
-campaign (about 15 s) and is left out to keep Tier-1 short."""
+interpreter, write no file into the repository and leave nothing in the
+temporary directory. Demo 05 runs a whole campaign (about 15 s) and is left
+out to keep Tier-1 short."""
 
 import os
 import subprocess
@@ -32,3 +33,4 @@ def test_demo_runs_and_writes_nothing_into_the_repo(demo, tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert repo_files() == before
+    assert sorted(tmp_path.iterdir()) == []

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topoattn import geometry
 from topoattn.errors import InvalidInput, InvalidParameter
 from topoattn.geometry import (
     DEGENERATE_SIGMA,
@@ -241,3 +242,112 @@ class TestZscore:
 def test_symmetrize():
     m = np.arange(8.0).reshape(2, 2, 2)
     assert np.array_equal(symmetrize(m), [[[0.0, 1.5], [1.5, 0.0]], [[0.0, 5.5], [5.5, 0.0]]])
+
+
+# The helpers as written before their index tables were cached and their
+# reductions written out, kept verbatim as oracles.
+
+
+def old_symmetrize(m):
+    m = 0.5 * (m + np.swapaxes(m, -1, -2))
+    n = m.shape[-1]
+    m[..., np.arange(n), np.arange(n)] = 0.0
+    return m
+
+
+def old_window_sigma(d):
+    n = d.shape[-1]
+    if n < 2:
+        return np.full(d.shape[:-2], DEGENERATE_SIGMA)
+    iu = np.triu_indices(n, k=1)
+    upper = d[..., iu[0], iu[1]]
+    positive = upper > 0.0
+    k = np.count_nonzero(positive, axis=-1)[..., None]
+    # non-positive entries sort last, past every rank read below
+    upper = np.sort(np.where(positive, upper, np.inf), axis=-1)
+    h = k // 2
+    lo = np.take_along_axis(upper, np.where(k % 2 == 1, h, np.maximum(h - 1, 0)), axis=-1)[..., 0]
+    hi = np.take_along_axis(upper, h, axis=-1)[..., 0]
+    return np.where(k[..., 0] == 0, DEGENERATE_SIGMA, (lo + hi) / 2.0)
+
+
+def old_zscore_offdiagonal(m):
+    n = m.shape[-1]
+    off = ~np.eye(n, dtype=bool)
+    vals = m[..., off]
+    mean = vals.mean(axis=-1, keepdims=True)
+    std = vals.std(axis=-1, keepdims=True)
+    scaled = np.where(std < 1e-12, 0.0, (vals - mean) / np.where(std < 1e-12, 1.0, std))
+    out = np.zeros_like(m)
+    out[..., off] = scaled
+    return out
+
+
+ORACLE_WINDOWS = (1, 7, 300)
+ORACLE_TOKENS = (2, 3, 8, 16, 24, 32)
+
+
+def distance_stacks(n_windows, n_tokens, seed):
+    """Distance stacks with ties, zeros, all-equal windows and both parities
+    of the positive count, as the campaign's windows and their Hilbert twins."""
+    rng = np.random.default_rng(seed)
+    lattice = rng.integers(0, 3, size=(n_windows, n_tokens, 2)).astype(float)
+    lattice[::5] = 1.0  # identical tokens: every distance 0, sigma DEGENERATE_SIGMA
+    for x in (lattice, rng.normal(size=(n_windows, n_tokens, 3))):
+        d = stacked_euclidean(x)
+        yield d
+        yield hilbert_distance(d, 0.7)
+
+
+def same_bits(got, expected) -> bool:
+    got, expected = np.asarray(got), np.asarray(expected)
+    return got.shape == expected.shape and got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+class TestCachedTablesAndDirectFormulas:
+    """window_sigma, zscore_offdiagonal and symmetrize read cached per-size
+    index tables and write numpy's reductions out; the bits must be those of
+    the generic versions above."""
+
+    @pytest.mark.parametrize("n_windows", ORACLE_WINDOWS)
+    def test_window_sigma_matches_oracle(self, n_windows):
+        parities, degenerate = set(), 0
+        for n_tokens in ORACLE_TOKENS:
+            for d in distance_stacks(n_windows, n_tokens, seed=n_tokens):
+                got, expected = window_sigma(d), old_window_sigma(d)
+                assert same_bits(got, expected), (n_windows, n_tokens)
+                assert same_bits(window_sigma(d[0]), old_window_sigma(d[0]))
+                iu = np.triu_indices(n_tokens, k=1)
+                parities.update(np.count_nonzero(d[..., iu[0], iu[1]] > 0.0, axis=-1) % 2)
+                degenerate += int(np.sum(got == DEGENERATE_SIGMA))
+        assert parities == {0, 1} and degenerate > 0
+
+    @pytest.mark.parametrize("n_windows", ORACLE_WINDOWS)
+    def test_zscore_and_symmetrize_match_oracles(self, n_windows):
+        rng = np.random.default_rng(n_windows)
+        for n_tokens in ORACLE_TOKENS:
+            shape = (n_windows, n_tokens, n_tokens)
+            signed_zeros = rng.normal(size=shape)
+            signed_zeros[rng.random(shape) < 0.2] = -0.0
+            constant = np.full(shape, 2.5)
+            constant[::2] = rng.normal(size=constant[::2].shape)
+            cases = [rng.normal(size=shape), signed_zeros, constant, np.round(rng.normal(size=shape)),
+                     rng.normal(size=shape).transpose(0, 2, 1)]  # the last is not C-contiguous
+            cases += list(distance_stacks(n_windows, n_tokens, seed=n_tokens))
+            for m in cases:
+                before = m.copy()
+                assert same_bits(zscore_offdiagonal(m), old_zscore_offdiagonal(m)), (n_windows, n_tokens)
+                assert same_bits(symmetrize(m), old_symmetrize(m)), (n_windows, n_tokens)
+                assert same_bits(zscore_offdiagonal(m[0]), old_zscore_offdiagonal(m[0]))
+                assert same_bits(m, before)
+
+    def test_tables_are_cached_and_read_only(self):
+        for table in (geometry._diagonal_index, geometry._upper_index, geometry._off_diagonal_index):
+            first = table(7)
+            assert table(7) is first
+            assert not first.flags.writeable
+            with pytest.raises(ValueError):
+                first[0] = 1
+        assert geometry._diagonal_index(4).tolist() == [0, 1, 2, 3]
+        assert geometry._upper_index(3).tolist() == [1, 2, 5]
+        assert geometry._off_diagonal_index(3).tolist() == [1, 2, 3, 5, 6, 7]

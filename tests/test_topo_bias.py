@@ -375,3 +375,60 @@ def test_every_channel_matches_channel_branches(gen):
         alone = bias_stacks(windows, (channel,), aet_params=params, kernel_spec=spec)[channel]
         assert alone.tobytes() == oracle[channel].tobytes(), channel
         assert together[channel].tobytes() == oracle[channel].tobytes(), channel
+
+
+# _soft_adjacency_values and _shell_stats as written before the diagonal
+# index was cached and the medians sorted, kept verbatim as oracles.
+
+
+def old_soft_adjacency_values(d, eps, tau):
+    eps = np.asarray(eps, dtype=np.float64)[..., None, None]
+    tau = np.asarray(tau, dtype=np.float64)[..., None, None]
+    a = expit((eps - d) / tau)
+    n = d.shape[-1]
+    a[..., np.arange(n), np.arange(n)] = 0.0
+    return a
+
+
+def old_shell_stats(d, tokens, sigma):
+    n = tokens.shape[-2]
+    centroid = tokens.mean(axis=-2, keepdims=True)
+    radii = np.linalg.norm(tokens - centroid, axis=-1)
+    med = np.median(radii, axis=-1, keepdims=True)
+    mad = np.median(np.abs(radii - med), axis=-1)
+    scale = np.maximum(mad, 1e-6)
+    within = (d <= np.asarray(sigma)[..., None, None]).sum(axis=-1) - 1  # exclude self
+    sparsity = 1.0 - within / max(n - 1, 1)
+    return radii, scale, sparsity
+
+
+def token_stacks(n_windows, n_tokens, seed):
+    """Normal windows and lattice windows (tied radii and distances), with
+    every fifth lattice window made of identical tokens."""
+    rng = np.random.default_rng(seed)
+    lattice = rng.integers(-1, 2, size=(n_windows, n_tokens, 2)).astype(float)
+    lattice[::5] = 0.5
+    return lattice, rng.normal(size=(n_windows, n_tokens, 3))
+
+
+@pytest.mark.parametrize("n_windows", [1, 7, 300])
+def test_cached_diagonal_and_sorted_medians_match_oracles(n_windows):
+    for n_tokens in (2, 3, 8, 16, 24, 32):
+        for windows in token_stacks(n_windows, n_tokens, seed=n_tokens):
+            d = stacked_euclidean(windows)
+            for dist in (d, hilbert_distance(d, 0.7)):
+                sigma = window_sigma(dist)
+                for f in H1_SCALES:
+                    got = _soft_adjacency_values(dist, f * sigma, SOFT_TAU_FACTOR * sigma)
+                    expected = old_soft_adjacency_values(dist, f * sigma, SOFT_TAU_FACTOR * sigma)
+                    assert got.tobytes() == expected.tobytes(), (n_windows, n_tokens)
+                for got, expected in zip(_shell_stats(dist, windows, sigma), old_shell_stats(dist, windows, sigma)):
+                    assert got.dtype == expected.dtype and got.shape == expected.shape
+                    assert got.tobytes() == expected.tobytes(), (n_windows, n_tokens)
+
+
+def test_sorted_median_is_np_median():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 4, 5, 8, 24, 32):
+        for x in (rng.normal(size=(50, n)), np.abs(np.round(rng.normal(size=(50, n)))), np.zeros((3, n))):
+            assert topo_bias._median(x).tobytes() == np.median(x, axis=-1).tobytes()
