@@ -192,6 +192,9 @@ def load_series_csv(path) -> np.ndarray:
                 ts = float(raw_ts)
             except (TypeError, ValueError):
                 ts = raw_ts
+            else:
+                if not np.isfinite(ts):
+                    raise InvalidInput(f"{path}: row {row_num}: timestamp '{raw_ts}' is not finite")
             try:
                 val = float(row[val_col])
             except (TypeError, ValueError):

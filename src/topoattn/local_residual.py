@@ -371,7 +371,6 @@ def guarded_blend(
     val_targets: np.ndarray,
     y_global_test: np.ndarray,
     y_local_test: np.ndarray,
-    force_reject: bool = False,
 ):
     """Select the blend weight on validation and apply the margin guard.
 
@@ -387,7 +386,7 @@ def guarded_blend(
         blend_rmse = rmse(blended, val_targets)
         if blend_rmse < best_rmse:
             best_alpha, best_rmse = alpha, blend_rmse
-    accepted = (not force_reject) and best_rmse < rmse_global - DELTA_LOC * max(1.0, rmse_global)
+    accepted = best_rmse < rmse_global - DELTA_LOC * max(1.0, rmse_global)
     alpha_loc = best_alpha if accepted else 0.0
     state = GuardState(
         alpha_loc=alpha_loc,

@@ -4,8 +4,7 @@ Calibrations (scalers, AET parameters, kernel scales, local projections)
 are fit on training windows only and frozen into a hashed ledger before
 any validation or test evaluation. Hyperparameters (ridge penalty,
 topology strengths, blend weights) are selected on the validation split;
-the test split enters metric computation only. The fit path never
-receives test targets.
+test targets enter metric computation and the predictions file only.
 """
 
 from __future__ import annotations
@@ -381,17 +380,16 @@ def _fit_head(ctx: SplitContext, base, stacks: dict, strengths: dict):
     return feats, ridge_fit(feats[ctx.train_idx], y[ctx.train_idx], feats[ctx.val_idx], y[ctx.val_idx])
 
 
-def _fit_static(ctx: SplitContext, mode: TopologyMode, seed: int, fits: dict | None = None):
+def _fit_static(ctx: SplitContext, mode: TopologyMode, seed: int, fits: dict):
     """Greedy per-channel strength search, then a joint grid on the best pair.
 
     A mode with no channels (classical) gets the zero-strength fit. Returns
     (strengths, features, ridge) of the validation winner. Each grid point's
-    head fit is kept in ``fits`` (a fresh dict by default) under (seed, the
+    head fit is kept in ``fits`` under (seed, the
     (stack key, strength) of each channel in the order the logits add
     them), so a point that another mode or another stage of this search
     already fitted is not fitted again.
     """
-    fits = {} if fits is None else fits
     base = None
 
     def evaluate(strengths: dict, bandwidth=None):
@@ -437,7 +435,7 @@ def _fit_static(ctx: SplitContext, mode: TopologyMode, seed: int, fits: dict | N
     return best[1:]
 
 
-def _fit_global_stage(ctx: SplitContext, mode: TopologyMode, seed: int, fits: dict | None = None):
+def _fit_global_stage(ctx: SplitContext, mode: TopologyMode, seed: int, fits: dict):
     """Global attention + ridge fit of a mode, independent of the residual
     flag. Returns (strengths, features, ridge, raw learned temperatures);
     ``fits`` is the static grid's head-fit cache (see :func:`_fit_static`)."""
@@ -460,34 +458,31 @@ def run_mode_detailed(
     mode: TopologyMode,
     seed: int,
     calibration: CellCalibration | None,
-    test_targets: np.ndarray | None = None,
     global_cache: dict | None = None,
-    force_guard_reject: bool = False,
     model_sink: dict | None = None,
 ):
     """Fit one mode on train, select on validation, report test metrics once.
 
-    Returns (RunResult, final test predictions). The fit/selection path
-    sees train and validation targets only; ``test_targets`` enter metric
-    computation at the very end (the leakage-mutation hook passes a
-    corrupted copy here).
+    Returns (RunResult, final test predictions). Test targets enter the
+    metrics only, at the very end.
 
-    ``global_cache`` (keyed by the residual-stripped mode id) lets residual
-    variants reuse their base mode's global fit, and the static-grid modes
-    of a cell share the head fits of their grid points through it (see
-    :func:`_fit_static`); ``force_guard_reject`` is
-    the preservation audit hook: it forces the residual guard to reject so
-    the output must be bit-identical to the global pipeline's predictions.
-    When ``model_sink`` is given, the fitted model state (head weights,
-    temperatures, strengths, predictions) is stored under the mode id.
+    ``global_cache`` is one cell's cache, for one seed and calibration.
+    Under (residual-stripped mode id, seed) it keeps each global fit, which
+    the mode's residual variant reuses; the static-grid modes share the
+    head fits of their grid points through it (see :func:`_fit_static`);
+    and under ("_resid", seed) it keeps the residual stage that every
+    residual mode of the cell shares: the local representation, its Ridge
+    head and that head's validation and test predictions. Each residual
+    mode still runs its own guard. When ``model_sink`` is given, the fitted
+    model state (head weights, temperatures, strengths, predictions) is
+    stored under the mode id.
     """
     if calibration is None:
         raise CalibrationMissing(f"no calibration ledger entry for {ctx.ds.name} seed {seed}")
     train_idx, val_idx, test_idx = ctx.train_idx, ctx.val_idx, ctx.test_idx
     targets = ctx.ds.targets
     train_y, val_y = targets[train_idx], targets[val_idx]
-    if test_targets is None:
-        test_targets = targets[test_idx]
+    cache = {} if global_cache is None else global_cache
 
     if mode.mode_id.startswith("zeng"):
         # controlled baseline: flat D0+/D0- path blocks, nothing else
@@ -497,13 +492,10 @@ def run_mode_detailed(
         strengths, alpha_raw = {}, {}
     else:
         base_id = mode.mode_id[: -len("_resid")] if mode.with_residual else mode.mode_id
-        cache_key = (base_id, seed)
-        if global_cache is not None and cache_key in global_cache:
-            strengths, feats, ridge, alpha_raw = global_cache[cache_key]
-        else:
-            strengths, feats, ridge, alpha_raw = _fit_global_stage(ctx, mode, seed, global_cache)
-            if global_cache is not None:
-                global_cache[cache_key] = (strengths, feats, ridge, alpha_raw)
+        key = (base_id, seed)
+        if key not in cache:
+            cache[key] = _fit_global_stage(ctx, mode, seed, cache)
+        strengths, feats, ridge, alpha_raw = cache[key]
 
     y_val = ridge_predict(ridge, feats[val_idx])
     y_test = ridge_predict(ridge, feats[test_idx])
@@ -516,16 +508,14 @@ def run_mode_detailed(
             raise CalibrationMissing(
                 f"mode {mode.mode_id} needs a local projection absent from the ledger"
             )
-        blocks, stats = ctx.local_blocks()
-        phi = ctx.local_phi()
-        scores, cstats = contrast_features(blocks)
-        rep = local_representation_matrix(phi, calibration.local_projection, scores, cstats)
-        local_ridge = ridge_fit(rep[train_idx], train_y, rep[val_idx], val_y)
-        y_local_val = ridge_predict(local_ridge, rep[val_idx])
-        y_local_test = ridge_predict(local_ridge, rep[test_idx])
-        state, y_test = guarded_blend(
-            y_val, y_local_val, val_y, y_test, y_local_test, force_reject=force_guard_reject
-        )
+        key = ("_resid", seed)
+        if key not in cache:
+            scores, cstats = contrast_features(ctx.local_blocks()[0])
+            rep = local_representation_matrix(ctx.local_phi(), calibration.local_projection, scores, cstats)
+            head = ridge_fit(rep[train_idx], train_y, rep[val_idx], val_y)
+            cache[key] = head, ridge_predict(head, rep[val_idx]), ridge_predict(head, rep[test_idx])
+        local_ridge, y_local_val, y_local_test = cache[key]
+        state, y_test = guarded_blend(y_val, y_local_val, val_y, y_test, y_local_test)
         alpha_loc = state.alpha_loc
         if state.accepted:
             val_rmse = state.val_rmse_blend
@@ -536,8 +526,8 @@ def run_mode_detailed(
         seed=seed,
         split_offset=ctx.offset,
         val_rmse=val_rmse,
-        test_rmse=rmse(y_test, test_targets),
-        test_mae=_mae(y_test, test_targets),
+        test_rmse=rmse(y_test, targets[test_idx]),
+        test_mae=_mae(y_test, targets[test_idx]),
         alpha_loc=alpha_loc,
         penalty=ridge.penalty,
         strengths={k: float(v) for k, v in strengths.items()},
@@ -624,7 +614,6 @@ def _run_split_block(
     offset: float,
     seeds,
     mode_ids,
-    corrupt_test_targets: bool,
     skip_rows: dict | None = None,
     cache: CampaignCache | None = None,
 ):
@@ -666,9 +655,6 @@ def _run_split_block(
         }
         modes = [m for m in MODE_REGISTRY if m.mode_id in mode_ids or m.mode_id in kept]
         calibration = calibrate_cell(ctx, seed, modes)
-        test_targets = ctx.ds.targets[ctx.test_idx]
-        if corrupt_test_targets:
-            test_targets = np.zeros(len(ctx.test_idx))
         global_cache: dict = {}
         sink: dict = {}
         cell_rows = dict(kept)
@@ -676,10 +662,7 @@ def _run_split_block(
             prior = kept.get(mode.mode_id)
             if prior is not None and prior.ledger_hash == calibration.content_hash:
                 continue
-            result, _ = run_mode_detailed(
-                ctx, mode, seed, calibration, test_targets=test_targets,
-                global_cache=global_cache, model_sink=sink,
-            )
+            result, _ = run_mode_detailed(ctx, mode, seed, calibration, global_cache=global_cache, model_sink=sink)
             results.append(result)
             cell_rows[mode.mode_id] = result
         chosen = select_by_validation(list(cell_rows.values())) if cell_rows else None
@@ -687,13 +670,10 @@ def _run_split_block(
             # the selected mode's row was resumed from disk; regenerate its
             # model state and predictions for the output tree
             mode = next(m for m in modes if m.mode_id == chosen.mode_id)
-            run_mode_detailed(
-                ctx, mode, seed, calibration, test_targets=test_targets,
-                global_cache=global_cache, model_sink=sink,
-            )
+            run_mode_detailed(ctx, mode, seed, calibration, global_cache=global_cache, model_sink=sink)
         if chosen is not None and chosen.mode_id in sink:
             # a narrower rerun that did not fit the selected mode keeps the earlier files
-            files.update(_selected_files(chosen, sink[chosen.mode_id], test_targets))
+            files.update(_selected_files(chosen, sink[chosen.mode_id], ctx.ds.targets[ctx.test_idx]))
         # ledger immutability: the hash recorded before the runs must still
         # describe the calibration after them
         if calibration.compute_hash() != calibration.content_hash:
@@ -746,7 +726,6 @@ def run_campaign(
     offsets=SPLIT_OFFSETS,
     mode_ids=None,
     out_dir=None,
-    corrupt_test_targets: bool = False,
     cache: CampaignCache | None = None,
     n_workers: int | None = None,
     existing: list[RunResult] | None = None,
@@ -757,15 +736,14 @@ def run_campaign(
     builder(seed) -> WindowedDataset, called once per campaign seed.
     Returns (results, ledger_payloads) where ledger_payloads maps
     (dataset, seed, offset) to the serialized calibration and its hash.
-    ``corrupt_test_targets`` zeroes each cell's test targets before metric
-    computation (leakage audit hook). ``existing`` rows are kept and their
-    mode fits skipped when the ledger hash still matches; the calibrations
-    are still recomputed to check that hash, and each cell is calibrated
-    for the modes of its existing rows too, so those rows keep their
-    ledger. The (dataset, offset) blocks run in a pool of ``n_workers``
-    processes when that is above 1, else in this process; ``cache`` lives
-    in one process and so needs ``n_workers=1``. Repeated seeds, offsets
-    that share a file tag, and two datasets with one name raise
+    ``existing`` rows are kept and their mode fits skipped when the ledger
+    hash still matches; the calibrations are still recomputed to check
+    that hash, and each cell is calibrated for the modes of its existing
+    rows too, so those rows keep their ledger. The (dataset, offset)
+    blocks run in a pool of ``n_workers`` processes when that is above 1,
+    else in this process; ``cache`` lives in one process and so needs
+    ``n_workers=1``. Repeated seeds, offsets equal as numbers (0.0 and
+    -0.0 too) or sharing a file tag, and two datasets with one name raise
     :class:`InvalidInput`; the last is seen when a block returns a cell an
     earlier block returned, before its outputs are written.
 
@@ -787,15 +765,17 @@ def run_campaign(
     seeds = tuple(int(s) for s in seeds)  # file names and CSV cells print Python ints
     if len(set(seeds)) != len(seeds):
         raise InvalidInput(f"seeds {list(seeds)} repeat a seed; each cell would be fitted twice")
+    if len(set(offsets)) != len(offsets):
+        raise InvalidInput(f"offsets {list(offsets)} repeat an offset; each cell would be fitted twice")
     tags = [_cell_tag("", 0, offset) for offset in offsets]
     if len(set(tags)) != len(tags):
         raise InvalidInput(
-            f"offsets {list(offsets)} would share output files: two are equal or round to one 2-decimal tag"
+            f"offsets {list(offsets)} would share output files: two round to one 2-decimal tag"
         )
 
     prior = {r.key(): r for r in existing or ()}
     tasks = [
-        (source, offset, seeds, mode_ids, corrupt_test_targets, prior, cache)
+        (source, offset, seeds, mode_ids, prior, cache)
         for source in datasets
         for offset in offsets
     ]

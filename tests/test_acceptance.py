@@ -3,10 +3,12 @@
 Each test prints one `[criterion N] PASS` line on success (run with
 `pytest tests/test_acceptance.py -v -s` to see them live). The full
 synthetic campaign is executed once and shared; the leakage criterion
-reruns it with zeroed test targets against the same feature caches.
+reruns it on the same split contexts with their datasets' test targets
+zeroed, so the window-only feature caches are reused.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from topoattn.datasets import (
     gen_shell_h2,
     ims_health_indicator,
 )
+from topoattn import local_residual
 from topoattn.attention import TRAIN_PARAMS, temperature_loss_and_grads, init_attention_params
 from topoattn.persistence import capped_exact_diagrams
 from topoattn.protocol import (
@@ -33,6 +36,7 @@ from topoattn.protocol import (
 )
 from topoattn.topo_bias import CHANNELS
 
+from test_manifests import MANIFESTS
 from test_persistence import euclidean_matrix, naive_reduction_oracle
 from test_protocol import restricted_phi_refit
 
@@ -101,7 +105,9 @@ def test_criterion_02_known_shape_diagrams():
     report(2, "unit square H1=(1, sqrt2), two-point H0, empty equilateral H1")
 
 
-def test_criterion_03_preservation_bit_identical(campaign_state):
+def test_criterion_03_preservation_bit_identical(campaign_state, monkeypatch):
+    # no blend can beat an infinite margin, so every guard rejects
+    monkeypatch.setattr(local_residual, "DELTA_LOC", np.inf)
     cache = campaign_state["cache"]
     checked = 0
     for name, builder in BUILDERS:
@@ -115,8 +121,7 @@ def test_criterion_03_preservation_bit_identical(campaign_state):
                     ctx, BY_ID[base_id], seed, calibration, global_cache=global_cache
                 )
                 result, y_forced = run_mode_detailed(
-                    ctx, BY_ID[base_id + "_resid"], seed, calibration,
-                    global_cache=global_cache, force_guard_reject=True,
+                    ctx, BY_ID[base_id + "_resid"], seed, calibration, global_cache=global_cache
                 )
                 assert result.alpha_loc == 0.0
                 assert y_forced.tobytes() == y_global.tobytes(), (
@@ -174,10 +179,23 @@ def test_criterion_05_temperature_gradients(campaign_state):
 def test_criterion_06_no_leakage_mutation(campaign_state):
     clean_results = {r.key(): r for r in campaign_state["results"]}
     clean_ledgers = campaign_state["ledgers"]
-    mutated_results, mutated_ledgers = run_campaign(
-        [b for _, b in BUILDERS], seeds=SEEDS, offsets=SPLIT_OFFSETS,
-        corrupt_test_targets=True, cache=campaign_state["cache"], n_workers=1,
-    )
+    # every fit reads its targets through ctx.ds, so each cached context gets
+    # a dataset whose test targets are zero; a fit that read a test target
+    # would then move a validation-side number below
+    contexts = list(campaign_state["cache"].contexts.values())
+    originals = [ctx.ds for ctx in contexts]
+    try:
+        for ctx, ds in zip(contexts, originals):
+            targets = ds.targets.copy()
+            targets[ctx.test_idx] = 0.0
+            ctx.ds = replace(ds, targets=targets)
+        mutated_results, mutated_ledgers = run_campaign(
+            [b for _, b in BUILDERS], seeds=SEEDS, offsets=SPLIT_OFFSETS,
+            cache=campaign_state["cache"], n_workers=1,
+        )
+    finally:
+        for ctx, ds in zip(contexts, originals):
+            ctx.ds = ds
     assert set(clean_ledgers) == set(mutated_ledgers)
     for key in clean_ledgers:
         assert clean_ledgers[key][0] == mutated_ledgers[key][0], f"ledger bytes changed for {key}"
@@ -195,6 +213,11 @@ def test_criterion_06_no_leakage_mutation(campaign_state):
     assert changed_metrics > 0, "zeroing test targets should change test metrics"
     report(6, f"calibrations/selections byte-stable under test-target zeroing "
               f"({len(mutated_results)} rows, {changed_metrics} test metrics moved)")
+
+
+def test_pinned_campaign_bytes(campaign_state):
+    differences = MANIFESTS.manifest_differences(MANIFESTS.PINNED_MANIFEST, campaign_state["out_dir"])
+    assert not differences, "pinned campaign bytes moved:\n" + "\n".join(differences)
 
 
 def test_criterion_07_directional_reproduction(campaign_state):

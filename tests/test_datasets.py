@@ -131,6 +131,14 @@ class TestSeriesCsv:
         with pytest.raises(InvalidInput, match="row 3"):
             load_series_csv(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+    def test_non_finite_timestamp_names_row(self, tmp_path, bad):
+        # a NaN compares false both ways, so the row after it would skip the order check
+        path = tmp_path / "series.csv"
+        path.write_text(f"timestamp,value\n1,10\n{bad},11\n0,12\n")
+        with pytest.raises(InvalidInput, match=f"row 2: timestamp '{bad}' is not finite"):
+            load_series_csv(path)
+
     def test_missing_column(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text("time,value\n1,10\n")

@@ -264,10 +264,10 @@ class TestGuardedBlend:
         self.g_test = rng.normal(size=10)
         self.l_test = rng.normal(size=10)
 
-    def test_rejection_returns_global_bitwise(self):
-        state, final = guarded_blend(
-            self.g_val, self.l_val, self.val_y, self.g_test, self.l_test, force_reject=True
-        )
+    def test_rejection_returns_global_bitwise(self, monkeypatch):
+        # the local head is much better here; only an infinite margin rejects it
+        monkeypatch.setattr(local_residual, "DELTA_LOC", np.inf)
+        state, final = guarded_blend(self.g_val, self.l_val, self.val_y, self.g_test, self.l_test)
         assert state.alpha_loc == 0.0 and not state.accepted
         assert final is self.g_test
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from topoattn.attention import ridge_fit, ridge_predict
-from topoattn.datasets import SPLIT_OFFSETS, gen_cyclic_h1, gen_shell_h2, WindowedDataset
+from topoattn.datasets import SPLIT_OFFSETS, chronological_split, gen_cyclic_h1, gen_shell_h2, WindowedDataset
 from topoattn.errors import CalibrationMissing, InvalidInput, TopoAttnError
 from topoattn.local_residual import zeng_features
 from topoattn.persistence import DIAGRAM_VECTOR_LEN
@@ -42,6 +42,28 @@ def restricted_phi_refit(ctx: SplitContext) -> np.ndarray:
     y = ctx.ds.targets
     ridge = ridge_fit(x[tr], y[tr], x[va], y[va])
     return ridge_predict(ridge, x[te])
+
+
+def leakage_differences() -> list[str]:
+    """Run a small campaign twice, the second time on the same windows with
+    every test target zeroed; one line per ledger, selection or validation
+    value that moved. The test metrics must move, or the rerun proves
+    nothing."""
+    ds = gen_cyclic_h1(3, n_windows=80, n_tokens=16)
+    targets = ds.targets.copy()
+    targets[chronological_split(len(targets), 0.0)[2]] = 0.0
+    mutated = WindowedDataset(ds.name, ds.windows, targets)
+    kwargs = dict(seeds=(1,), offsets=(0.0,), mode_ids=("static_h0", "static_h0_resid"))
+    clean_rows, clean_ledgers = run_campaign([ds], **kwargs)
+    rows, ledgers = run_campaign([mutated], **kwargs)
+    lines = [f"ledger changed for {key}" for key in clean_ledgers if ledgers.get(key) != clean_ledgers[key]]
+    clean = {r.key(): r for r in clean_rows}
+    for row in rows:
+        for field in ("val_rmse", "penalty", "strengths", "alpha_loc", "ledger_hash"):
+            if getattr(row, field) != getattr(clean[row.key()], field):
+                lines.append(f"{field} changed for {row.key()}")
+    assert all(row.test_rmse != clean[row.key()].test_rmse for row in rows), "zeroed test targets moved no metric"
+    return lines
 
 
 @pytest.fixture(scope="module")
@@ -93,16 +115,22 @@ class TestRunMode:
         with pytest.raises(CalibrationMissing):
             run_mode_detailed(small_ctx, BY_ID["classical_resid"], 1, calib)
 
-    def test_leakage_mutation(self, small_ctx, small_calib):
-        clean = run_mode_detailed(small_ctx, BY_ID["static_h0_resid"], 1, small_calib)[0]
-        zeros = np.zeros(len(small_ctx.test_idx))
-        corrupted, _ = run_mode_detailed(small_ctx, BY_ID["static_h0_resid"], 1, small_calib, test_targets=zeros)
-        assert corrupted.val_rmse == clean.val_rmse
-        assert corrupted.penalty == clean.penalty
-        assert corrupted.strengths == clean.strengths
-        assert corrupted.alpha_loc == clean.alpha_loc
-        assert corrupted.ledger_hash == clean.ledger_hash
-        assert corrupted.test_rmse != clean.test_rmse
+    def test_leakage_mutation(self):
+        assert leakage_differences() == []
+
+    def test_leakage_check_sees_a_head_fitted_on_test_rows(self, monkeypatch):
+        # negative control: a head fit that also reads the test rows must
+        # make the check above fail
+        from topoattn import protocol
+        from topoattn.attention import forward_features
+
+        def leaky(ctx, base, stacks, strengths):
+            feats = forward_features(ctx.scaled, base, stacks, strengths, summary=ctx.summary)
+            rows, y = ctx.train_idx + ctx.test_idx, ctx.ds.targets
+            return feats, ridge_fit(feats[rows], y[rows], feats[ctx.val_idx], y[ctx.val_idx])
+
+        monkeypatch.setattr(protocol, "_fit_head", leaky)
+        assert any(line.startswith("val_rmse changed") for line in leakage_differences())
 
 
 class TestZeng:
@@ -282,7 +310,7 @@ def test_ledger_mutation_raises(monkeypatch):
     # the block runner itself raises, so a pool worker never returns a mutated ledger
     builder = lambda seed: gen_cyclic_h1(3, n_windows=60, n_tokens=16)  # noqa: E731
     with pytest.raises(TopoAttnError, match="mutated"):
-        protocol._run_split_block(builder, 0.0, (1,), ("classical",), False)
+        protocol._run_split_block(builder, 0.0, (1,), ("classical",))
 
 
 def test_cell_fit_cache_shares_static_grid_points(monkeypatch):
@@ -299,7 +327,7 @@ def test_cell_fit_cache_shares_static_grid_points(monkeypatch):
         return fit_head(ctx, base, stacks, strengths)
 
     monkeypatch.setattr(protocol, "_fit_head", counting)
-    results, *_ = protocol._run_split_block(ds, 0.0, (1,), tuple(m.mode_id for m in modes), False)
+    results, *_ = protocol._run_split_block(ds, 0.0, (1,), tuple(m.mode_id for m in modes))
     # static grid: 1 zero fit + 16 Euclidean singles (4 channels x 4 strengths)
     # + 36 KH singles (3 bandwidths x 4 strengths x 3 channels) + 16 joint
     # pairs; then one head fit per learned-eta mode (113 + 3 without the cache)
@@ -317,6 +345,26 @@ def test_cell_fit_cache_shares_static_grid_points(monkeypatch):
     # each row is what the mode gives run alone with a fresh cache
     for result in results:
         alone, _ = run_mode_detailed(ctx, BY_ID[result.mode_id], 1, calibration, global_cache={})
+        assert alone.to_csv_fields() == result.to_csv_fields()
+
+
+def test_residual_stage_runs_once_per_cell(monkeypatch):
+    from topoattn import protocol
+
+    ds = gen_cyclic_h1(3, n_windows=60, n_tokens=16)
+    mode_ids = ("classical", "static_h0", "classical_resid", "static_h0_resid", "static_kh1_resid")
+    stages, guards = [], []
+    for name, log in (("contrast_features", stages), ("guarded_blend", guards)):
+        original = getattr(protocol, name)
+        monkeypatch.setattr(protocol, name, lambda *a, log=log, original=original: log.append(1) or original(*a))
+    results, _ = run_campaign([ds], seeds=(1, 2), offsets=(0.0,), mode_ids=mode_ids)
+    assert len(results) == 10
+    # one residual stage per (cell, seed); every residual mode runs its own guard
+    assert len(stages) == 2 and len(guards) == 6
+    ctx = SplitContext(ds, 0.0)
+    for result in results:
+        calibration = calibrate_cell(ctx, result.seed, [BY_ID[m] for m in mode_ids])
+        alone, _ = run_mode_detailed(ctx, BY_ID[result.mode_id], result.seed, calibration, global_cache={})
         assert alone.to_csv_fields() == result.to_csv_fields()
 
 
@@ -437,7 +485,8 @@ def test_offsets_sharing_a_file_tag_rejected(tmp_path, monkeypatch):
 
     fits = []
     monkeypatch.setattr(protocol, "run_mode_detailed", lambda *a, **k: fits.append(a[1]))
-    for offsets in ((0.025, 0.03), (0.05, 0.05)):
+    # 0.0 and -0.0 have two tags (p0_00, m0_00) but are one offset: one cell key
+    for offsets in ((0.025, 0.03), (0.05, 0.05), (0.0, -0.0)):
         with pytest.raises(InvalidInput, match="offsets"):
             run_campaign([SMALL_CYCLIC], seeds=(1,), offsets=offsets, mode_ids=["classical"], out_dir=tmp_path)
     assert fits == [] and not tmp_path.joinpath("results.csv").exists()
