@@ -40,7 +40,7 @@ theta = np.linspace(0, 2 * np.pi, 12, endpoint=False)
 circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
 dgm = capped_exact_diagrams(pairwise_euclidean(circle))
 show("12-point circle", dgm.in_dim(1))
-print("  H1 vector:", np.round(vectorize_diagram(dgm.in_dim(1)), 4))
+print("  H1 vector:", np.round(vectorize_diagram(dgm.in_dim(1).finite_lifetimes()), 4))
 
 # Sublevel H0 of a 1-D signal: each local minimum births a component that
 # dies when it merges over a saddle into an older one.

@@ -71,7 +71,7 @@ from .local_residual import (
     build_cover,
     fit_local_head,
     guarded_blend,
-    local_diagrams,
+    local_lifetimes,
     zeng_features,
 )
 from .persistence import (

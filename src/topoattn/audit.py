@@ -52,12 +52,6 @@ class AuditSummary:
     p_value: float
 
 
-def _improvements(units) -> np.ndarray:
-    if len(units) and isinstance(units[0], PairedUnit):
-        return np.array([u.baseline_rmse - u.guarded_rmse for u in units], dtype=np.float64)
-    return np.asarray(units, dtype=np.float64)
-
-
 def is_tied(unit: PairedUnit) -> bool:
     return abs(unit.baseline_rmse - unit.guarded_rmse) <= TIE_BAND
 
@@ -95,13 +89,14 @@ def bootstrap_ci(units, seed: int = 0) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def effect_size_dz(units) -> float:
+def effect_size_dz(improvements) -> float:
     """Paired effect size: mean improvement / sample std of improvements.
 
+    ``improvements`` holds each unit's baseline minus guarded RMSE.
     Zero-variance improvement vectors return a signed infinity sentinel
     (0 when the improvements are identically zero) with a warning.
     """
-    d = _improvements(units)
+    d = np.asarray(improvements, dtype=np.float64)
     if len(d) < 2:
         raise InvalidInput("d_z needs at least two paired units")
     sd = float(d.std(ddof=1))
@@ -114,15 +109,16 @@ def effect_size_dz(units) -> float:
     return mean / sd
 
 
-def signflip_p(units, max_exact_n: int = MAX_EXACT_N, n_resamples: int = SIGNFLIP_B, seed: int = 0) -> float:
+def signflip_p(improvements, max_exact_n: int = MAX_EXACT_N, n_resamples: int = SIGNFLIP_B, seed: int = 0) -> float:
     """Two-sided paired sign-flip randomization test on the mean signed improvement.
 
     All 2^n sign assignments are enumerated when n <= ``max_exact_n``;
     otherwise a seeded Monte Carlo with add-one smoothing keeps the
     p-value in (0, 1]. A 1e-12 relative slack on the comparison absorbs
-    floating-point summation noise.
+    floating-point summation noise. ``improvements`` holds each unit's
+    baseline minus guarded RMSE.
     """
-    d = _improvements(units)
+    d = np.asarray(improvements, dtype=np.float64)
     n = len(d)
     if n == 0:
         raise InvalidInput("sign-flip test needs at least one paired unit")
@@ -178,6 +174,7 @@ def pair_units(results) -> list[PairedUnit]:
 def audit_units(units) -> AuditSummary:
     improved, worsened, tied = unit_counts(units)
     reductions = np.array([relative_reduction(u) for u in units])
+    improvements = np.array([u.baseline_rmse - u.guarded_rmse for u in units], dtype=np.float64)
     lo, hi = bootstrap_ci(units)
     return AuditSummary(
         architecture=ARCHITECTURE,
@@ -188,8 +185,8 @@ def audit_units(units) -> AuditSummary:
         mean_relative_reduction=float(reductions.mean()),
         ci_lo=lo,
         ci_hi=hi,
-        d_z=effect_size_dz(units),
-        p_value=signflip_p(units),
+        d_z=effect_size_dz(improvements),
+        p_value=signflip_p(improvements),
     )
 
 

@@ -96,7 +96,10 @@ class ExperimentConfig:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in {f.name for f in fields(cls)}:
                 raise ValueError(f"{path}:{line_num}: unknown config key {key!r}")
-            setattr(cfg, key, CONFIG_PARSERS.get(key, str)(value))
+            try:
+                setattr(cfg, key, CONFIG_PARSERS.get(key, str)(value))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_num}: bad value for {key!r}: {exc}") from None
         return cfg
 
 

@@ -21,13 +21,7 @@ import numpy as np
 from .attention import RidgeModel, ridge_fit, rmse, row_softmax
 from .errors import InvalidInput
 from .geometry import KernelSpec, hilbert_distance, pairwise_euclidean
-from .persistence import (
-    DIAGRAM_VECTOR_LEN,
-    PersistenceDiagram,
-    capped_exact_diagrams,
-    path_sublevel_h0,
-    vectorize_diagram,
-)
+from .persistence import DIAGRAM_VECTOR_LEN, capped_exact_diagrams, path_sublevel_h0, vectorize_diagram
 
 BASE_LENGTH = 8
 BASE_STRIDE = 4
@@ -80,105 +74,86 @@ def build_cover(window_length: int) -> tuple[tuple[int, int], ...]:
 
 
 # ---------------------------------------------------------------------------
-# local diagrams
+# local features
 
 
-def _hilbert_map(bars, bandwidth: float):
-    """Map Euclidean Rips bars through the kernel-Hilbert distance.
+def local_lifetimes(subwindow, spec: KernelSpec) -> tuple[np.ndarray, ...]:
+    """Finite lifetimes of the seven local diagrams of one cover element,
+    in :data:`LOCAL_BLOCKS` order.
 
-    The map is strictly increasing, so the Rips filtration under the
-    kernel-Hilbert distance is its image and the bar multiset transforms
-    exactly; finite endpoints are mapped and essential bars stay essential.
-    """
-    ends = np.asarray([(b, d) for (b, d, _) in bars], dtype=np.float64).reshape(-1, 2)
-    mapped = np.where(np.isfinite(ends), hilbert_distance(ends, bandwidth), np.inf)
-    return [(b, d, k) for (b, d), (_, _, k) in zip(mapped.tolist(), bars)]
-
-
-def local_diagrams(subwindow, spec: KernelSpec) -> dict[str, PersistenceDiagram]:
-    """The seven local diagrams of one cover element.
-
-    ``d0_plus``/``d0_minus`` are path-sublevel H0 diagrams of the first
-    coordinate and its negation; ``d1``/``d2`` come from the full Rips
-    filtration of the Euclidean distances; the ``kh*`` diagrams are the
-    same filtration under the kernel-Hilbert distance.
+    ``d0_plus``/``d0_minus`` are path-sublevel H0 of the first coordinate
+    and its negation; ``d1``/``d2`` come from the full Rips filtration of
+    the Euclidean distances; ``kh0``-``kh2`` are the same bars under the
+    kernel-Hilbert distance. That map is strictly increasing, so the Rips
+    filtration under it is the image of the Euclidean one, and each bar's
+    ends map exactly.
     """
     tokens = np.asarray(subwindow, dtype=np.float64)
     if tokens.ndim != 2 or tokens.shape[0] < 2:
         raise InvalidInput("local diagrams need a subwindow of at least 2 tokens")
     series = tokens[:, 0]
-    d0_plus = path_sublevel_h0(series)
-    d0_minus = path_sublevel_h0(-series)
-    dgm = capped_exact_diagrams(pairwise_euclidean(tokens))
-    kh = PersistenceDiagram(_hilbert_map(dgm.bars, spec.bandwidth))
-    return {
-        "d0_plus": d0_plus,
-        "d0_minus": d0_minus,
-        "d1": dgm.in_dim(1),
-        "d2": dgm.in_dim(2),
-        "kh0": kh.in_dim(0),
-        "kh1": kh.in_dim(1),
-        "kh2": kh.in_dim(2),
-    }
-
-
-def _window_stats(tokens: np.ndarray) -> np.ndarray:
-    return np.concatenate(
-        [
-            tokens.mean(axis=0),
-            tokens.std(axis=0),
-            tokens.min(axis=0),
-            tokens.max(axis=0),
-            tokens[-1],
-        ]
+    bars = np.array(capped_exact_diagrams(pairwise_euclidean(tokens)).bars).reshape(-1, 3)
+    ends = np.ascontiguousarray(bars[:, :2])
+    kh_ends = hilbert_distance(ends, spec.bandwidth)
+    rips, kh = ends[:, 1] - ends[:, 0], kh_ends[:, 1] - kh_ends[:, 0]
+    finite = np.isfinite(ends[:, 1])
+    h0, h1, h2 = (finite & (bars[:, 2] == dim) for dim in range(3))
+    return (
+        path_sublevel_h0(series).finite_lifetimes(),
+        path_sublevel_h0(-series).finite_lifetimes(),
+        rips[h1],
+        rips[h2],
+        kh[h0],
+        kh[h1],
+        kh[h2],
     )
 
 
-def local_block_tensor(windows: np.ndarray, cover, spec: KernelSpec):
-    """Diagram-vector blocks and subwindow stats for a stack of windows.
+def local_block_tensor(windows: np.ndarray, cover, spec: KernelSpec) -> np.ndarray:
+    """Per-element features Phi (W, M, 63 + 5p) of a stack of windows.
 
-    ``cover`` is the (start, stop) ranges of :func:`build_cover`. Returns
-    ``blocks`` of shape (W, M, 7, 9) and ``stats`` of shape
-    (W, M, 5p). This is the expensive part of the local residual; one
-    Rips reduction per (window, cover element).
+    ``cover`` is the (start, stop) ranges of :func:`build_cover`. Columns
+    0-62 hold the 9-vectors of the seven :func:`local_lifetimes` arrays in
+    :data:`LOCAL_BLOCKS` order; the last 5p hold each subwindow's mean,
+    std, min, max and last token. This is the expensive part of the local
+    residual: one Rips reduction per (window, cover element).
     """
     windows = np.asarray(windows, dtype=np.float64)
     n_windows, _, p = windows.shape
-    m = len(cover)
-    blocks = np.zeros((n_windows, m, len(LOCAL_BLOCKS), DIAGRAM_VECTOR_LEN))
-    stats = np.zeros((n_windows, m, N_WINDOW_STATS * p))
-    for w in range(n_windows):
-        for i, (start, stop) in enumerate(cover):
-            sub = windows[w, start:stop]
-            dgms = local_diagrams(sub, spec)
-            for b, name in enumerate(LOCAL_BLOCKS):
-                blocks[w, i, b] = vectorize_diagram(dgms[name])
-            stats[w, i] = _window_stats(sub)
-    return blocks, stats
+    n_blocks = len(LOCAL_BLOCKS) * DIAGRAM_VECTOR_LEN
+    phi = np.zeros((n_windows, len(cover), n_blocks + N_WINDOW_STATS * p))
+    for i, (start, stop) in enumerate(cover):
+        subs = windows[:, start:stop]
+        for w in range(n_windows):
+            vectors = [vectorize_diagram(x) for x in local_lifetimes(subs[w], spec)]
+            phi[w, i, :n_blocks] = np.concatenate(vectors)
+        stats = (subs.mean(axis=1), subs.std(axis=1), subs.min(axis=1), subs.max(axis=1), subs[:, -1])
+        phi[:, i, n_blocks:] = np.concatenate(stats, axis=1)
+    return phi
 
 
 # ---------------------------------------------------------------------------
 # contrasts
 
 
-def contrast_features(blocks: np.ndarray):
+def contrast_features(phi: np.ndarray):
     """Adjacent-element contrasts per channel: RMS difference over pair RMS, in [0, ~2].
 
-    Returns ``scores`` (W, M): per-element mean contrast against its cover
-    neighbors, averaged over the six channels (used in pooling logits),
-    and ``stats`` (W, 12): mean and max contrast per channel over adjacent
-    pairs. Single-element covers yield zeros.
+    ``phi`` is :func:`local_block_tensor`'s output; the channels read its
+    block columns. Returns ``scores`` (W, M): per-element mean contrast
+    against its cover neighbors, averaged over the six channels (used in
+    pooling logits), and ``stats`` (W, 12): mean and max contrast per
+    channel over adjacent pairs. Single-element covers yield zeros.
     """
-    n_windows, m = blocks.shape[:2]
-    flat = blocks.reshape(n_windows, m, -1)  # (W, M, 63)
+    n_windows, m = phi.shape[:2]
     scores = np.zeros((n_windows, m))
     stats = np.zeros((n_windows, 2 * len(CONTRAST_CHANNELS)))
     if m < 2:
         return scores, stats
     per_channel = []
     for lo, hi in CONTRAST_CHANNELS.values():
-        a = flat[:, :-1, lo:hi]
-        b = flat[:, 1:, lo:hi]
+        a = phi[:, :-1, lo:hi]
+        b = phi[:, 1:, lo:hi]
         num = np.sqrt(np.mean((a - b) ** 2, axis=-1))
         denom = np.sqrt(0.5 * (np.mean(a**2, axis=-1) + np.mean(b**2, axis=-1))) + CONTRAST_EPS
         per_channel.append(num / denom)  # (W, M-1)
@@ -323,31 +298,24 @@ def local_representation_matrix(
 
 
 # ---------------------------------------------------------------------------
-# local features and the Zeng-style head
+# the Zeng-style head
 
 
-def assemble_local_features(blocks: np.ndarray, stats: np.ndarray) -> np.ndarray:
-    """Per-element feature vectors Phi (W, M, 63 + 5p): the seven diagram
-    blocks, then the subwindow stats."""
-    n_windows, m = blocks.shape[:2]
-    return np.concatenate([blocks.reshape(n_windows, m, -1), stats], axis=-1)
-
-
-def zeng_features(blocks: np.ndarray) -> np.ndarray:
+def zeng_features(phi: np.ndarray) -> np.ndarray:
     """Flat D0+/D0- path-diagram vectors (the first two LOCAL_BLOCKS) over the
     cover, (W, M * 2 * 9): the only input of the Zeng-style baseline."""
-    return blocks[:, :, :2, :].reshape(blocks.shape[0], -1)
+    return phi[:, :, : 2 * DIAGRAM_VECTOR_LEN].reshape(phi.shape[0], -1)
 
 
 def fit_local_head(
-    train_blocks: np.ndarray,
+    train_phi: np.ndarray,
     train_y: np.ndarray,
-    val_blocks: np.ndarray,
+    val_phi: np.ndarray,
     val_y: np.ndarray,
 ) -> RidgeModel:
     """The Zeng-style baseline head: Ridge on :func:`zeng_features`,
     lambda selected on validation."""
-    return ridge_fit(zeng_features(train_blocks), train_y, zeng_features(val_blocks), val_y)
+    return ridge_fit(zeng_features(train_phi), train_y, zeng_features(val_phi), val_y)
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,6 @@ class PersistenceDiagram:
     def finite_lifetimes(self) -> np.ndarray:
         return np.asarray([d - b for (b, d, _) in self.bars if np.isfinite(d)], dtype=np.float64)
 
-    def __len__(self) -> int:
-        return len(self.bars)
-
 
 class _ComplexTables(NamedTuple):
     """Static structure of the full 3-skeleton on n points, all in lexicographic order."""
@@ -283,15 +280,15 @@ def path_sublevel_h0(series) -> PersistenceDiagram:
 DIAGRAM_VECTOR_LEN = 9
 
 
-def vectorize_diagram(dgm: PersistenceDiagram) -> np.ndarray:
-    """Finite-lifetime statistics of one diagram as a fixed 9-vector.
+def vectorize_diagram(lifetimes) -> np.ndarray:
+    """The finite lifetimes of one diagram as a fixed 9-vector.
 
     Layout: top-4 lifetimes (descending, zero-padded), total persistence,
-    mean, population std, max, finite-bar count. Infinite bars contribute
-    nothing; an empty diagram maps to the zero vector. Bars of every
-    dimension count; pass ``dgm.in_dim(k)`` for one dimension.
+    mean, population std, max, finite-bar count. No lifetimes map to the
+    zero vector. Pass ``dgm.finite_lifetimes()``, or
+    ``dgm.in_dim(k).finite_lifetimes()`` for one dimension.
     """
-    lifetimes = dgm.finite_lifetimes()
+    lifetimes = np.asarray(lifetimes, dtype=np.float64)
     out = np.zeros(DIAGRAM_VECTOR_LEN, dtype=np.float64)
     if lifetimes.size == 0:
         return out

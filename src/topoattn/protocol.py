@@ -49,7 +49,6 @@ from .errors import CalibrationMissing, InvalidInput, TopoAttnError
 from .geometry import KernelSpec, pairwise_euclidean, pooled_sigma, stacked_euclidean, window_sigma
 from .local_residual import (
     LocalProjection,
-    assemble_local_features,
     build_cover,
     contrast_features,
     fit_local_head,
@@ -132,25 +131,37 @@ class RunResult:
 
 
 def parse_results_csv(path) -> list[RunResult]:
-    """Read a results.csv written by :func:`write_results_csv`."""
+    """Read a results.csv written by :func:`write_results_csv`.
+
+    A missing column raises :class:`InvalidInput` naming the file and the
+    columns; a bad value names the file and its 1-based data row.
+    """
+    path = Path(path)
     rows: list[RunResult] = []
-    with Path(path).open(newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append(
-                RunResult(
-                    dataset=row["dataset"],
-                    mode_id=row["mode"],
-                    seed=int(row["seed"]),
-                    split_offset=float(row["split_offset"]),
-                    val_rmse=float(row["val_rmse"]),
-                    test_rmse=float(row["test_rmse"]),
-                    test_mae=float(row["test_mae"]),
-                    alpha_loc=float(row["alpha_loc"]) if row["alpha_loc"] else None,
-                    penalty=float(row["lambda"]),
-                    strengths=json.loads(row["strengths_json"]),
-                    ledger_hash=row["ledger_hash"],
+    with path.open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in RESULT_HEADER.split(",") if c not in (reader.fieldnames or ())]
+        if missing:
+            raise InvalidInput(f"{path}: missing columns {', '.join(missing)}")
+        for row_num, row in enumerate(reader, start=1):
+            try:
+                rows.append(
+                    RunResult(
+                        dataset=row["dataset"],
+                        mode_id=row["mode"],
+                        seed=int(row["seed"]),
+                        split_offset=float(row["split_offset"]),
+                        val_rmse=float(row["val_rmse"]),
+                        test_rmse=float(row["test_rmse"]),
+                        test_mae=float(row["test_mae"]),
+                        alpha_loc=float(row["alpha_loc"]) if row["alpha_loc"] else None,
+                        penalty=float(row["lambda"]),
+                        strengths=json.loads(row["strengths_json"]),
+                        ledger_hash=row["ledger_hash"],
+                    )
                 )
-            )
+            except (TypeError, ValueError) as exc:
+                raise InvalidInput(f"{path}: row {row_num}: {exc}") from None
     return rows
 
 
@@ -285,8 +296,6 @@ class SplitContext:
         self.summary = window_summary(self.scaled)
         self.summary.flags.writeable = False
         self._stacks: dict = {}
-        self._blocks = None
-        self._stats = None
         self._aet: dict[int, AetParams] = {}
         self._local_phi = None
 
@@ -320,16 +329,11 @@ class SplitContext:
             self._aet[seed] = aet_calibrate(list(self.scaled[self.train_idx]), seed=seed)
         return self._aet[seed]
 
-    def local_blocks(self):
-        if self._blocks is None:
-            spec = KernelSpec(self.kernel_bandwidth)
-            self._blocks, self._stats = local_block_tensor(self.scaled, self.cover, spec)
-        return self._blocks, self._stats
-
-    def local_phi(self):
+    def local_phi(self) -> np.ndarray:
+        """Per-element local features of every window, (W, M, 63 + 5p)."""
         if self._local_phi is None:
-            blocks, stats = self.local_blocks()
-            self._local_phi = assemble_local_features(blocks, stats)
+            spec = KernelSpec(self.kernel_bandwidth)
+            self._local_phi = local_block_tensor(self.scaled, self.cover, spec)
         return self._local_phi
 
 
@@ -337,8 +341,8 @@ def _calibration_needs(modes: list[TopologyMode]) -> tuple[bool, bool, bool]:
     """(needs_aet, needs_kernel_scale, needs_local_projection) of a mode set."""
     needs_aet = any("AET" in m.channels for m in modes)
     needs_local = any(m.with_residual for m in modes)
-    uses_blocks = needs_local or any(m.mode_id.startswith("zeng") for m in modes)
-    needs_kernel = uses_blocks or any(c in RKHS_CHANNELS for m in modes for c in m.channels)
+    uses_phi = needs_local or any(m.mode_id.startswith("zeng") for m in modes)
+    needs_kernel = uses_phi or any(c in RKHS_CHANNELS for m in modes for c in m.channels)
     return needs_aet, needs_kernel, needs_local
 
 
@@ -486,9 +490,9 @@ def run_mode_detailed(
 
     if mode.mode_id.startswith("zeng"):
         # controlled baseline: flat D0+/D0- path blocks, nothing else
-        blocks, _stats = ctx.local_blocks()
-        ridge = fit_local_head(blocks[train_idx], train_y, blocks[val_idx], val_y)
-        feats = zeng_features(blocks)
+        phi = ctx.local_phi()
+        ridge = fit_local_head(phi[train_idx], train_y, phi[val_idx], val_y)
+        feats = zeng_features(phi)
         strengths, alpha_raw = {}, {}
     else:
         base_id = mode.mode_id[: -len("_resid")] if mode.with_residual else mode.mode_id
@@ -510,7 +514,7 @@ def run_mode_detailed(
             )
         key = ("_resid", seed)
         if key not in cache:
-            scores, cstats = contrast_features(ctx.local_blocks()[0])
+            scores, cstats = contrast_features(ctx.local_phi())
             rep = local_representation_matrix(ctx.local_phi(), calibration.local_projection, scores, cstats)
             head = ridge_fit(rep[train_idx], train_y, rep[val_idx], val_y)
             cache[key] = head, ridge_predict(head, rep[val_idx]), ridge_predict(head, rep[test_idx])

@@ -1,12 +1,14 @@
 """CLI: exit codes, determinism, config parsing, end-to-end run/audit."""
 
 import json
+import re
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from topoattn.cli import ExperimentConfig, main
+from topoattn.protocol import RESULT_HEADER
 
 
 def run_cli(*args):
@@ -117,15 +119,49 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "ims2.csv: row 42: rms/std/kurt are not all finite" in err
 
+    def test_resume_into_results_without_column_exit_1(self, tmp_path, capsys):
+        out = write_results(tmp_path / "runs", *NO_OFFSET)
+        code = run_cli(
+            "run", "--datasets", "stress", "--modes", "classical",
+            "--seeds", "1", "--offsets", "0.0", "--out", str(out),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "missing columns split_offset" in err
+
     def test_bad_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.txt"
         cfg.write_text("nonsense = 1\n")
         assert run_cli("run", "--config", str(cfg)) == 1
 
 
+def write_results(out, header, *rows):
+    out.mkdir()
+    (out / "results.csv").write_text("\n".join((header, *rows)) + "\n")
+    return out
+
+
+#: A results.csv header and row without the split_offset column.
+NO_OFFSET = (RESULT_HEADER.replace("split_offset,", ""), "stress,classical,1,0.5,0.6,0.4,,1.0,{},h")
+
+
 class TestAudit:
     def test_missing_results_exit_2(self, tmp_path, capsys):
         assert run_cli("audit", "--results", str(tmp_path)) == 2
+
+    def test_results_without_column_exit_1(self, tmp_path, capsys):
+        out = write_results(tmp_path / "runs", *NO_OFFSET)
+        assert run_cli("audit", "--results", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert str(out / "results.csv") in err and "missing columns split_offset" in err
+
+    def test_results_bad_value_names_row(self, tmp_path, capsys):
+        rows = ("stress,classical,1,0.0,0.5,0.6,0.4,,1.0,{},h", "stress,classical,2,0.0,0.5,0.6,0.4,,1.0,{bad,h")
+        out = write_results(tmp_path / "runs", RESULT_HEADER, *rows)
+        assert run_cli("audit", "--results", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{out / 'results.csv'}: row 2:" in err
 
     def test_audit_after_run(self, tmp_path, capsys):
         out = tmp_path / "runs"
@@ -172,6 +208,12 @@ class TestConfig:
         path = tmp_path / "cfg.txt"
         path.write_text(block)
         ExperimentConfig.from_file(path)  # the example parses as written
+
+    def test_bad_value_names_file_and_line(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("datasets = stress\nseeds = 1, x\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:2: bad value for 'seeds'")):
+            ExperimentConfig.from_file(path)
 
     def test_unknown_key_raises(self, tmp_path):
         path = tmp_path / "cfg.txt"

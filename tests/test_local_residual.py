@@ -1,4 +1,4 @@
-"""Cover construction, local diagrams, contrasts, projection, guarded blend."""
+"""Cover construction, local lifetimes and Phi, contrasts, projection, guarded blend."""
 
 import hashlib
 
@@ -16,18 +16,17 @@ from topoattn.local_residual import (
     FOCUS_BONUS,
     LOCAL_BLOCKS,
     POSITION_KAPPA,
-    assemble_local_features,
     build_cover,
     contrast_features,
     fit_local_head,
     fit_local_projection,
     guarded_blend,
     local_block_tensor,
-    local_diagrams,
+    local_lifetimes,
     local_representation_matrix,
     zeng_features,
 )
-from topoattn.persistence import capped_exact_diagrams
+from topoattn.persistence import DIAGRAM_VECTOR_LEN, capped_exact_diagrams, path_sublevel_h0
 from topoattn.protocol import SplitContext
 
 
@@ -63,41 +62,50 @@ class TestCover:
 
 
 class TestLocalDiagrams:
+    """The seven local diagrams of one cover element, as :func:`local_lifetimes` arrays."""
+
+    def test_matches_object_path(self):
+        # each array equals, bit for bit, the diagram-object computation;
+        # kh0-kh2 against the Rips bars of the directly computed Hilbert matrix
+        rng = np.random.default_rng(1)
+        for _ in range(60):
+            sub = rng.normal(size=(rng.integers(2, 17), rng.integers(1, 7)))
+            spec = KernelSpec(rng.uniform(0.5, 2.0))
+            d = pairwise_euclidean(sub)
+            d_h = np.sqrt(np.maximum(2.0 - 2.0 * np.exp(-(d * d) / (2.0 * spec.bandwidth**2)), 0.0))
+            euclid, kh = capped_exact_diagrams(d), capped_exact_diagrams(d_h)
+            expected = (
+                path_sublevel_h0(sub[:, 0]).finite_lifetimes(),
+                path_sublevel_h0(-sub[:, 0]).finite_lifetimes(),
+                euclid.in_dim(1).finite_lifetimes(),
+                euclid.in_dim(2).finite_lifetimes(),
+                *(kh.in_dim(dim).finite_lifetimes() for dim in range(3)),
+            )
+            got = local_lifetimes(sub, spec)
+            assert len(got) == len(expected)
+            for name, a, b in zip(LOCAL_BLOCKS, got, expected):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
     def test_constant_subwindow(self):
-        dgms = local_diagrams(np.zeros((8, 2)), KernelSpec(1.0))
-        assert len(dgms) == 7
-        d0 = dgms["d0_plus"].bars
-        assert len(d0) == 1 and not np.isfinite(d0[0][1])
-        for name in ("d1", "d2", "kh1", "kh2"):
-            assert dgms[name].finite_lifetimes().size == 0
+        lifetimes = dict(zip(LOCAL_BLOCKS, local_lifetimes(np.zeros((8, 2)), KernelSpec(1.0))))
+        assert len(lifetimes) == 7
+        for name in ("d0_plus", "d1", "d2", "kh1", "kh2"):
+            assert lifetimes[name].size == 0  # d0_plus keeps only its essential bar
 
     def test_seven_slots_always(self):
         rng = np.random.default_rng(0)
-        dgms = local_diagrams(rng.normal(size=(8, 3)), KernelSpec(0.7))
-        assert tuple(dgms) == LOCAL_BLOCKS
-
-    def test_kh_mapping_matches_direct_hilbert_computation(self):
-        rng = np.random.default_rng(1)
-        spec = KernelSpec(0.9)
-        for _ in range(10):
-            sub = rng.normal(size=(rng.integers(4, 12), 3))
-            dgms = local_diagrams(sub, spec)
-            d = pairwise_euclidean(sub)
-            d_h = np.sqrt(np.maximum(2.0 - 2.0 * np.exp(-(d * d) / (2.0 * spec.bandwidth**2)), 0.0))
-            direct = capped_exact_diagrams(d_h)
-            for dim, name in ((0, "kh0"), (1, "kh1"), (2, "kh2")):
-                assert dgms[name].bars == direct.in_dim(dim).bars
+        assert len(local_lifetimes(rng.normal(size=(8, 3)), KernelSpec(0.7))) == len(LOCAL_BLOCKS)
 
     def test_kh_differs_from_euclidean_generically(self):
         theta = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
         circle = 2.0 * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        dgms = local_diagrams(circle, KernelSpec(0.5))
-        assert len(dgms["d1"].bars) == 1 and len(dgms["kh1"].bars) == 1
-        assert dgms["kh1"].bars != dgms["d1"].bars  # values pass through g
+        lifetimes = dict(zip(LOCAL_BLOCKS, local_lifetimes(circle, KernelSpec(0.5))))
+        assert lifetimes["d1"].size == 1 and lifetimes["kh1"].size == 1
+        assert lifetimes["kh1"][0] != lifetimes["d1"][0]  # values pass through g
 
     def test_too_small_subwindow(self):
         with pytest.raises(InvalidInput):
-            local_diagrams(np.zeros((1, 2)), KernelSpec(1.0))
+            local_lifetimes(np.zeros((1, 2)), KernelSpec(1.0))
 
 
 def pair_contrast(a, b):
@@ -107,8 +115,8 @@ def pair_contrast(a, b):
     With M = 2 there is one adjacent pair, so each channel's mean and max
     contrast both equal that pair's contrast.
     """
-    blocks = np.stack([np.tile(a, (len(LOCAL_BLOCKS), 1)), np.tile(b, (len(LOCAL_BLOCKS), 1))])
-    _, stats = contrast_features(blocks[None])
+    phi = np.stack([np.tile(a, len(LOCAL_BLOCKS)), np.tile(b, len(LOCAL_BLOCKS))])
+    _, stats = contrast_features(phi[None])
     mean, peak = stats[0, 0::2], stats[0, 1::2]
     assert np.array_equal(mean, peak)
     return mean
@@ -141,27 +149,26 @@ class TestContrast:
             assert np.all((0.0 <= c) & (c <= 2.0 + 1e-9))
 
     def test_contrast_stats_shape_and_single_element(self):
-        blocks = np.random.default_rng(6).normal(size=(3, 1, 7, 9))
-        scores, stats = contrast_features(blocks)
+        phi = np.random.default_rng(6).normal(size=(3, 1, 7 * 9 + 5 * 2))
+        scores, stats = contrast_features(phi)
         assert scores.shape == (3, 1) and stats.shape == (3, 12)
         assert np.all(scores == 0.0) and np.all(stats == 0.0)
         assert len(CONTRAST_CHANNELS) == 6
 
 
 @pytest.fixture(scope="module")
-def small_blocks():
+def small_phi():
     rng = np.random.default_rng(7)
     windows = rng.normal(size=(30, 16, 2))
     cover = build_cover(16)
-    blocks, stats = local_block_tensor(windows, cover, KernelSpec(1.0))
+    phi = local_block_tensor(windows, cover, KernelSpec(1.0))
     targets = windows[:, -1, 0] + 0.1 * rng.normal(size=30)
-    return windows, blocks, stats, targets
+    return windows, phi, targets
 
 
 class TestRepresentation:
-    def test_feature_length_contract(self, small_blocks):
-        _, blocks, stats, _ = small_blocks
-        phi = assemble_local_features(blocks, stats)
+    def test_feature_length_contract(self, small_phi):
+        _, phi, _ = small_phi
         assert phi.shape[-1] == 7 * 9 + 5 * 2
 
     def test_single_element_pooled_equals_projection(self):
@@ -173,25 +180,23 @@ class TestRepresentation:
         z = ((phi - proj.feature_mean) / proj.feature_std) @ proj.proj
         assert np.allclose(rep[:, :16], z[:, 0, :], atol=1e-12)
 
-    def test_representation_width(self, small_blocks):
-        _, blocks, stats, targets = small_blocks
-        phi = assemble_local_features(blocks, stats)
+    def test_representation_width(self, small_phi):
+        _, phi, targets = small_phi
         proj = fit_local_projection(phi[:20], targets[:20], seed=0)
-        scores, cstats = contrast_features(blocks)
+        scores, cstats = contrast_features(phi)
         rep = local_representation_matrix(phi, proj, scores, cstats)
         assert rep.shape == (30, 16 + 12)
 
-    def test_single_window_wrapper(self, small_blocks):
-        _, blocks, stats, targets = small_blocks
-        phi = assemble_local_features(blocks, stats)
+    def test_single_window_wrapper(self, small_phi):
+        _, phi, targets = small_phi
         proj = fit_local_projection(phi[:20], targets[:20], seed=0)
-        scores, cstats = contrast_features(blocks)
+        scores, cstats = contrast_features(phi)
         # a window's representation does not depend on the rest of the batch
         one = local_representation_matrix(phi[:1], proj, scores[:1], cstats[:1])
         batch = local_representation_matrix(phi, proj, scores, cstats)
         assert np.allclose(one[0], batch[0], atol=1e-12)
 
-    def test_pooling_matches_inline_softmax(self, small_blocks):
+    def test_pooling_matches_inline_softmax(self, small_phi):
         def oracle(phi, projection, contrast_scores, contrast_stats):
             # the representation with its pooling softmax written inline: a
             # byte oracle for the pooling through attention.row_softmax
@@ -207,9 +212,8 @@ class TestRepresentation:
             pooled = np.einsum("wm,wmk->wk", weights, projected)
             return np.concatenate([pooled, contrast_stats], axis=-1)
 
-        _, blocks, stats, targets = small_blocks
-        phi = assemble_local_features(blocks, stats)
-        scores, cstats = contrast_features(blocks)
+        _, phi, targets = small_phi
+        scores, cstats = contrast_features(phi)
         rng = np.random.default_rng(11)
         cases = [(phi, targets, scores, cstats)]
         for _ in range(5):
@@ -220,19 +224,17 @@ class TestRepresentation:
             rep = local_representation_matrix(phi, proj, scores, cstats)
             assert rep.tobytes() == oracle(phi, proj, scores, cstats).tobytes()
 
-    def test_non_finite_pooling_logits_rejected(self, small_blocks):
-        _, blocks, stats, targets = small_blocks
-        phi = assemble_local_features(blocks, stats)
+    def test_non_finite_pooling_logits_rejected(self, small_phi):
+        _, phi, targets = small_phi
         proj = fit_local_projection(phi[:20], targets[:20], seed=0)
-        scores, cstats = contrast_features(blocks)
+        scores, cstats = contrast_features(phi)
         scores = scores.copy()
         scores[4, 1] = np.nan
         with pytest.raises(InvalidInput, match="non-finite"):
             local_representation_matrix(phi, proj, scores, cstats)
 
-    def test_deterministic(self, small_blocks):
-        _, blocks, stats, targets = small_blocks
-        phi = assemble_local_features(blocks, stats)
+    def test_deterministic(self, small_phi):
+        _, phi, targets = small_phi
         a = fit_local_projection(phi[:20], targets[:20], seed=3)
         b = fit_local_projection(phi[:20], targets[:20], seed=3)
         assert np.array_equal(a.proj, b.proj)
@@ -240,18 +242,19 @@ class TestRepresentation:
 
 
 class TestLocalHead:
-    def test_flat_restricted_equals_block_slices(self, small_blocks):
-        _, blocks, _, targets = small_blocks
+    def test_flat_restricted_equals_block_slices(self, small_phi):
+        _, phi, targets = small_phi
+
+        def block(i, name):
+            lo = LOCAL_BLOCKS.index(name) * DIAGRAM_VECTOR_LEN
+            return phi[:, i, lo : lo + DIAGRAM_VECTOR_LEN]
+
         expected = np.concatenate(
-            [
-                blocks[:, i, LOCAL_BLOCKS.index(name)]
-                for i in range(blocks.shape[1])
-                for name in ("d0_plus", "d0_minus")
-            ],
+            [block(i, name) for i in range(phi.shape[1]) for name in ("d0_plus", "d0_minus")],
             axis=1,
         )
-        assert np.array_equal(zeng_features(blocks), expected)
-        ridge = fit_local_head(blocks[:20], targets[:20], blocks[20:], targets[20:])
+        assert np.array_equal(zeng_features(phi), expected)
+        ridge = fit_local_head(phi[:20], targets[:20], phi[20:], targets[20:])
         assert ridge.weights.shape == (expected.shape[1],)
 
 
@@ -333,8 +336,11 @@ class TestGuardedBlend:
     ],
     ids=["cyclic", "shell"],
 )
-def test_local_blocks_byte_identical(gen, digest):
-    # digests of the local block tensor as a plain boundary-matrix reduction
-    # computes it; any persistence engine must reproduce them bit for bit
-    blocks, stats = SplitContext(gen(3, n_windows=40, n_tokens=16), 0.0).local_blocks()
+def test_local_phi_byte_identical(gen, digest):
+    # digests of the diagram-vector columns, then the subwindow-stat columns,
+    # of Phi as a plain boundary-matrix reduction computes them; any
+    # persistence engine must reproduce them bit for bit
+    phi = SplitContext(gen(3, n_windows=40, n_tokens=16), 0.0).local_phi()
+    n_blocks = len(LOCAL_BLOCKS) * DIAGRAM_VECTOR_LEN
+    blocks, stats = np.ascontiguousarray(phi[..., :n_blocks]), np.ascontiguousarray(phi[..., n_blocks:])
     assert hashlib.sha256(blocks.tobytes() + stats.tobytes()).hexdigest() == digest

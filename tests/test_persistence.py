@@ -354,22 +354,22 @@ class TestPathSublevel:
 
 class TestSummaries:
     def test_vectorize_empty(self):
-        assert np.array_equal(vectorize_diagram(PersistenceDiagram([])), np.zeros(9))
+        assert np.array_equal(vectorize_diagram(PersistenceDiagram([]).finite_lifetimes()), np.zeros(9))
 
     def test_vectorize_arithmetic(self):
         dgm = PersistenceDiagram([(0.0, 3.0, 1), (1.0, 2.0, 1)])
-        vec = vectorize_diagram(dgm)
+        vec = vectorize_diagram(dgm.finite_lifetimes())
         assert np.allclose(vec, [3, 1, 0, 0, 4, 2, 1, 3, 2])
 
     def test_infinite_bars_ignored(self):
         dgm = PersistenceDiagram([(0.0, np.inf, 0), (0.0, 3.0, 0), (1.0, 2.0, 0)])
-        with_inf = vectorize_diagram(dgm)
-        without = vectorize_diagram(PersistenceDiagram([(0.0, 3.0, 0), (1.0, 2.0, 0)]))
+        with_inf = vectorize_diagram(dgm.finite_lifetimes())
+        without = vectorize_diagram(PersistenceDiagram([(0.0, 3.0, 0), (1.0, 2.0, 0)]).finite_lifetimes())
         assert np.array_equal(with_inf, without)
 
     def test_dim_filter(self):
         dgm = PersistenceDiagram([(0.0, 3.0, 0), (0.0, 1.0, 1)])
-        assert vectorize_diagram(dgm.in_dim(1))[7] == 1.0
+        assert vectorize_diagram(dgm.in_dim(1).finite_lifetimes())[7] == 1.0
 
 
 def test_pairwise_euclidean_interop():

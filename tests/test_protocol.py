@@ -135,9 +135,9 @@ class TestRunMode:
 
 class TestZeng:
     def test_exactly_two_blocks_per_element(self, small_ctx, small_calib):
-        blocks, _ = small_ctx.local_blocks()
-        m = blocks.shape[1]
-        assert zeng_features(blocks).shape == (blocks.shape[0], m * 2 * 9)
+        phi = small_ctx.local_phi()
+        m = phi.shape[1]
+        assert zeng_features(phi).shape == (phi.shape[0], m * 2 * 9)
 
     def test_containment_restriction(self, small_ctx, small_calib):
         base = run_mode_detailed(small_ctx, BY_ID["zeng_local_h0"], 1, small_calib)[0]
