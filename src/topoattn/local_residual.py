@@ -92,20 +92,20 @@ def local_lifetimes(subwindow, spec: KernelSpec) -> tuple[np.ndarray, ...]:
     if tokens.ndim != 2 or tokens.shape[0] < 2:
         raise InvalidInput("local diagrams need a subwindow of at least 2 tokens")
     series = tokens[:, 0]
-    bars = np.array(capped_exact_diagrams(pairwise_euclidean(tokens)).bars).reshape(-1, 3)
-    ends = np.ascontiguousarray(bars[:, :2])
-    kh_ends = hilbert_distance(ends, spec.bandwidth)
-    rips, kh = ends[:, 1] - ends[:, 0], kh_ends[:, 1] - kh_ends[:, 0]
-    finite = np.isfinite(ends[:, 1])
-    h0, h1, h2 = (finite & (bars[:, 2] == dim) for dim in range(3))
+    bars = np.array(capped_exact_diagrams(pairwise_euclidean(tokens)).bars)
+    # the bars come sorted by dimension, with H0's one infinite bar last
+    # among the H0 bars, so each dimension's finite bars are one slice
+    h1, h2 = np.searchsorted(bars[:, 2], (1, 2))
+    kh_ends = hilbert_distance(bars[:, :2], spec.bandwidth)
+    rips, kh = bars[:, 1] - bars[:, 0], kh_ends[:, 1] - kh_ends[:, 0]
     return (
         path_sublevel_h0(series).finite_lifetimes(),
         path_sublevel_h0(-series).finite_lifetimes(),
-        rips[h1],
-        rips[h2],
-        kh[h0],
-        kh[h1],
-        kh[h2],
+        rips[h1:h2],
+        rips[h2:],
+        kh[: h1 - 1],
+        kh[h1:h2],
+        kh[h2:],
     )
 
 
@@ -121,12 +121,14 @@ def local_block_tensor(windows: np.ndarray, cover, spec: KernelSpec) -> np.ndarr
     windows = np.asarray(windows, dtype=np.float64)
     n_windows, _, p = windows.shape
     n_blocks = len(LOCAL_BLOCKS) * DIAGRAM_VECTOR_LEN
+    slots = [slice(lo, lo + DIAGRAM_VECTOR_LEN) for lo in range(0, n_blocks, DIAGRAM_VECTOR_LEN)]
     phi = np.zeros((n_windows, len(cover), n_blocks + N_WINDOW_STATS * p))
     for i, (start, stop) in enumerate(cover):
         subs = windows[:, start:stop]
         for w in range(n_windows):
-            vectors = [vectorize_diagram(x) for x in local_lifetimes(subs[w], spec)]
-            phi[w, i, :n_blocks] = np.concatenate(vectors)
+            row = phi[w, i]
+            for slot, lifetimes in zip(slots, local_lifetimes(subs[w], spec)):
+                row[slot] = vectorize_diagram(lifetimes)
         stats = (subs.mean(axis=1), subs.std(axis=1), subs.min(axis=1), subs.max(axis=1), subs[:, -1])
         phi[:, i, n_blocks:] = np.concatenate(stats, axis=1)
     return phi

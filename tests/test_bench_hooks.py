@@ -4,9 +4,10 @@
 rename or deletion in the library would make ``bench/run.py --trace 1``
 stop with an AttributeError; this test makes it fail here instead. The
 traced run also checks how often each wrapped layer is called
-(``EXPECTED_SPANS`` in ``bench/run.py``); the call-pattern test below
-checks the same counts on a small context, so a refactor that changes
-them fails here first. The predict-stream workload rebuilds a model from
+(``EXPECTED_SPANS`` in ``bench/run.py``); the call-pattern and
+persistence-count tests below check the same per-call patterns on a
+small context, so a refactor that changes them fails here first. The
+predict-stream workload rebuilds a model from
 the ``model_sink`` payload of ``run_mode_detailed``; the payload test
 below rebuilds it the same way and checks its predictions.
 """
@@ -95,6 +96,33 @@ def test_traced_call_pattern(traced_ctx):
     assert calls("predict", "topo_bias.stack.") == 0
     assert calls("zeng_local_h0", "local_residual.zeng_head") == 1
     assert calls("static_h0_resid", "local_residual.zeng_head") == 0
+
+
+def test_traced_persistence_counts():
+    # a 16-token window has three 8-point cover elements and one 16-point
+    # element; each element gets one engine call, two path-H0 calls and
+    # seven vectorize calls, the per-element pattern behind the persistence
+    # counts of EXPECTED_SPANS
+    ctx = protocol.SplitContext(gen_cyclic_h1(3, n_windows=80, n_tokens=16), 0.0)
+    n_windows = ctx.scaled.shape[0]
+    assert n_windows == 80 and [stop - start for start, stop in ctx.cover] == [8, 8, 8, 16]
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer()
+    try:
+        tracer_module.install_all_layers(tracer)
+        tracer.run_id = "phi"
+        ctx.local_phi()
+    finally:
+        tracer.restore()
+    assert tracer_module.span_counts(tracer, "phi") == {
+        "local_residual.block_tensor": 1,
+        "persistence.rips8": 240,
+        "persistence.rips16": 80,
+        "persistence.path_h0": 640,
+        "persistence.vectorize": 2240,
+    }
+    # 162 simplices of dimension 0-3 per 8-point call, 2516 per 16-point call
+    assert tracer.counter("phi", "persistence.simplices") == 240 * 162 + 80 * 2516
 
 
 def test_model_sink_payload_rebuilds_predictions(traced_ctx):

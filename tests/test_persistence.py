@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from itertools import combinations
 
+import reference_persistence as reference
 from topoattn import persistence
 from topoattn.errors import InvalidInput, InvalidParameter, TopoAttnError
 from topoattn.geometry import pairwise_euclidean
@@ -87,43 +88,56 @@ class TestRipsFiltration:
     def test_complete_triangle(self):
         d = np.ones((3, 3)) - np.eye(3)
         tables = _complex_tables(3)
-        assert [len(tables.edges), len(tables.tri_facets), len(tables.tet_facets)] == [3, 1, 0]
+        assert [len(tables.edges), tables.tri_facets.shape[1], tables.tet_facets.shape[1]] == [3, 1, 0]
         # the 2-simplex enters with its edges at 1, so the loop never lives
         assert capped_exact_diagrams(d).bars == [(0.0, 1.0, 0), (0.0, 1.0, 0), (0.0, np.inf, 0)]
 
     def test_complete_simplex_count_binomial_sum(self):
         for n in (2, 3, 4, 6, EXACT_POINT_CAP):
             tables = _complex_tables(n)
-            counts = [len(tables.edges), len(tables.tri_facets), len(tables.tet_facets)]
+            counts = [len(tables.edges), tables.tri_facets.shape[1], tables.tet_facets.shape[1]]
             assert counts == [comb(n, r) for r in range(2, 5)]
-            assert tables.edge_cofaces.shape == (comb(n, 2), n - 2)
-            assert tables.tri_cofaces.shape == (comb(n, 3), max(n - 3, 0))
+            # one row per facet or coface slot
+            assert tables.tri_facets.shape[0] == 3 and tables.tet_facets.shape[0] == 4
+            assert tables.edge_cofaces.shape == (n - 2, comb(n, 2))
+            assert tables.tri_cofaces.shape == (max(n - 3, 0), comb(n, 3))
 
     def test_faces_precede_cofaces(self):
         # each facet entry is one dimension down (its vertices are a subset
         # of the coface's, one fewer), the coface tables invert the facet
-        # tables, and so no facet's value exceeds its coface's: the stable
-        # per-dimension rank keeps the filtration a valid one
+        # tables, and so no facet's value exceeds its coface's; the packed
+        # keys (latest facet's key, index) order each dimension by value,
+        # so they refine the filtration into a valid one
         n = 7
         tables = _complex_tables(n)
-        tris = [tuple(sorted(set(tables.edges[f].ravel().tolist()))) for f in tables.tri_facets]
+        tri_facets, tet_facets = tables.tri_facets.T, tables.tet_facets.T
+        tris = [tuple(sorted(set(tables.edges[f].ravel().tolist()))) for f in tri_facets]
         assert tris == list(combinations(range(n), 3))
-        for t, facets in enumerate(tables.tri_facets):
+        for t, facets in enumerate(tri_facets):
             assert all(set(tables.edges[e].tolist()) < set(tris[t]) for e in facets)
-        for q, facets in enumerate(tables.tet_facets):
+        for q, facets in enumerate(tet_facets):
             verts = set().union(*(tris[t] for t in facets))
             assert len(verts) == 4 and all(set(tris[t]) < verts for t in facets)
             assert len(set(facets.tolist())) == 4
-        for faces, cofaces in ((tables.tri_facets, tables.edge_cofaces),
-                               (tables.tet_facets, tables.tri_cofaces)):
+        for faces, cofaces in ((tri_facets, tables.edge_cofaces.T),
+                               (tet_facets, tables.tri_cofaces.T)):
             incidences = {(f, c) for c, row in enumerate(faces.tolist()) for f in row}
             assert {(f, c) for f, row in enumerate(cofaces.tolist()) for c in row} == incidences
         d = euclidean_matrix(np.random.default_rng(4).integers(0, 3, size=(n, 2)).astype(float))
-        edge_vals = d[tables.edges[:, 0], tables.edges[:, 1]]
-        tri_vals = edge_vals[tables.tri_facets].max(axis=1)
-        tet_vals = tri_vals[tables.tet_facets].max(axis=1)
-        assert np.all(edge_vals[:, None] <= tri_vals[tables.edge_cofaces])
-        assert np.all(tri_vals[:, None] <= tet_vals[tables.tri_cofaces])
+        edge_vals = d.take(tables.upper)
+        assert np.array_equal(edge_vals, d[tables.edges[:, 0], tables.edges[:, 1]])
+        tri_vals = edge_vals[tri_facets].max(axis=1)
+        tet_vals = tri_vals[tet_facets].max(axis=1)
+        assert np.all(edge_vals[:, None] <= tri_vals[tables.edge_cofaces.T])
+        assert np.all(tri_vals[:, None] <= tet_vals[tables.tri_cofaces.T])
+        rank = np.empty(len(edge_vals), dtype=np.intp)
+        rank[np.argsort(edge_vals, kind="stable")] = np.arange(len(edge_vals))
+        edge_keys = persistence._packed(rank)
+        tri_keys = persistence._packed(edge_keys[tables.tri_facets].max(axis=0))
+        tet_keys = persistence._packed(tri_keys[tables.tet_facets].max(axis=0))
+        for vals, keys in ((edge_vals, edge_keys), (tri_vals, tri_keys), (tet_vals, tet_keys)):
+            assert len(set(keys.tolist())) == len(keys)
+            assert np.all(np.diff(vals[np.argsort(keys)]) >= 0.0)
 
     def test_cap_exceeded(self):
         far = np.zeros((41, 41))
@@ -281,11 +295,12 @@ class TestCohomologyEngine:
 
     @pytest.mark.parametrize("dim, n, table", [(1, 4, "edge_cofaces"), (2, 5, "tri_cofaces")])
     def test_vanishing_column_raises(self, monkeypatch, dim, n, table):
-        # the full 3-skeleton has no H1 or H2 class; identical coface rows
-        # make uncleared columns cancel, which only a broken engine can do
+        # the full 3-skeleton has no H1 or H2 class; giving every face the
+        # cofaces of face 0 makes uncleared columns cancel, which only a
+        # broken engine can do (the table holds one row per coface slot)
         real = persistence._complex_tables(n)
-        rows = getattr(real, table)
-        broken = real._replace(**{table: np.repeat(rows[:1], len(rows), axis=0)})
+        slots = getattr(real, table)
+        broken = real._replace(**{table: np.repeat(slots[:, :1], slots.shape[1], axis=1)})
         monkeypatch.setattr(persistence, "_complex_tables", lambda _n: broken)
         d = euclidean_matrix(np.random.default_rng(n).normal(size=(n, 3)))
         with pytest.raises(TopoAttnError, match=f"dimension-{dim} column"):
@@ -367,6 +382,12 @@ class TestSummaries:
         without = vectorize_diagram(PersistenceDiagram([(0.0, 3.0, 0), (1.0, 2.0, 0)]).finite_lifetimes())
         assert np.array_equal(with_inf, without)
 
+    def test_nan_and_negative_inf_deaths_ignored(self):
+        dgm = PersistenceDiagram([(0.0, np.nan, 0), (0.0, 3.0, 0), (0.0, -np.inf, 1), (1.0, 2.0, 0)])
+        assert dgm.finite_lifetimes().tolist() == [3.0, 1.0]
+        without = PersistenceDiagram([(0.0, 3.0, 0), (1.0, 2.0, 0)]).finite_lifetimes()
+        assert np.array_equal(vectorize_diagram(dgm.finite_lifetimes()), vectorize_diagram(without))
+
     def test_dim_filter(self):
         dgm = PersistenceDiagram([(0.0, 3.0, 0), (0.0, 1.0, 1)])
         assert vectorize_diagram(dgm.in_dim(1).finite_lifetimes())[7] == 1.0
@@ -377,3 +398,93 @@ def test_pairwise_euclidean_interop():
     dm = pairwise_euclidean(cloud)
     dgm = capped_exact_diagrams(dm)
     assert dgm.bars == [(0.0, 5.0, 0), (0.0, np.inf, 0)]
+
+
+def bar_bits(bars):
+    """Bars with each end as an exact hex string: equal iff the float bits are."""
+    assert all(type(b) is float and type(d) is float and type(k) is int for b, d, k in bars)
+    return [(float.hex(b), float.hex(d), k) for b, d, k in bars]
+
+
+class TestReferenceBytes:
+    """The rewritten functions return the bits of their reference bodies."""
+
+    def test_rips_bars_match_reference_bits(self):
+        rng = np.random.default_rng(41)
+        sizes = [8] * 70 + [16] * 70 + rng.integers(2, EXACT_POINT_CAP + 1, size=60).tolist()
+        for trial, n in enumerate(sizes):
+            if trial % 3 == 0:
+                cloud = rng.integers(0, 3, size=(n, 2)).astype(np.float64)  # many tied distances
+                cloud[-1] = cloud[0]
+            elif trial % 3 == 1:
+                cloud = np.round(rng.normal(size=(n, 3)), 1)
+            else:
+                cloud = rng.normal(size=(n, int(rng.integers(1, 4))))
+            d = pairwise_euclidean(cloud)
+            ours = capped_exact_diagrams(d).bars
+            assert bar_bits(ours) == bar_bits(reference.capped_exact_diagrams(d).bars), f"cloud {trial}"
+
+    def test_path_h0_matches_reference_bits(self):
+        rng = np.random.default_rng(43)
+        for trial in range(600):
+            length = int(rng.integers(1, 41))
+            if trial % 3 == 0:
+                series = rng.normal(size=length)
+            elif trial % 3 == 1:
+                # repeated values and plateaus, with both signed zeros
+                series = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=length)
+            else:
+                series = np.repeat(rng.normal(size=length), rng.integers(1, 4, size=length))[:length]
+            for x in (series, -series):
+                ours, ref = path_sublevel_h0(x), reference.path_sublevel_h0(x)
+                assert bar_bits(ours.bars) == bar_bits(ref.bars), f"series {trial}"
+                lifetimes = ours.finite_lifetimes()
+                assert lifetimes.dtype == np.float64
+                assert lifetimes.tobytes() == ref.finite_lifetimes().tobytes()
+
+    def test_vectorize_matches_reference_bytes_at_every_count(self):
+        # counts of 9 and more cross numpy's 8-lane unrolled sum
+        rng = np.random.default_rng(47)
+        for count in range(28):
+            for trial in range(40):
+                kind = trial % 4
+                if kind == 0:
+                    lifetimes = rng.random(count) * 10.0 ** rng.uniform(-12, 3)
+                elif kind == 1:
+                    lifetimes = rng.integers(0, 3, size=count).astype(np.float64)  # ties, zeros
+                elif kind == 2:
+                    lifetimes = 10.0 ** rng.uniform(-12, 3, size=count)
+                else:
+                    lifetimes = rng.choice([0.0, 1e-12, 0.25, 1e3], size=count)
+                ours = vectorize_diagram(lifetimes)
+                assert ours.dtype == np.float64 and ours.shape == (9,)
+                assert ours.tobytes() == reference.vectorize_diagram(lifetimes).tobytes(), (count, trial)
+
+
+class TestNonFiniteInput:
+    """Non-finite input raises instead of giving wrong persistence."""
+
+    def test_path_h0_infinite_value_raises(self):
+        # an infinite value would give a second infinite bar
+        with pytest.raises(InvalidInput):
+            path_sublevel_h0([0.0, np.inf, -1.0])
+
+    def test_path_h0_nan_raises(self):
+        # a NaN would drop the bar born at 1.0
+        with pytest.raises(InvalidInput):
+            path_sublevel_h0([0.0, np.nan, 1.0])
+
+    @pytest.mark.parametrize("lifetimes", [[np.inf, 1.0], [np.nan], [1.0, -np.inf]])
+    def test_vectorize_non_finite_raises(self, lifetimes):
+        with pytest.raises(InvalidInput):
+            vectorize_diagram(lifetimes)
+
+    def test_vectorize_overflowing_total_raises(self):
+        # finite lifetimes whose sum is not finite have no finite summary
+        with pytest.raises(InvalidInput), np.errstate(over="ignore"):
+            vectorize_diagram([1e308, 1e308])
+
+    @pytest.mark.parametrize("lifetimes", [np.ones((2, 3)), np.float64(1.0)])
+    def test_vectorize_not_1d_raises(self, lifetimes):
+        with pytest.raises(InvalidInput):
+            vectorize_diagram(lifetimes)
