@@ -81,7 +81,6 @@ from .persistence import (
     vectorize_diagram,
 )
 from .protocol import (
-    CampaignCache,
     CellCalibration,
     MODE_REGISTRY,
     RunResult,

@@ -96,10 +96,12 @@ def pairwise_euclidean(cloud) -> np.ndarray:
     """Euclidean distance matrix (N, N) of one N x p token cloud.
 
     Accepts N >= 2 tokens with finite entries. The result is exactly
-    symmetric with a zero diagonal.
+    symmetric with a zero diagonal, so it needs no :func:`symmetrize`:
+    ``cdist`` sums the squared coordinate differences of (i, j) and (j, i)
+    in one order, and x - x is exactly 0 for a finite x.
     """
     tokens = _as_tokens(cloud)
-    return symmetrize(cdist(tokens, tokens))
+    return cdist(tokens, tokens)
 
 
 def stacked_euclidean(windows: np.ndarray) -> np.ndarray:

@@ -161,13 +161,12 @@ def contrast_features(phi: np.ndarray):
         per_channel.append(num / denom)  # (W, M-1)
     contrasts = np.stack(per_channel, axis=-1)  # (W, M-1, 6)
     mean_adj = contrasts.mean(axis=-1)  # (W, M-1)
-    neighbor_count = np.zeros(m)
-    for pair in range(m - 1):
-        scores[:, pair] += mean_adj[:, pair]
-        scores[:, pair + 1] += mean_adj[:, pair]
-        neighbor_count[pair] += 1
-        neighbor_count[pair + 1] += 1
-    scores /= np.maximum(neighbor_count, 1.0)
+    # element k averages the contrasts of pairs k - 1 and k, where they exist
+    scores[:, :-1] += mean_adj
+    scores[:, 1:] += mean_adj
+    neighbor_count = np.full(m, 2.0)
+    neighbor_count[[0, -1]] = 1.0
+    scores /= neighbor_count
     stats[:, 0::2] = contrasts.mean(axis=1)
     stats[:, 1::2] = contrasts.max(axis=1)
     return scores, stats

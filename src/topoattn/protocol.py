@@ -266,8 +266,8 @@ class SplitContext:
     """Per (dataset, offset) working state: scaled windows and lazy caches.
 
     Everything cached here is a function of the window tensors alone
-    (never of any target), so contexts are shared across seeds and across
-    leakage-mutation reruns.
+    (never of any target), so the seeds of a fixed dataset share one
+    context within a campaign block.
     """
 
     def __init__(self, ds: WindowedDataset, offset: float):
@@ -587,51 +587,23 @@ def target_sanity_check(ds: WindowedDataset) -> tuple[bool, str]:
 # campaign
 
 
-def _content_key(ds: WindowedDataset) -> tuple:
-    """(name, sha256 of the window and target shapes and bytes): what a split
-    context depends on, besides the offset."""
-    digest = hashlib.sha256()
-    for a in (ds.windows, ds.targets):
-        a = np.ascontiguousarray(a)
-        digest.update(repr(a.shape).encode())
-        digest.update(a.tobytes())
-    return ds.name, digest.hexdigest()
-
-
-class CampaignCache:
-    """Reusable split contexts, keyed by the dataset's name and content and
-    the offset: every seed of a fixed dataset shares one context, and two
-    datasets with one name but other data never do."""
-
-    def __init__(self):
-        self.contexts: dict[tuple, SplitContext] = {}
-
-    def context(self, ds: WindowedDataset, offset: float) -> SplitContext:
-        key = (*_content_key(ds), offset)
-        if key not in self.contexts:
-            self.contexts[key] = SplitContext(ds, offset)
-        return self.contexts[key]
-
-
 def _run_split_block(
     source,
     offset: float,
     seeds,
     mode_ids,
     skip_rows: dict | None = None,
-    cache: CampaignCache | None = None,
 ):
     """All (seed, mode) runs for one (dataset, offset) split.
 
     ``source`` is a fixed :class:`WindowedDataset` or a builder(seed); a
     builder is called once per campaign seed so the seed dimension of the
     paired audit covers independent draws, while the seeds of a fixed
-    dataset share one split context (through ``cache`` when given). Every
-    key and file name comes from the built dataset's ``name``. Each cell
-    is calibrated for the requested modes and for the modes of its rows in
-    ``skip_rows``, so the ledger hash does not depend on which modes a
-    rerun asks for; a mode whose row is missing or carries another hash is
-    fitted. Returns
+    dataset share one split context, built here. Every key and file name
+    comes from the built dataset's ``name``. Each cell is calibrated for
+    the requested modes and for the modes of its rows in ``skip_rows``, so
+    the ledger hash does not depend on which modes a rerun asks for; a
+    mode whose row is missing or carries another hash is fitted. Returns
     (results, ledgers, skipped, files): ledgers map (dataset, seed, offset)
     to the serialized calibration and its hash, and files map a path
     relative to the output directory to its text, the model and
@@ -649,9 +621,7 @@ def _run_split_block(
             skipped[f"{ds.name}(seed={seed})"] = reason
             warnings.warn(f"dataset {ds.name} (seed {seed}) skipped: {reason}")
             continue
-        if cache is not None:
-            ctx = cache.context(ds, offset)
-        elif ctx is None or callable(source):
+        if ctx is None or callable(source):
             ctx = SplitContext(ds, offset)
         kept = {
             key[1]: row for key, row in (skip_rows or {}).items()
@@ -730,7 +700,6 @@ def run_campaign(
     offsets=SPLIT_OFFSETS,
     mode_ids=None,
     out_dir=None,
-    cache: CampaignCache | None = None,
     n_workers: int | None = None,
     existing: list[RunResult] | None = None,
 ):
@@ -745,11 +714,12 @@ def run_campaign(
     that hash, and each cell is calibrated for the modes of its existing
     rows too, so those rows keep their ledger. The (dataset, offset)
     blocks run in a pool of ``n_workers`` processes when that is above 1,
-    else in this process; ``cache`` lives in one process and so needs
-    ``n_workers=1``. Repeated seeds, offsets equal as numbers (0.0 and
-    -0.0 too) or sharing a file tag, and two datasets with one name raise
-    :class:`InvalidInput`; the last is seen when a block returns a cell an
-    earlier block returned, before its outputs are written.
+    else in this process; each block builds its own split contexts, so
+    no state carries from one call to the next. Repeated seeds, offsets
+    equal as numbers (0.0 and -0.0 too) or sharing a file tag, and two
+    datasets with one name raise :class:`InvalidInput`; the last is seen
+    when a block returns a cell an earlier block returned, before its
+    outputs are written.
 
     With ``out_dir``, outputs are written after each block, every file
     replaced atomically: ``results.csv`` and ``selected.csv`` from all
@@ -764,8 +734,6 @@ def run_campaign(
     if unknown:
         raise InvalidInput(f"unknown mode ids {unknown}; known: {sorted(MODE_ORDER)}")
     workers = max(1, n_workers or 1)
-    if cache is not None and workers > 1:
-        raise InvalidInput("a CampaignCache lives in one process; run it with n_workers=1")
     seeds = tuple(int(s) for s in seeds)  # file names and CSV cells print Python ints
     if len(set(seeds)) != len(seeds):
         raise InvalidInput(f"seeds {list(seeds)} repeat a seed; each cell would be fitted twice")
@@ -779,7 +747,7 @@ def run_campaign(
 
     prior = {r.key(): r for r in existing or ()}
     tasks = [
-        (source, offset, seeds, mode_ids, prior, cache)
+        (source, offset, seeds, mode_ids, prior)
         for source in datasets
         for offset in offsets
     ]

@@ -2,11 +2,15 @@
 
 Each test prints one `[criterion N] PASS` line on success (run with
 `pytest tests/test_acceptance.py -v -s` to see them live). The full
-synthetic campaign is executed once and shared; the leakage criterion
-reruns it on the same split contexts with their datasets' test targets
-zeroed, so the window-only feature caches are reused.
+synthetic campaign runs once, on two worker processes, and is shared.
+The leakage criterion reruns it from scratch, one campaign per split
+offset, on datasets whose test targets at that offset are zeroed, so
+every calibration, selection and feature is recomputed from the mutated
+data. Criteria 03-05 build their own offset-0 split contexts, once per
+(builder, seed).
 """
 
+import functools
 import time
 from dataclasses import replace
 
@@ -18,6 +22,7 @@ from topoattn.datasets import (
     SPLIT_OFFSETS,
     build_co2_windows,
     build_volatility_windows,
+    chronological_split,
     gen_cyclic_h1,
     gen_higher_topology,
     gen_shell_h2,
@@ -27,8 +32,8 @@ from topoattn import local_residual
 from topoattn.attention import TRAIN_PARAMS, temperature_loss_and_grads, init_attention_params
 from topoattn.persistence import capped_exact_diagrams
 from topoattn.protocol import (
-    CampaignCache,
     MODE_REGISTRY,
+    SplitContext,
     calibrate_cell,
     run_campaign,
     run_mode_detailed,
@@ -56,21 +61,35 @@ def report(criterion: int, message: str) -> None:
     print(f"\n[criterion {criterion:02d}] PASS - {message}")
 
 
+@functools.cache
+def offset0_context(builder, seed) -> SplitContext:
+    """The offset-0 split context of ``builder(seed)``, built once and
+    shared by criteria 03-05."""
+    return SplitContext(builder(seed), 0.0)
+
+
+def zeroed_test_targets(builder, offset, seed):
+    """``builder(seed)`` with the targets of its test rows at ``offset``
+    set to zero. Module-level, so a worker process can unpickle it."""
+    ds = builder(seed)
+    targets = ds.targets.copy()
+    targets[chronological_split(len(targets), offset)[2]] = 0.0
+    return replace(ds, targets=targets)
+
+
 @pytest.fixture(scope="session")
 def campaign_state(tmp_path_factory):
-    """Clean full-registry synthetic campaign, timed, with shared caches."""
+    """Clean full-registry synthetic campaign on two workers, timed."""
     out_dir = tmp_path_factory.mktemp("campaign")
-    cache = CampaignCache()
     start = time.perf_counter()
     results, ledgers = run_campaign(
-        [b for _, b in BUILDERS], seeds=SEEDS, offsets=SPLIT_OFFSETS, out_dir=out_dir, cache=cache, n_workers=1
+        [b for _, b in BUILDERS], seeds=SEEDS, offsets=SPLIT_OFFSETS, out_dir=out_dir, n_workers=2
     )
     elapsed = time.perf_counter() - start
     return {
         "results": results,
         "ledgers": ledgers,
         "elapsed": elapsed,
-        "cache": cache,
         "out_dir": out_dir,
     }
 
@@ -105,15 +124,13 @@ def test_criterion_02_known_shape_diagrams():
     report(2, "unit square H1=(1, sqrt2), two-point H0, empty equilateral H1")
 
 
-def test_criterion_03_preservation_bit_identical(campaign_state, monkeypatch):
+def test_criterion_03_preservation_bit_identical(monkeypatch):
     # no blend can beat an infinite margin, so every guard rejects
     monkeypatch.setattr(local_residual, "DELTA_LOC", np.inf)
-    cache = campaign_state["cache"]
     checked = 0
     for name, builder in BUILDERS:
         for seed in SEEDS:
-            ds = builder(seed)
-            ctx = cache.context(ds, 0.0)
+            ctx = offset0_context(builder, seed)
             calibration = calibrate_cell(ctx, seed)
             global_cache: dict = {}
             for base_id in ("classical", "static_h1"):
@@ -131,11 +148,9 @@ def test_criterion_03_preservation_bit_identical(campaign_state, monkeypatch):
     report(3, f"{checked} forced-rejection runs bit-identical to the global pipeline")
 
 
-def test_criterion_04_containment_reproduces_zeng(campaign_state):
-    cache = campaign_state["cache"]
+def test_criterion_04_containment_reproduces_zeng():
     for name, builder in BUILDERS:
-        ds = builder(1)
-        ctx = cache.context(ds, 0.0)
+        ctx = offset0_context(builder, 1)
         calibration = calibrate_cell(ctx, 1)
         _, zeng_pred = run_mode_detailed(ctx, BY_ID["zeng_local_h0"], 1, calibration)
         restricted = restricted_phi_refit(ctx)
@@ -144,14 +159,12 @@ def test_criterion_04_containment_reproduces_zeng(campaign_state):
     report(4, "restricting the residual's Phi to the D0+/- columns reproduces the Zeng baseline (max-abs <= 1e-8)")
 
 
-def test_criterion_05_temperature_gradients(campaign_state):
-    cache = campaign_state["cache"]
-    ds = gen_higher_topology(1)
-    ctx = cache.context(ds, 0.0)
+def test_criterion_05_temperature_gradients():
+    ctx = offset0_context(gen_higher_topology, 1)
     rng = np.random.default_rng(55)
     idx = rng.choice(len(ctx.train_idx), size=20, replace=False)
     windows = ctx.scaled[ctx.train_idx][idx]
-    targets = ds.targets[ctx.train_idx][idx]
+    targets = ctx.ds.targets[ctx.train_idx][idx]
     stacks_full = ctx.stacks_for(CHANNELS, seed=1)
     stacks = {c: stacks_full[c][ctx.train_idx][idx] for c in CHANNELS}
     attn = init_attention_params(windows.shape[2], seed=1)
@@ -179,24 +192,19 @@ def test_criterion_05_temperature_gradients(campaign_state):
 def test_criterion_06_no_leakage_mutation(campaign_state):
     clean_results = {r.key(): r for r in campaign_state["results"]}
     clean_ledgers = campaign_state["ledgers"]
-    # every fit reads its targets through ctx.ds, so each cached context gets
-    # a dataset whose test targets are zero; a fit that read a test target
-    # would then move a validation-side number below
-    contexts = list(campaign_state["cache"].contexts.values())
-    originals = [ctx.ds for ctx in contexts]
-    try:
-        for ctx, ds in zip(contexts, originals):
-            targets = ds.targets.copy()
-            targets[ctx.test_idx] = 0.0
-            ctx.ds = replace(ds, targets=targets)
-        mutated_results, mutated_ledgers = run_campaign(
-            [b for _, b in BUILDERS], seeds=SEEDS, offsets=SPLIT_OFFSETS,
-            cache=campaign_state["cache"], n_workers=1,
+    # the test rows depend on the offset, so each offset gets its own fresh
+    # campaign on datasets whose test targets there are zero; a fit that
+    # read a test target would then move a validation-side number below
+    mutated_results, mutated_ledgers = [], {}
+    for offset in SPLIT_OFFSETS:
+        rows, ledgers = run_campaign(
+            [functools.partial(zeroed_test_targets, b, offset) for _, b in BUILDERS],
+            seeds=SEEDS, offsets=(offset,), n_workers=2,
         )
-    finally:
-        for ctx, ds in zip(contexts, originals):
-            ctx.ds = ds
+        mutated_results += rows
+        mutated_ledgers.update(ledgers)
     assert set(clean_ledgers) == set(mutated_ledgers)
+    assert len(mutated_results) == len(clean_results)
     for key in clean_ledgers:
         assert clean_ledgers[key][0] == mutated_ledgers[key][0], f"ledger bytes changed for {key}"
         assert clean_ledgers[key][1] == mutated_ledgers[key][1], f"ledger hash changed for {key}"

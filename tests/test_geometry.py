@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from topoattn import geometry
 from topoattn.errors import InvalidInput, InvalidParameter
@@ -55,6 +56,17 @@ class TestPairwiseEuclidean:
                 expected = np.sqrt(((x[i] - x[j]) ** 2).sum())
                 assert abs(d[i, j] - expected) <= 1e-12
                 assert abs(stacked[i, j] - expected) <= 1e-12
+
+    def test_bytes_equal_symmetrized_cdist(self):
+        # cdist alone is exactly symmetric with a zero diagonal, so the
+        # symmetrize step the distances once went through changed no byte
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            n, p = int(rng.integers(2, 40)), int(rng.integers(1, 7))
+            x = rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-6, 6)
+            d = pairwise_euclidean(x)
+            assert d.tobytes() == symmetrize(cdist(x, x)).tobytes()
+            assert np.array_equal(d, d.T) and not d.diagonal().any()
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(1)

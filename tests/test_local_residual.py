@@ -148,6 +148,31 @@ class TestContrast:
             c = pair_contrast(a, b)
             assert np.all((0.0 <= c) & (c <= 2.0 + 1e-9))
 
+    def test_scores_match_neighbor_loop(self):
+        def loop_scores(phi):
+            # the per-pair loop the shifted sums replaced, kept as their oracle
+            m = phi.shape[1]
+            mean_adj = np.stack([
+                np.sqrt(np.mean((phi[:, :-1, lo:hi] - phi[:, 1:, lo:hi]) ** 2, axis=-1))
+                / (np.sqrt(0.5 * (np.mean(phi[:, :-1, lo:hi] ** 2, axis=-1)
+                                  + np.mean(phi[:, 1:, lo:hi] ** 2, axis=-1))) + local_residual.CONTRAST_EPS)
+                for lo, hi in CONTRAST_CHANNELS.values()
+            ], axis=-1).mean(axis=-1)
+            scores, count = np.zeros(phi.shape[:2]), np.zeros(m)
+            for pair in range(m - 1):
+                scores[:, pair] += mean_adj[:, pair]
+                scores[:, pair + 1] += mean_adj[:, pair]
+                count[pair] += 1
+                count[pair + 1] += 1
+            return scores / np.maximum(count, 1.0)
+
+        rng = np.random.default_rng(9)
+        for m in (1, 2, 3, 7, 10):
+            for _ in range(50):
+                phi = rng.normal(size=(4, m, 7 * 9 + 5 * 2)) * 10.0 ** rng.uniform(-3, 3)
+                scores, _ = contrast_features(phi)
+                assert scores.tobytes() == loop_scores(phi).tobytes()
+
     def test_contrast_stats_shape_and_single_element(self):
         phi = np.random.default_rng(6).normal(size=(3, 1, 7 * 9 + 5 * 2))
         scores, stats = contrast_features(phi)

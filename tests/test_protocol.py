@@ -13,7 +13,6 @@ from topoattn.errors import CalibrationMissing, InvalidInput, TopoAttnError
 from topoattn.local_residual import zeng_features
 from topoattn.persistence import DIAGRAM_VECTOR_LEN
 from topoattn.protocol import (
-    CampaignCache,
     MODE_REGISTRY,
     RESULT_HEADER,
     RunResult,
@@ -270,12 +269,11 @@ class TestCampaign:
         with pytest.raises(InvalidInput):
             run_campaign([gen_cyclic_h1(1, n_windows=60, n_tokens=16)], mode_ids=["nope"])
 
-    def test_cache_reuse_consistent(self, tmp_path):
+    def test_two_runs_give_equal_rows(self):
         datasets = [gen_shell_h2(2, n_windows=60, n_tokens=12)]
-        cache = CampaignCache()
         kwargs = dict(seeds=(1,), offsets=(0.0,), mode_ids=["classical", "static_h2"])
-        a, _ = run_campaign(datasets, cache=cache, **kwargs)
-        b, _ = run_campaign(datasets, cache=cache, **kwargs)
+        a, _ = run_campaign(datasets, **kwargs)
+        b, _ = run_campaign(datasets, **kwargs)
         assert sorted(map(lambda r: r.to_csv_fields(), a)) == sorted(map(lambda r: r.to_csv_fields(), b))
 
     def test_csv_roundtrip_preserves_rows(self, tmp_path):
@@ -368,8 +366,7 @@ def test_residual_stage_runs_once_per_cell(monkeypatch):
         assert alone.to_csv_fields() == result.to_csv_fields()
 
 
-@pytest.mark.parametrize("with_cache", [False, True])
-def test_fixed_dataset_shares_one_context_across_seeds(monkeypatch, with_cache):
+def test_fixed_dataset_shares_one_context_across_seeds(monkeypatch):
     from topoattn import protocol
 
     tensor = protocol.local_block_tensor
@@ -381,12 +378,9 @@ def test_fixed_dataset_shares_one_context_across_seeds(monkeypatch, with_cache):
 
     monkeypatch.setattr(protocol, "local_block_tensor", counting)
     ds = gen_cyclic_h1(3, n_windows=40, n_tokens=16)
-    cache = CampaignCache() if with_cache else None
-    results, _ = run_campaign([ds], seeds=(1, 2, 3), offsets=(0.0,), mode_ids=["zeng_local_h0"], cache=cache)
+    results, _ = run_campaign([ds], seeds=(1, 2, 3), offsets=(0.0,), mode_ids=["zeng_local_h0"])
     assert len(results) == 3
     assert len(calls) == 1
-    if with_cache:
-        assert len(cache.contexts) == 1
 
 
 def test_shared_context_rows_match_fresh_contexts():
@@ -399,27 +393,6 @@ def test_shared_context_rows_match_fresh_contexts():
         calibration = calibrate_cell(ctx, result.seed, [BY_ID[m] for m in modes])
         fresh, _ = run_mode_detailed(ctx, BY_ID[result.mode_id], result.seed, calibration, global_cache={})
         assert fresh.to_csv_fields() == result.to_csv_fields()
-
-
-def test_cache_keys_contexts_by_content():
-    a = gen_cyclic_h1(3, n_windows=40, n_tokens=16)
-    b = gen_cyclic_h1(4, n_windows=40, n_tokens=16)
-    csv_a = WindowedDataset("series", a.windows, a.targets, provenance="csv")
-    csv_b = WindowedDataset("series", b.windows, b.targets, provenance="csv")
-    cache = CampaignCache()
-    ctx_a = cache.context(csv_a, 0.0)
-    assert cache.context(csv_b, 0.0) is not ctx_a
-    assert cache.context(csv_b, 0.0).ds is csv_b
-    # equal content under the same name shares the context, whatever the object
-    again = WindowedDataset("series", a.windows.copy(), a.targets.copy(), provenance="csv")
-    assert cache.context(again, 0.0) is ctx_a
-    # one target changed, or another name, or another offset: another context
-    moved = a.targets.copy()
-    moved[-1] += 1.0
-    assert cache.context(WindowedDataset("series", a.windows, moved, provenance="csv"), 0.0) is not ctx_a
-    assert cache.context(WindowedDataset("other", a.windows, a.targets, provenance="csv"), 0.0) is not ctx_a
-    assert cache.context(csv_a, 0.05) is not ctx_a
-    assert len(cache.contexts) == 5
 
 
 SMALL_CYCLIC = partial(gen_cyclic_h1, n_windows=60, n_tokens=16)
@@ -448,12 +421,6 @@ def test_parallel_resume_matches_serial(tmp_path):
     )
     assert sorted(r.to_csv_fields() for r in resumed) == sorted(r.to_csv_fields() for r in serial)
     assert _tree_bytes(tmp_path / "pool") == _tree_bytes(tmp_path / "serial")
-
-
-def test_cache_with_workers_rejected():
-    with pytest.raises(InvalidInput, match="n_workers=1"):
-        run_campaign([SMALL_CYCLIC], seeds=(1,), offsets=(0.0, 0.05), mode_ids=["classical"],
-                     cache=CampaignCache(), n_workers=2)
 
 
 def test_pool_capped_at_block_count(monkeypatch):
