@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import CalibrationMissing, InvalidInput, TrainingDiverged
-from .geometry import KernelSpec, _as_tokens
+from .geometry import KernelSpec, _as_tokens, window_blocks
 # kept only so that bench/tracer.py can wrap attention.pairwise_euclidean
 from .geometry import pairwise_euclidean  # noqa: F401
 from .topo_bias import AetParams, RKHS_CHANNELS, bias_stacks
@@ -188,7 +188,23 @@ def forward_features(
 ) -> np.ndarray:
     """Biased logits -> row softmax -> pooled features (W, 5p): the one forward
     pass of the campaign, learned-eta validation and :func:`predict`.
-    ``summary`` is the windows' :func:`window_summary`, if already known."""
+    ``summary`` is the windows' :func:`window_summary`, if already known.
+
+    A stack of more than one :func:`~topoattn.geometry.window_blocks` block
+    runs one block at a time into one (W, 5p) output, so its (W, N, N)
+    temporaries never exist whole; a stack that fits in one block, such as
+    :func:`predict`'s stack of one, runs once on the arrays as given.
+    """
+    n_windows, n_tokens, p = windows.shape
+    blocks = window_blocks(n_windows, n_tokens)
+    if len(blocks) > 1:
+        out = np.empty((n_windows, 5 * p))
+        for b in blocks:
+            out[b] = forward_features(
+                windows[b], base[b], {c: m[b] for c, m in stacks.items()}, strengths,
+                summary=None if summary is None else summary[b],
+            )
+        return out
     return attention_feature_matrix(windows, row_softmax(biased_logits(base, stacks, strengths)), summary=summary)
 
 

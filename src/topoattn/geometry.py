@@ -87,9 +87,9 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 
 
 # Two Euclidean formulas stay on purpose: ``cdist`` for one window and the
-# ``einsum`` for a stack differ by 1 ulp on about 11% of the entries of the
-# cyclic and shell windows (seeds 1-10), and merging them would move the
-# campaign's pinned output digests.
+# stacked sum (the bits of an ``einsum``) differ by 1 ulp on about 11% of
+# the entries of the cyclic and shell windows (seeds 1-10), and merging them
+# would move the campaign's pinned output digests.
 
 
 def pairwise_euclidean(cloud) -> np.ndarray:
@@ -104,10 +104,68 @@ def pairwise_euclidean(cloud) -> np.ndarray:
     return cdist(tokens, tokens)
 
 
+#: Float64 entries of the largest (block, N, N) array a window block makes:
+#: 512 KB.
+BLOCK_ENTRIES = 2**16
+
+
+@functools.lru_cache(maxsize=64)
+def window_blocks(n_windows: int, n_tokens: int) -> tuple[slice, ...]:
+    """Contiguous slices covering ``n_windows`` windows of ``n_tokens`` tokens:
+    the fewest blocks of at most ``BLOCK_ENTRIES // n_tokens**2`` windows,
+    their sizes differing by at most one. A stack that fits in one block
+    gets one slice.
+
+    Every bias channel and every forward step works per window, so a stack
+    computed one block at a time has the bits of one computed whole, while
+    its (block, N, N) temporaries stay small. The one exception is a block
+    of a single window: numpy sums the (1, K) off-diagonal row of the
+    z-score pairwise, but the column-major (B, K) rows of a larger block one
+    entry at a time, so one window alone gets other bits. A block therefore
+    holds at least two windows of a larger stack, which above N = 128
+    (fewer than 4 windows to a block) can exceed the limit.
+    """
+    limit = max(1, BLOCK_ENTRIES // (n_tokens * n_tokens))
+    count = max(1, min(-(-n_windows // limit), n_windows // 2))
+    bounds = [n_windows * k // count for k in range(count + 1)]
+    return tuple(slice(start, stop) for start, stop in zip(bounds, bounds[1:]))
+
+
 def stacked_euclidean(windows: np.ndarray) -> np.ndarray:
-    """Euclidean distance matrices (W, N, N) of a (W, N, p) window stack."""
-    diff = windows[:, :, None, :] - windows[:, None, :, :]
-    return symmetrize(np.sqrt(np.einsum("wnmp,wnmp->wnm", diff, diff)))
+    """Euclidean distance matrices (W, N, N) of a (W, N, p) window stack,
+    computed one :func:`window_blocks` block at a time."""
+    n_windows, n_tokens, _ = windows.shape
+    blocks = window_blocks(n_windows, n_tokens)
+    if len(blocks) > 1:
+        out = np.empty((n_windows, n_tokens, n_tokens))
+        for b in blocks:
+            out[b] = stacked_euclidean(windows[b])
+        return out
+    return symmetrize(np.sqrt(_squared_distances(windows)))
+
+
+def _squared_distances(windows: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances (W, N, N): the bits of
+    ``einsum("wnmp,wnmp->wnm", diff, diff)`` over the pairwise differences.
+
+    For p = 2 and p = 3 the sum is written out in einsum's own order,
+    d0*d0 + d1*d1 and (d0*d0 + d2*d2) + d1*d1, one coordinate's differences
+    at a time, so the (W, N, N, p) difference array is never made. Any other
+    width goes through einsum.
+    """
+    p = windows.shape[-1]
+    if p not in (2, 3):
+        diff = windows[:, :, None, :] - windows[:, None, :, :]
+        return np.einsum("wnmp,wnmp->wnm", diff, diff)
+
+    def square(j):
+        d = windows[:, :, None, j] - windows[:, None, :, j]
+        return np.multiply(d, d, out=d)
+
+    out = square(0)
+    for j in (2, 1) if p == 3 else (1,):
+        out += square(j)
+    return out
 
 
 def hilbert_distance(d, bandwidth: float):

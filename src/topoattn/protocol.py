@@ -267,7 +267,10 @@ class SplitContext:
 
     Everything cached here is a function of the window tensors alone
     (never of any target), so the seeds of a fixed dataset share one
-    context within a campaign block.
+    context within a campaign block. Bias stacks can also leave the cache:
+    a single-KH static-grid search drops its stacks at the two bandwidths
+    other than the train kernel scale (:meth:`drop_stacks`), since no later
+    mode reads them, so each seed of a fixed dataset builds those again.
     """
 
     def __init__(self, ds: WindowedDataset, offset: float):
@@ -322,6 +325,15 @@ class SplitContext:
 
     def stacks_for(self, channels, seed: int, bandwidth: float | None = None) -> dict:
         return {c: self.stack_for(c, seed, bandwidth) for c in channels}
+
+    def drop_stacks(self, channel: str, seed: int) -> None:
+        """Forget ``channel``'s cached stacks at the bandwidths of the grid
+        other than the train kernel scale, whose stack later modes read."""
+        default = self.stack_key(channel, seed)
+        for bw in self.bandwidth_grid:
+            key = self.stack_key(channel, seed, bw)
+            if key != default:
+                self._stacks.pop(key, None)
 
     # -- train-only calibrations -------------------------------------------
     def aet_params(self, seed: int) -> AetParams:
@@ -423,6 +435,8 @@ def _fit_static(ctx: SplitContext, mode: TopologyMode, seed: int, fits: dict):
                     best = candidate
         per_channel[channel] = best
     if len(mode.channels) == 1:
+        # only this search reads a single KH channel at the other bandwidths
+        ctx.drop_stacks(mode.channels[0], seed)
         return per_channel[mode.channels[0]][1:]
 
     ranked = sorted(mode.channels, key=lambda c: (per_channel[c][0], mode.channels.index(c)))

@@ -27,6 +27,7 @@ from .geometry import (
     pooled_sigma,
     stacked_euclidean,
     symmetrize,
+    window_blocks,
     window_sigma,
     zscore_offdiagonal,
 )
@@ -220,9 +221,27 @@ def bias_stacks(
 
     AET channels require ``aet_params``; KH channels require ``kernel_spec``.
     ``euclidean`` is ``(stacked_euclidean(windows), its window_sigma)`` for
-    a caller that keeps them; without it they are computed here.
+    a caller that keeps them; without it they are computed here. A stack of
+    more than one :func:`~topoattn.geometry.window_blocks` block is built one
+    block at a time, its distances, sigmas and kernel-Hilbert distances too,
+    into one (W, N, N) output per channel, so no temporary of a formula
+    holds more than one block; each block is checked for finite, symmetric
+    entries.
     """
     windows = np.asarray(windows, dtype=np.float64)
+    n_windows, n_tokens = windows.shape[:2]
+    blocks = window_blocks(n_windows, n_tokens)
+    if len(blocks) > 1:
+        out = {c: np.empty((n_windows, n_tokens, n_tokens)) for c in channels}
+        for b in blocks:
+            block = bias_stacks(
+                windows[b], channels, aet_params, kernel_spec,
+                None if euclidean is None else (euclidean[0][b], euclidean[1][b]),
+            )
+            for channel, stack in out.items():
+                stack[b] = block[channel]
+        return out
+
     if euclidean is None:
         d = stacked_euclidean(windows)
         euclidean = d, window_sigma(d)

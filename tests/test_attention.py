@@ -27,7 +27,8 @@ from topoattn.attention import (
 )
 from topoattn.datasets import gen_cyclic_h1, gen_higher_topology
 from topoattn.errors import CalibrationMissing, InvalidInput, TrainingDiverged
-from topoattn.geometry import KernelSpec
+from topoattn import geometry
+from topoattn.geometry import KernelSpec, stacked_euclidean, symmetrize, window_blocks
 from topoattn.protocol import SplitContext
 from topoattn.topo_bias import CHANNELS, aet_calibrate, bias_stacks
 
@@ -478,6 +479,29 @@ class TestEinsumPins:
                         failures.append((n_windows, n_tokens, label))
         assert not failures, f"width {width}: differs from einsum at (W, N, input) {failures}"
 
+    @pytest.mark.parametrize("width", [2, 3, 6])
+    def test_stacked_euclidean_matches_einsum(self, width):
+        # widths 2 and 3 sum written-out squares, others run einsum per block
+        rng = np.random.default_rng(44)
+        failures = []
+        for n_windows in CAMPAIGN_WINDOWS:
+            for n_tokens in CAMPAIGN_TOKENS:
+                shape = (n_windows, n_tokens, width)
+                constant = rng.normal(size=shape)
+                constant[0] = -0.75  # a window of identical tokens
+                cases = {
+                    "normal": rng.normal(size=shape),
+                    "signed zeros": with_signed_zeros(rng, shape),
+                    "constant window": constant,
+                }
+                for label, windows in cases.items():
+                    diff = windows[:, :, None, :] - windows[:, None, :, :]
+                    squared = np.einsum("wnmp,wnmp->wnm", diff, diff)
+                    if not (same_bits(geometry._squared_distances(windows), squared)
+                            and same_bits(stacked_euclidean(windows), symmetrize(np.sqrt(squared)))):
+                        failures.append((n_windows, n_tokens, label))
+        assert not failures, f"width {width}: differs from einsum at (W, N, input) {failures}"
+
 
 def old_attention_logits_batch(windows, params):
     q, k = windows @ params.w_query, windows @ params.w_key
@@ -580,6 +604,31 @@ class TestSummaryPath:
         assert same_bits(attn.w_query, best["w_query"]) and same_bits(attn.w_key, best["w_key"])
         assert same_bits(np.array(info["val_history"]), np.array(history))
         assert info["epochs_run"] == len(history) - 1
+
+
+class TestWindowBlocks:
+    """forward_features runs one window block at a time; the bits are those of
+    the pass over the whole stack as one block."""
+
+    @pytest.mark.parametrize(("make", "n_windows"), [
+        (gen_higher_topology, 1), (gen_higher_topology, 65), (gen_higher_topology, 300),  # N = 32: at most 64 a block
+        (gen_cyclic_h1, 114), (gen_cyclic_h1, 260),  # N = 24: at most 113 a block
+    ])
+    def test_blocked_forward_matches_one_block(self, make, n_windows, monkeypatch):
+        windows = make(1).windows[:n_windows]
+        base = attention_logits_batch(windows, init_attention_params(windows.shape[2], 1))
+        stacks = bias_stacks(windows, ("H0", "H1", "KH2"), kernel_spec=KernelSpec(0.9))
+        strengths = {"H0": 0.25, "H1": 0.0, "KH2": 0.5}
+        summary = window_summary(windows)
+        softmax_calls = []
+        monkeypatch.setattr(attention, "row_softmax", lambda x: softmax_calls.append(1) or row_softmax(x))
+        for given in (None, summary):
+            one_block = attention_feature_matrix(
+                windows, row_softmax(biased_logits(base, stacks, strengths)), summary=given)
+            assert same_bits(forward_features(windows, base, stacks, strengths, summary=given), one_block)
+        blocks = window_blocks(*windows.shape[:2])
+        assert len(softmax_calls) == 2 * len(blocks)
+        assert (len(blocks) > 1) == (n_windows > 1)  # every case but W = 1 spans blocks
 
 
 class TestPredict:

@@ -363,3 +363,21 @@ class TestCachedTablesAndDirectFormulas:
         assert geometry._diagonal_index(4).tolist() == [0, 1, 2, 3]
         assert geometry._upper_index(3).tolist() == [1, 2, 5]
         assert geometry._off_diagonal_index(3).tolist() == [1, 2, 3, 5, 6, 7]
+
+
+def test_window_blocks_rule():
+    # the fewest blocks of at most 2**16 // N**2 windows (one (block, N, N)
+    # float64 array is at most 512 KB), sizes within one of each other, and
+    # never a single window of a larger stack
+    for n_tokens, limit in ((32, 64), (24, 113), (40, 40), (8, 1024), (300, 1)):
+        for n_windows in (1, 2, 3, limit, limit + 1, 2 * limit + 1, 300, 2555):
+            blocks = geometry.window_blocks(n_windows, n_tokens)
+            sizes = [b.stop - b.start for b in blocks]
+            assert blocks[0].start == 0 and blocks[-1].stop == n_windows
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            assert max(sizes) - min(sizes) <= 1
+            assert min(sizes) >= 2 or n_windows == 1
+            if limit >= 4:
+                assert max(sizes) <= limit and len(blocks) == -(-n_windows // limit)
+    assert geometry.window_blocks(300, 32) == tuple(slice(60 * k, 60 * k + 60) for k in range(5))
+    assert geometry.window_blocks(1, 32) == (slice(0, 1),)

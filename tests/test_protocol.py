@@ -1,6 +1,8 @@
 """Protocol orchestration: registry, calibration ledger, leakage discipline."""
 
 import json
+import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 
@@ -8,7 +10,9 @@ import numpy as np
 import pytest
 
 from topoattn.attention import ridge_fit, ridge_predict
-from topoattn.datasets import SPLIT_OFFSETS, chronological_split, gen_cyclic_h1, gen_shell_h2, WindowedDataset
+from topoattn.datasets import (
+    SPLIT_OFFSETS, chronological_split, gen_cyclic_h1, gen_higher_topology, gen_shell_h2, WindowedDataset,
+)
 from topoattn.errors import CalibrationMissing, InvalidInput, TopoAttnError
 from topoattn.local_residual import zeng_features
 from topoattn.persistence import DIAGRAM_VECTOR_LEN
@@ -393,6 +397,60 @@ def test_shared_context_rows_match_fresh_contexts():
         calibration = calibrate_cell(ctx, result.seed, [BY_ID[m] for m in modes])
         fresh, _ = run_mode_detailed(ctx, BY_ID[result.mode_id], result.seed, calibration, global_cache={})
         assert fresh.to_csv_fields() == result.to_csv_fields()
+
+
+def test_single_kh_search_drops_its_extra_bandwidth_stacks(monkeypatch):
+    # a shared context forgets the off-default KH0 stacks after each seed's
+    # static_kh0 search and builds them again for the next seed; the
+    # default-bandwidth stack, which static_hybrid reads, stays
+    from topoattn import protocol
+
+    stacks, tensor = protocol.bias_stacks, protocol.local_block_tensor
+    built, tensors = [], []
+
+    def counting_stacks(windows, channels, **kwargs):
+        spec = kwargs.get("kernel_spec")
+        built.append((channels, None if spec is None else spec.bandwidth))
+        return stacks(windows, channels, **kwargs)
+
+    monkeypatch.setattr(protocol, "bias_stacks", counting_stacks)
+    monkeypatch.setattr(protocol, "local_block_tensor", lambda *a, **k: tensors.append(1) or tensor(*a, **k))
+    ds = gen_cyclic_h1(3, n_windows=40, n_tokens=16)
+    modes = ["static_kh0", "static_kh0_resid", "static_hybrid"]
+    shared, shared_ledgers = run_campaign([ds], seeds=(1, 2), offsets=(0.0,), mode_ids=modes)
+    low, default, high = SplitContext(ds, 0.0).bandwidth_grid
+    assert Counter(bw for channels, bw in built if channels == ("KH0",)) == {low: 2, default: 1, high: 2}
+    assert len(tensors) == 1
+
+    monkeypatch.undo()
+    rows, ledgers = [], {}
+    for seed in (1, 2):
+        seed_rows, seed_ledgers = run_campaign([ds], seeds=(seed,), offsets=(0.0,), mode_ids=modes)
+        rows += seed_rows
+        ledgers.update(seed_ledgers)
+    assert sorted(r.to_csv_fields() for r in shared) == sorted(r.to_csv_fields() for r in rows)
+    assert shared_ledgers == ledgers
+
+
+def test_global_modes_peak_memory_bounded():
+    # the 12 global modes on one stress cell: every bias stack and forward
+    # pass works one window block at a time, and the single-KH searches drop
+    # their extra-bandwidth stacks; with whole-stack temporaries and every
+    # stack kept, the traced peak was 53 MiB
+    ds = gen_higher_topology(1)
+    modes = [m.mode_id for m in MODE_REGISTRY if not m.with_residual and not m.mode_id.startswith("zeng")]
+    assert len(modes) == 12
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        run_campaign([ds], seeds=(1,), offsets=(0.0,), mode_ids=modes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= 36 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 SMALL_CYCLIC = partial(gen_cyclic_h1, n_windows=60, n_tokens=16)

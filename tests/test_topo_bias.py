@@ -432,3 +432,23 @@ def test_sorted_median_is_np_median():
     for n in (1, 2, 3, 4, 5, 8, 24, 32):
         for x in (rng.normal(size=(50, n)), np.abs(np.round(rng.normal(size=(50, n)))), np.zeros((3, n))):
             assert topo_bias._median(x).tobytes() == np.median(x, axis=-1).tobytes()
+
+
+@pytest.mark.parametrize(("gen", "n_windows"), [
+    (gen_higher_topology, 1), (gen_higher_topology, 65), (gen_higher_topology, 300),  # N = 32: at most 64 a block
+    (gen_cyclic_h1, 114), (gen_cyclic_h1, 260),  # N = 24: at most 113 a block
+])
+def test_blocked_stacks_match_one_block(gen, n_windows):
+    # bias_stacks runs the formulas one window block at a time; the oracle
+    # runs them once on the whole stack
+    windows = gen(1).windows
+    params = aet_calibrate(list(windows[:50]), seed=1)
+    windows = windows[:n_windows]
+    spec = KernelSpec(0.9)
+    one_block = channel_branches_oracle(windows, CHANNELS, params, spec)
+    d = stacked_euclidean(windows)
+    computed = bias_stacks(windows, CHANNELS, aet_params=params, kernel_spec=spec)
+    given = bias_stacks(windows, CHANNELS, aet_params=params, kernel_spec=spec, euclidean=(d, window_sigma(d)))
+    for channel in CHANNELS:
+        assert computed[channel].tobytes() == one_block[channel].tobytes(), channel
+        assert given[channel].tobytes() == one_block[channel].tobytes(), channel
