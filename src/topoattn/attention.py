@@ -251,6 +251,29 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
+#: Largest run of entries each d_alpha partial sum covers (see
+#: :func:`_tree_sum`); 128 KB of float64 products.
+SUM_LEAF_ENTRIES = 2**14
+
+
+def _tree_sum(a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> float:
+    """``np.sum(a * b)`` over two flat arrays of n entries, with its bits,
+    using an at most :data:`SUM_LEAF_ENTRIES` product buffer ``scratch``.
+
+    numpy sums a contiguous array pairwise: it splits n entries at
+    n // 2 - (n // 2) % 8 and adds the sums of the two halves, down to runs
+    of at most 128. This function splits the same way, takes each run of at
+    most :data:`SUM_LEAF_ENTRIES` entries (a subtree of numpy's) with one
+    ``np.sum``, and adds the partial sums in the tree's order.
+    """
+    n = a.size
+    if n <= SUM_LEAF_ENTRIES:
+        return np.sum(np.multiply(a, b, out=scratch[:n]))
+    half = n // 2
+    half -= half % 8
+    return _tree_sum(a[:half], b[:half], scratch) + _tree_sum(a[half:], b[half:], scratch)
+
+
 def temperature_loss_and_grads(
     windows: np.ndarray,
     targets: np.ndarray,
@@ -266,25 +289,35 @@ def temperature_loss_and_grads(
     (wd/2) L2 on (alpha, W_Q, W_K, head weights), wd = TRAIN_WEIGHT_DECAY.
     ``summary`` is the windows' :func:`window_summary`, if already known.
     Returns (loss, grads) with grads keyed like ``params``.
+
+    The forward and backward passes run one
+    :func:`~topoattn.geometry.window_blocks` block at a time. The one whole
+    (W, N, N) array holds the attention, then d_logits, which each
+    channel's d_alpha sums over the whole stack (:func:`_tree_sum`).
     """
     alpha, w_query, w_key, head_w, head_b = (params[k] for k in TRAIN_PARAMS)
     n_windows, n_tokens, p = windows.shape
     weight_decay = TRAIN_WEIGHT_DECAY
     d_h = w_query.shape[1]
     scale = 1.0 / np.sqrt(d_h)
+    blocks = window_blocks(n_windows, n_tokens)
+    if summary is None:
+        summary = window_summary(windows)
 
     xq = windows @ w_query
     xk = windows @ w_key
-    # one (W, N, N) scratch array for the short-axis products, eta_c B_c,
-    # d_attn * attn, d_logits * B_c, d_logits * xk and d_logits * xq
-    product = np.empty((n_windows, n_tokens, n_tokens))
-    logits = _short_axis_products(xq, xk, product)
-    logits *= scale
     eta = _softplus(alpha)
-    for c, channel in enumerate(channels):
-        logits += np.multiply(stacks[channel], eta[c], out=product)
-    attn = row_softmax(logits)
-    feats = attention_feature_matrix(windows, attn, summary=summary)
+    attn = np.empty((n_windows, n_tokens, n_tokens))  # the attention, then d_logits
+    feats = np.empty((n_windows, 5 * p))
+    for b in blocks:
+        # one (block, N, N) scratch array for the short-axis products and eta_c B_c
+        product = np.empty(attn[b].shape)
+        logits = _short_axis_products(xq[b], xk[b], product)
+        logits *= scale
+        for c, channel in enumerate(channels):
+            logits += np.multiply(stacks[channel][b], eta[c], out=product)
+        attn[b] = row_softmax(logits)
+        feats[b] = attention_feature_matrix(windows[b], attn[b], summary=summary[b])
     resid = feats @ head_w + head_b - targets
     data_loss = float(np.mean(resid**2))
     reg = 0.5 * weight_decay * (
@@ -307,21 +340,30 @@ def temperature_loss_and_grads(
     dctx = np.repeat(df_mean[:, None, :] / n_tokens, n_tokens, axis=1)
     dctx[:, -1, :] += df_last
 
-    d_logits = _short_axis_products(dctx, windows, product)  # d_attn, turned into d_logits below
-    inner = np.sum(np.multiply(d_logits, attn, out=product), axis=-1, keepdims=True)
-    d_logits -= inner
-    d_logits *= attn
+    d_xq = np.empty_like(xq)
+    d_xk = np.empty_like(xk)
+    for b in blocks:
+        # the (block, N, N) scratch array takes d_attn * attn, d_logits * xk
+        # and d_logits * xq
+        a = attn[b]
+        product = np.empty(a.shape)
+        d_logits = _short_axis_products(dctx[b], windows[b], product)  # d_attn, turned into d_logits below
+        inner = np.sum(np.multiply(d_logits, a, out=product), axis=-1, keepdims=True)
+        d_logits -= inner
+        np.multiply(d_logits, a, out=a)
+        d_xq[b] = _products_by_column(a.transpose(0, 2, 1), xk[b], product)
+        d_xk[b] = _products_by_column(a, xq[b], product)
+    d_xq *= scale
+    d_xk *= scale
 
     d_alpha = np.empty_like(alpha)
     sig = expit(alpha)
+    flat = attn.reshape(-1)
+    scratch = np.empty(min(flat.size, SUM_LEAF_ENTRIES))
     for c, channel in enumerate(channels):
-        d_alpha[c] = np.sum(np.multiply(d_logits, stacks[channel], out=product)) * sig[c]
+        d_alpha[c] = _tree_sum(flat, stacks[channel].reshape(-1), scratch) * sig[c]
     d_alpha += weight_decay * alpha
 
-    d_xq = _products_by_column(d_logits.transpose(0, 2, 1), xk, product)
-    d_xq *= scale
-    d_xk = _products_by_column(d_logits, xq, product)
-    d_xk *= scale
     d_wq = np.einsum("wnp,wnd->pd", windows, d_xq) + weight_decay * w_query
     d_wk = np.einsum("wnp,wnd->pd", windows, d_xk) + weight_decay * w_key
     return loss, dict(zip(TRAIN_PARAMS, (d_alpha, d_wq, d_wk, d_head_w, d_head_b)))

@@ -13,7 +13,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import InvalidInput, InvalidParameter
 
@@ -33,10 +32,13 @@ class KernelSpec:
             raise InvalidParameter(f"kernel bandwidth must be finite and > 0, got {self.bandwidth}")
 
 
-def _as_tokens(cloud) -> np.ndarray:
+def _as_tokens(cloud, stacked: bool = False) -> np.ndarray:
+    """``cloud`` as a float64 N x p token matrix, or a W x N x p stack of
+    them if ``stacked``; N >= 2 and every entry finite."""
     tokens = np.asarray(cloud, dtype=np.float64)
-    if tokens.ndim != 2 or tokens.shape[0] < 2:
-        raise InvalidInput(f"token matrix must be N x p with N >= 2, got shape {tokens.shape}")
+    if tokens.ndim != 2 + stacked or tokens.shape[-2] < 2:
+        shape = "W x N x p" if stacked else "N x p"
+        raise InvalidInput(f"token matrix must be {shape} with N >= 2, got shape {tokens.shape}")
     if not np.isfinite(tokens).all():
         raise InvalidInput("token matrix contains non-finite entries")
     return tokens
@@ -86,22 +88,29 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return _zero_diagonal(0.5 * (m + np.swapaxes(m, -1, -2)))
 
 
-# Two Euclidean formulas stay on purpose: ``cdist`` for one window and the
-# stacked sum (the bits of an ``einsum``) differ by 1 ulp on about 11% of
-# the entries of the cyclic and shell windows (seeds 1-10), and merging them
-# would move the campaign's pinned output digests.
+# Two Euclidean formulas stay on purpose: the kernel bandwidth, the AET
+# adjacency scale and the local diagrams sum the squared coordinate
+# differences in column order (the bits of scipy's ``cdist``), while the
+# bias stacks keep einsum's order, in which p = 3 sums (d0^2 + d2^2) + d1^2.
+# They differ by 1 ulp on about 11% of the entries of the cyclic and shell
+# windows (seeds 1-10), and merging them would move the campaign's pinned
+# output digests.
 
 
 def pairwise_euclidean(cloud) -> np.ndarray:
-    """Euclidean distance matrix (N, N) of one N x p token cloud.
+    """Euclidean distance matrix (N, N) of one N x p token cloud, or the
+    (W, N, N) matrices of a (W, N, p) stack of them.
 
-    Accepts N >= 2 tokens with finite entries. The result is exactly
-    symmetric with a zero diagonal, so it needs no :func:`symmetrize`:
-    ``cdist`` sums the squared coordinate differences of (i, j) and (j, i)
-    in one order, and x - x is exactly 0 for a finite x.
+    Accepts N >= 2 tokens with finite entries. Each distance is the root of
+    the squared coordinate differences summed in column order 0, ..., p - 1,
+    the bits of ``scipy.spatial.distance.cdist``, and a stack gives each
+    window the bits of its own call. The result is exactly symmetric with a
+    zero diagonal, so it needs no :func:`symmetrize`: (i, j) and (j, i) sum
+    the same squares in one order, and x - x is exactly 0 for a finite x.
     """
-    tokens = _as_tokens(cloud)
-    return cdist(tokens, tokens)
+    tokens = _as_tokens(cloud, stacked=np.ndim(cloud) == 3)
+    out = _sum_of_squares(tokens, range(tokens.shape[-1]))
+    return np.sqrt(out, out=out)
 
 
 #: Float64 entries of the largest (block, N, N) array a window block makes:
@@ -118,12 +127,11 @@ def window_blocks(n_windows: int, n_tokens: int) -> tuple[slice, ...]:
 
     Every bias channel and every forward step works per window, so a stack
     computed one block at a time has the bits of one computed whole, while
-    its (block, N, N) temporaries stay small. The one exception is a block
-    of a single window: numpy sums the (1, K) off-diagonal row of the
-    z-score pairwise, but the column-major (B, K) rows of a larger block one
-    entry at a time, so one window alone gets other bits. A block therefore
-    holds at least two windows of a larger stack, which above N = 128
-    (fewer than 4 windows to a block) can exceed the limit.
+    its (block, N, N) temporaries stay small. A lone window gets those bits
+    too: the z-score sums each window's off-diagonal row in order, whatever
+    the stack's size. A block still holds at least two windows of a larger
+    stack, the block shapes the byte pins were made with; above N = 128
+    (fewer than 4 windows to a block) such a block can exceed the limit.
     """
     limit = max(1, BLOCK_ENTRIES // (n_tokens * n_tokens))
     count = max(1, min(-(-n_windows // limit), n_windows // 2))
@@ -157,14 +165,22 @@ def _squared_distances(windows: np.ndarray) -> np.ndarray:
     if p not in (2, 3):
         diff = windows[:, :, None, :] - windows[:, None, :, :]
         return np.einsum("wnmp,wnmp->wnm", diff, diff)
+    return _sum_of_squares(windows, (0, 2, 1) if p == 3 else (0, 1))
 
-    def square(j):
-        d = windows[:, :, None, j] - windows[:, None, :, j]
-        return np.multiply(d, d, out=d)
 
-    out = square(0)
-    for j in (2, 1) if p == 3 else (1,):
-        out += square(j)
+def _sum_of_squares(tokens: np.ndarray, columns) -> np.ndarray:
+    """Squared differences of every token pair, (..., N, N), of the token
+    matrices (..., N, p), summed over ``columns`` in the order given. Each
+    column's (..., N, N) differences are made, squared and added in turn, so
+    no (..., N, N, p) array is made."""
+    out = None
+    for j in columns:
+        d = tokens[..., :, None, j] - tokens[..., None, :, j]
+        np.multiply(d, d, out=d)
+        if out is None:
+            out = d
+        else:
+            out += d
     return out
 
 
@@ -214,14 +230,14 @@ def zscore_offdiagonal(m: np.ndarray) -> np.ndarray:
     """Standardize each matrix's off-diagonal entries to mean 0, population std 1.
 
     The diagonal is zero. A matrix whose off-diagonal std is below 1e-12
-    maps to the all-zero matrix. The mean and std are numpy's own formulas
-    written out (sum / count, then the root of the mean squared deviation),
-    so the bits are those of ``mean()`` and ``std()`` of the off-diagonal
-    entries.
+    maps to the all-zero matrix. The mean and std are numpy's formulas
+    (sum / count, then the root of the mean squared deviation) with each
+    sum taken in order, entry after entry (:func:`_sequential_sum`), so a
+    window gets the same bits alone as in a stack.
     """
     off = _off_diagonal_index(m.shape[-1])
     vals = _flat(m)[..., off]
-    mean = np.add.reduce(vals, axis=-1, keepdims=True) / off.size
+    mean = _sequential_sum(vals) / off.size
     std = _population_std(vals, mean, off.size)
     constant = std < 1e-12
     scaled = np.where(constant, 0.0, (vals - mean) / np.where(constant, 1.0, std))
@@ -230,10 +246,24 @@ def zscore_offdiagonal(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sequential_sum(vals: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, kept, each taken in order, entry after entry.
+
+    numpy's ``add.reduce`` sums the rows of a column-major stack this way,
+    all rows at once: the off-diagonal rows of two or more windows, as
+    indexing lays them out. It sums a lone row pairwise, so a lone row, or
+    rows in any other layout, is accumulated instead (about 3 us more for a
+    992-entry row).
+    """
+    if vals.size > vals.shape[-1] and vals.flags.f_contiguous:
+        return np.add.reduce(vals, axis=-1, keepdims=True)
+    return np.add.accumulate(vals, axis=-1)[..., -1:]
+
+
 def _population_std(vals: np.ndarray, mean: np.ndarray, count: int) -> np.ndarray:
-    """``vals.std(axis=-1, keepdims=True)`` given ``mean``, in numpy's own
-    steps and so with its bits: the squared deviations in one temporary,
-    summed, divided by ``count``, rooted.
+    """``vals.std(axis=-1, keepdims=True)`` given ``mean``, in numpy's steps:
+    the squared deviations in one temporary, summed in order
+    (:func:`_sequential_sum`), divided by ``count``, rooted.
 
     The temporary is freed on return, before the caller allocates its next
     array of that size, as with numpy's std; keeping the deviations alive
@@ -241,4 +271,4 @@ def _population_std(vals: np.ndarray, mean: np.ndarray, count: int) -> np.ndarra
     """
     dev = vals - mean
     np.multiply(dev, dev, out=dev)
-    return np.sqrt(np.add.reduce(dev, axis=-1, keepdims=True) / count)
+    return np.sqrt(_sequential_sum(dev) / count)

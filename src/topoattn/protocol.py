@@ -268,9 +268,10 @@ class SplitContext:
     Everything cached here is a function of the window tensors alone
     (never of any target), so the seeds of a fixed dataset share one
     context within a campaign block. Bias stacks can also leave the cache:
-    a single-KH static-grid search drops its stacks at the two bandwidths
-    other than the train kernel scale (:meth:`drop_stacks`), since no later
-    mode reads them, so each seed of a fixed dataset builds those again.
+    a single-KH static-grid search drops each of its stacks at the two
+    bandwidths other than the train kernel scale as soon as it has scored
+    it (:meth:`drop_stack`), since no later mode reads them, so each seed
+    of a fixed dataset builds those again.
     """
 
     def __init__(self, ds: WindowedDataset, offset: float):
@@ -283,8 +284,7 @@ class SplitContext:
         self.train_rows, self.val_rows = (slice(r.start, r.stop) for r in split[:2])
         self.scaler = fit_scaler(ds.windows[self.train_idx])
         self.scaled = apply_scaler(self.scaler, ds.windows)
-        train_scaled = self.scaled[self.train_idx]
-        self.kernel_bandwidth = pooled_sigma([pairwise_euclidean(w) for w in train_scaled])
+        self.kernel_bandwidth = pooled_sigma(pairwise_euclidean(self.scaled[self.train_rows]))
         self.bandwidth_grid = tuple(f * self.kernel_bandwidth for f in BANDWIDTH_FACTORS)
         self.cover = build_cover(ds.windows.shape[1])
         # the Euclidean distance tensor and window sigmas every bias stack
@@ -326,19 +326,17 @@ class SplitContext:
     def stacks_for(self, channels, seed: int, bandwidth: float | None = None) -> dict:
         return {c: self.stack_for(c, seed, bandwidth) for c in channels}
 
-    def drop_stacks(self, channel: str, seed: int) -> None:
-        """Forget ``channel``'s cached stacks at the bandwidths of the grid
-        other than the train kernel scale, whose stack later modes read."""
-        default = self.stack_key(channel, seed)
-        for bw in self.bandwidth_grid:
-            key = self.stack_key(channel, seed, bw)
-            if key != default:
-                self._stacks.pop(key, None)
+    def drop_stack(self, channel: str, seed: int, bandwidth: float) -> None:
+        """Forget ``channel``'s cached stack at ``bandwidth``, unless that is
+        the train kernel scale, whose stack later modes read."""
+        key = self.stack_key(channel, seed, bandwidth)
+        if key != self.stack_key(channel, seed):
+            self._stacks.pop(key, None)
 
     # -- train-only calibrations -------------------------------------------
     def aet_params(self, seed: int) -> AetParams:
         if seed not in self._aet:
-            self._aet[seed] = aet_calibrate(list(self.scaled[self.train_idx]), seed=seed)
+            self._aet[seed] = aet_calibrate(self.scaled[self.train_rows], seed=seed)
         return self._aet[seed]
 
     def local_phi(self) -> np.ndarray:
@@ -424,19 +422,21 @@ def _fit_static(ctx: SplitContext, mode: TopologyMode, seed: int, fits: dict):
         return zero[1:]
     per_channel = {}
     for channel in mode.channels:
-        bandwidths = ctx.bandwidth_grid if (channel in RKHS_CHANNELS and len(mode.channels) == 1) else (None,)
+        single_kh = channel in RKHS_CHANNELS and len(mode.channels) == 1
         best = zero
-        for bw in bandwidths:
+        for bw in ctx.bandwidth_grid if single_kh else (None,):
             for s in STRENGTH_GRID:
                 if s == 0.0:
                     continue
                 candidate = evaluate({channel: s}, bw)
                 if candidate[0] < best[0]:
                     best = candidate
+            if single_kh:
+                # only this search reads a single KH channel at the other
+                # bandwidths, so at most two of its stacks exist at a time
+                ctx.drop_stack(channel, seed, bw)
         per_channel[channel] = best
     if len(mode.channels) == 1:
-        # only this search reads a single KH channel at the other bandwidths
-        ctx.drop_stacks(mode.channels[0], seed)
         return per_channel[mode.channels[0]][1:]
 
     ranked = sorted(mode.channels, key=lambda c: (per_channel[c][0], mode.channels.index(c)))

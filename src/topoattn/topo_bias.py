@@ -157,18 +157,19 @@ def _aet_values(tokens: np.ndarray, d: np.ndarray, sigma: np.ndarray, params: Ae
     return symmetrize(bias)
 
 
-def aet_calibrate(train_clouds, seed: int = 0) -> AetParams:
+def aet_calibrate(train_windows, seed: int = 0) -> AetParams:
     """Fit AET directions, thresholds and temperatures on training windows.
 
-    Directions are the top principal axes of the pooled train tokens,
-    padded to :data:`AET_DIRECTIONS` with seeded random unit vectors;
-    thresholds are :data:`AET_THRESHOLDS` evenly spaced quantiles of the
-    train projections.
+    ``train_windows`` is a (W, N, p) stack, or a sequence of W equal-shape
+    N x p clouds. Directions are the top principal axes of the pooled train
+    tokens, padded to :data:`AET_DIRECTIONS` with seeded random unit
+    vectors; thresholds are :data:`AET_THRESHOLDS` evenly spaced quantiles
+    of the train projections.
     """
-    clouds = [_as_tokens(c) for c in train_clouds]
-    if len(clouds) == 0:
+    if len(train_windows) == 0:
         raise InvalidInput("AET calibration needs a nonempty training set")
-    pooled = np.concatenate(clouds, axis=0)
+    windows = _as_tokens(train_windows, stacked=True)
+    pooled = windows.reshape(-1, windows.shape[-1])
     p = pooled.shape[1]
 
     centered = pooled - pooled.mean(axis=0, keepdims=True)
@@ -197,7 +198,7 @@ def aet_calibrate(train_clouds, seed: int = 0) -> AetParams:
     thresholds = np.quantile(proj, levels, axis=0).T  # (R, Q)
     temperature = max(0.5 * float(np.std(proj)), 1e-6)
 
-    adjacency_scale = pooled_sigma([pairwise_euclidean(c) for c in clouds])
+    adjacency_scale = pooled_sigma(pairwise_euclidean(windows))
     return AetParams(
         directions=directions,
         thresholds=thresholds,

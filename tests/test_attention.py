@@ -1,8 +1,11 @@
 """Attention pipeline: logits, softmax, features, ridge, temperature training."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import reference_trainer
 from topoattn import attention
 from topoattn.attention import (
     AttentionParams,
@@ -629,6 +632,83 @@ class TestWindowBlocks:
         blocks = window_blocks(*windows.shape[:2])
         assert len(softmax_calls) == 2 * len(blocks)
         assert (len(blocks) > 1) == (n_windows > 1)  # every case but W = 1 spans blocks
+
+
+def trainer_inputs(n_windows, n_tokens, p, channels, rng, zero_head=False):
+    """Trainer inputs with signed zeros: windows and bias stacks as row
+    slices of larger arrays, as the campaign passes its train split."""
+    rows = slice(3, 3 + n_windows)
+    windows = with_signed_zeros(rng, (n_windows + 5, n_tokens, p))[rows]
+    stacks = {c: with_signed_zeros(rng, (n_windows + 5, n_tokens, n_tokens))[rows] for c in channels}
+    attn = init_attention_params(p, seed=5)
+    head_w = np.zeros(5 * p) if zero_head else rng.normal(scale=0.1, size=5 * p)
+    params = dict(zip(TRAIN_PARAMS, (
+        rng.normal(scale=0.5, size=len(channels)), attn.w_query, attn.w_key, head_w, 0.2,
+    )))
+    return windows, rng.normal(size=n_windows), stacks, params
+
+
+class TestBlockedTrainer:
+    """temperature_loss_and_grads runs one window block at a time and sums
+    each d_alpha leaf by leaf; loss and gradients keep the bits of the
+    whole-array reference body."""
+
+    @pytest.mark.parametrize(("shape", "channels"), [
+        ((210, 32, 2), CHANNELS),  # stress's train split, learned_eta_hybrid
+        ((45, 32, 2), ("H0", "H1")),
+        ((182, 24, 3), ("KH0", "KH1", "KH2")),
+        ((1, 32, 2), CHANNELS),  # one window: one block, one leaf
+        ((61, 40, 6), ("H0", "AET")),  # odd W at N = 40, einsum products
+        ((260, 24, 3), ("H2",)),
+        ((7, 16, 1), ()),
+    ])
+    def test_matches_whole_array_reference(self, shape, channels):
+        rng = np.random.default_rng(sum(shape))
+        for zero_head in (False, True):  # a zero head makes every d_logits entry a signed zero
+            windows, targets, stacks, params = trainer_inputs(*shape, channels, rng, zero_head)
+            kept = {k: np.copy(v) for k, v in params.items()}
+            kept_stacks = {c: b.copy() for c, b in stacks.items()}
+            windows_before = windows.copy()
+            for summary in (None, window_summary(windows)):
+                loss, grads = temperature_loss_and_grads(windows, targets, stacks, channels, params, summary)
+                ref_loss, ref_grads = reference_trainer.temperature_loss_and_grads(
+                    windows, targets, stacks, channels, params, summary)
+                assert same_bits(loss, ref_loss) and tuple(grads) == TRAIN_PARAMS
+                assert all(same_bits(grads[k], ref_grads[k]) for k in TRAIN_PARAMS), shape
+            assert all(same_bits(params[k], kept[k]) for k in TRAIN_PARAMS)
+            assert all(same_bits(stacks[c], kept_stacks[c]) for c in stacks)
+            assert same_bits(windows, windows_before)
+        assert len(window_blocks(*shape[:2])) == -(-shape[0] // max(1, 2**16 // shape[1] ** 2))
+
+    def test_tree_sum_matches_np_sum(self):
+        # every split of numpy's pairwise tree above SUM_LEAF_ENTRIES, and
+        # products that are all -0.0, whose np.sum is +0.0
+        rng = np.random.default_rng(61)
+        leaf = attention.SUM_LEAF_ENTRIES
+        for n in (1, 7, 129, leaf, leaf + 1, leaf + 8, 2 * leaf + 13, 210 * 32 * 32, 61 * 40 * 40):
+            a, b = with_signed_zeros(rng, n), rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, size=n)
+            scratch = np.empty(min(n, leaf))
+            assert same_bits(attention._tree_sum(a, b, scratch), np.sum(a * b)), n
+            zeros = np.full(n, -0.0)
+            assert same_bits(attention._tree_sum(zeros, np.abs(b), scratch), np.sum(zeros * np.abs(b)))
+
+    def test_step_peak_memory_bounded(self):
+        # one learned_eta_hybrid step at stress's train split: one whole
+        # (W, N, N) array (1.6 MiB) and block-sized temporaries; the
+        # whole-array body peaked at 7.2 MiB
+        windows, targets, stacks, params = trainer_inputs(210, 32, 2, CHANNELS, np.random.default_rng(62))
+        summary = window_summary(windows)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            temperature_loss_and_grads(windows, targets, stacks, CHANNELS, params, summary)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= 5 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 class TestPredict:

@@ -4,7 +4,13 @@ The batched helpers act on stacks of shape (..., N, N); most checks run
 them on a stack of one window.
 """
 
+import functools
+import operator
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +31,17 @@ from topoattn.geometry import (
     window_sigma,
     zscore_offdiagonal,
 )
+
+
+def test_import_loads_no_scipy_spatial():
+    # the distances are numpy's own; scipy.spatial (about 12 MB of every
+    # process) stays out of a fresh `import topoattn`
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, topoattn; print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'spatial']))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def kernel_oracle(x, ell):
@@ -68,6 +85,24 @@ class TestPairwiseEuclidean:
             assert d.tobytes() == symmetrize(cdist(x, x)).tobytes()
             assert np.array_equal(d, d.T) and not d.diagonal().any()
 
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_bytes_equal_cdist_alone_and_stacked(self, p):
+        # the columns summed in order 0, ..., p - 1 are the bits of cdist,
+        # which stays here as the oracle; a stack gives each cloud the bits
+        # of its own call
+        rng = np.random.default_rng(70 + p)
+        for n in (2, 3, 8, 16, 24, 40):
+            scale = 10.0 ** rng.uniform(-6, 6)
+            clouds = rng.normal(size=(5, n, p)) * scale
+            clouds[1][rng.random((n, p)) < 0.3] = 0.0
+            clouds[2][rng.random((n, p)) < 0.3] = -0.0
+            clouds[3] = clouds[3, 0]  # identical tokens
+            stacked = pairwise_euclidean(clouds)
+            assert stacked.shape == (5, n, n)
+            for cloud, d in zip(clouds, stacked):
+                expected = cdist(cloud, cloud).tobytes()
+                assert pairwise_euclidean(cloud).tobytes() == expected and d.tobytes() == expected
+
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(7, 2))
@@ -88,6 +123,13 @@ class TestPairwiseEuclidean:
         with pytest.raises(InvalidInput):
             pairwise_euclidean(np.array([[np.inf, 0.0], [0.0, 0.0]]))
         assert pairwise_euclidean(np.zeros((2, 3))).shape == (2, 2)
+        with pytest.raises(InvalidInput):
+            pairwise_euclidean(np.zeros((4, 1, 3)))
+        with pytest.raises(InvalidInput):
+            pairwise_euclidean(np.array([[[0.0, 0.0], [1.0, np.nan]]]))
+        with pytest.raises(InvalidInput):
+            pairwise_euclidean(np.zeros((2, 2, 2, 2)))
+        assert pairwise_euclidean(np.zeros((4, 2, 3))).shape == (4, 2, 2)
 
 
 class TestGaussianKernel:
@@ -295,6 +337,21 @@ def old_zscore_offdiagonal(m):
     return out
 
 
+def in_order_zscore_offdiagonal(m):
+    """old_zscore_offdiagonal of one (N, N) matrix with both sums taken in
+    order, entry after entry, in Python floats: the order in which numpy
+    sums the off-diagonal rows of a stack of two or more windows."""
+    n = m.shape[-1]
+    off = ~np.eye(n, dtype=bool)
+    vals = m[off]
+    mean = functools.reduce(operator.add, vals.tolist()) / vals.size
+    dev = vals - mean
+    std = np.sqrt(functools.reduce(operator.add, (dev * dev).tolist()) / vals.size)
+    out = np.zeros_like(m)
+    out[off] = 0.0 if std < 1e-12 else dev / std
+    return out
+
+
 ORACLE_WINDOWS = (1, 7, 300)
 ORACLE_TOKENS = (2, 3, 8, 16, 24, 32)
 
@@ -348,9 +405,13 @@ class TestCachedTablesAndDirectFormulas:
             cases += list(distance_stacks(n_windows, n_tokens, seed=n_tokens))
             for m in cases:
                 before = m.copy()
-                assert same_bits(zscore_offdiagonal(m), old_zscore_offdiagonal(m)), (n_windows, n_tokens)
+                z = zscore_offdiagonal(m)
+                if n_windows > 1:
+                    assert same_bits(z, old_zscore_offdiagonal(m)), (n_windows, n_tokens)
                 assert same_bits(symmetrize(m), old_symmetrize(m)), (n_windows, n_tokens)
-                assert same_bits(zscore_offdiagonal(m[0]), old_zscore_offdiagonal(m[0]))
+                # a lone window gets the bits it gets in a stack
+                single = in_order_zscore_offdiagonal(m[0])
+                assert same_bits(zscore_offdiagonal(m[0]), single) and same_bits(z[0], single)
                 assert same_bits(m, before)
 
     def test_tables_are_cached_and_read_only(self):

@@ -14,7 +14,7 @@ from scipy.stats import spearmanr
 
 from topoattn import topo_bias
 from topoattn.attention import window_bias_stack
-from topoattn.datasets import gen_cyclic_h1, gen_higher_topology
+from topoattn.datasets import gen_cyclic_h1, gen_higher_topology, gen_shell_h2
 from topoattn.errors import InvalidInput
 from topoattn.geometry import KernelSpec, hilbert_distance, pairwise_euclidean, stacked_euclidean, window_sigma
 from topoattn.topo_bias import (
@@ -322,19 +322,22 @@ class TestGlobalProperties:
             stack(random_cloud(22), "KH0")  # no KernelSpec
 
     def test_batched_stacks_match_single_window_ops(self):
-        # the campaign's batched stacks and predict's single-window stack agree
-        rng = np.random.default_rng(19)
-        windows = rng.normal(size=(4, 10, 3))
-        params = aet_calibrate(list(windows[:2]), seed=0)
+        # the campaign's batched stacks and predict's single-window stack
+        # agree bit for bit, at the campaign's shapes (300, 32, 2) and
+        # (260, 24, 3): the z-score sums a lone window's row in the order it
+        # sums a stack's
         spec = KernelSpec(1.1)
-        stacks = bias_stacks(windows, CHANNELS, aet_params=params, kernel_spec=spec)
-        for i in range(4):
-            single = window_bias_stack(windows[i], CHANNELS, aet_params=params, kernel_spec=spec)
-            assert tuple(single) == CHANNELS
-            for channel in CHANNELS:
-                assert np.allclose(stacks[channel][i], single[channel], atol=1e-12)
-            d = pairwise_euclidean(windows[i])
-            assert np.allclose(stacks["H1"][i], h1_oracle(d, sigma_oracle(d)), atol=1e-10)
+        for gen in (gen_higher_topology, gen_cyclic_h1, gen_shell_h2):
+            windows = gen(1).windows
+            params = aet_calibrate(windows[:150], seed=1)
+            stacks = bias_stacks(windows, CHANNELS, aet_params=params, kernel_spec=spec)
+            for i in range(0, len(windows), 7):
+                single = window_bias_stack(windows[i], CHANNELS, aet_params=params, kernel_spec=spec)
+                assert tuple(single) == CHANNELS
+                for channel in CHANNELS:
+                    assert stacks[channel][i].tobytes() == single[channel].tobytes(), (gen.__name__, i, channel)
+            d = pairwise_euclidean(windows[0])
+            assert np.allclose(stacks["H1"][0], h1_oracle(d, sigma_oracle(d)), atol=1e-10)
 
 
 def channel_branches_oracle(windows, channels, aet_params, kernel_spec):
