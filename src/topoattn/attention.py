@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import CalibrationMissing, InvalidInput, TrainingDiverged
-from .geometry import KernelSpec, _as_tokens, window_blocks
+from .geometry import KernelSpec, _as_tokens, row_blocks
 # kept only so that bench/tracer.py can wrap attention.pairwise_euclidean
 from .geometry import pairwise_euclidean  # noqa: F401
 from .topo_bias import AetParams, RKHS_CHANNELS, bias_stacks
@@ -190,13 +190,13 @@ def forward_features(
     pass of the campaign, learned-eta validation and :func:`predict`.
     ``summary`` is the windows' :func:`window_summary`, if already known.
 
-    A stack of more than one :func:`~topoattn.geometry.window_blocks` block
+    A stack of more than one :func:`~topoattn.geometry.row_blocks` block
     runs one block at a time into one (W, 5p) output, so its (W, N, N)
     temporaries never exist whole; a stack that fits in one block, such as
     :func:`predict`'s stack of one, runs once on the arrays as given.
     """
     n_windows, n_tokens, p = windows.shape
-    blocks = window_blocks(n_windows, n_tokens)
+    blocks = row_blocks(n_windows, n_tokens * n_tokens)
     if len(blocks) > 1:
         out = np.empty((n_windows, 5 * p))
         for b in blocks:
@@ -291,7 +291,7 @@ def temperature_loss_and_grads(
     Returns (loss, grads) with grads keyed like ``params``.
 
     The forward and backward passes run one
-    :func:`~topoattn.geometry.window_blocks` block at a time. The one whole
+    :func:`~topoattn.geometry.row_blocks` block at a time. The one whole
     (W, N, N) array holds the attention, then d_logits, which each
     channel's d_alpha sums over the whole stack (:func:`_tree_sum`).
     """
@@ -300,7 +300,7 @@ def temperature_loss_and_grads(
     weight_decay = TRAIN_WEIGHT_DECAY
     d_h = w_query.shape[1]
     scale = 1.0 / np.sqrt(d_h)
-    blocks = window_blocks(n_windows, n_tokens)
+    blocks = row_blocks(n_windows, n_tokens * n_tokens)
     if summary is None:
         summary = window_summary(windows)
 

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInput
+from .geometry import row_blocks
 from .protocol import _replace_file, _selected_cells, parse_results_csv, write_csv
 
 #: Name of the audited architecture in audit_summary.csv.
@@ -77,14 +78,21 @@ def unit_counts(units) -> tuple[int, int, int]:
 
 def bootstrap_ci(units, seed: int = 0) -> tuple[float, float]:
     """Percentile 95% interval of the mean relative reduction over
-    :data:`BOOTSTRAP_B` resamples of the units."""
+    :data:`BOOTSTRAP_B` resamples of the units.
+
+    The resamples are drawn one :func:`~topoattn.geometry.row_blocks` block
+    at a time; the generator's stream, and so every resample, is that of
+    one whole (resamples x units) draw.
+    """
     reductions = np.array([relative_reduction(u) for u in units], dtype=np.float64)
     n = len(reductions)
     if n == 0:
         raise InvalidInput("bootstrap needs at least one paired unit")
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n, size=(BOOTSTRAP_B, n))
-    means = reductions[idx].mean(axis=1)
+    means = np.empty(BOOTSTRAP_B)
+    for b in row_blocks(BOOTSTRAP_B, n):
+        idx = rng.integers(0, n, size=(b.stop - b.start, n))
+        means[b] = reductions[idx].mean(axis=1)
     lo, hi = np.percentile(means, [2.5, 97.5])
     return float(lo), float(hi)
 
@@ -117,6 +125,10 @@ def signflip_p(improvements, max_exact_n: int = MAX_EXACT_N, n_resamples: int = 
     p-value in (0, 1]. A 1e-12 relative slack on the comparison absorbs
     floating-point summation noise. ``improvements`` holds each unit's
     baseline minus guarded RMSE.
+
+    Enumerated or drawn, the sign assignments are made one
+    :func:`~topoattn.geometry.row_blocks` block at a time, so memory stays
+    at one block; the drawn stream is that of one whole draw.
     """
     d = np.asarray(improvements, dtype=np.float64)
     n = len(d)
@@ -125,26 +137,24 @@ def signflip_p(improvements, max_exact_n: int = MAX_EXACT_N, n_resamples: int = 
     observed = float(d.mean())
     slack = 1e-12 * max(1.0, abs(observed))
 
-    def exceeds(stats: np.ndarray) -> np.ndarray:
-        return np.abs(stats) >= abs(observed) - slack
-
-    if n <= max_exact_n:
-        total = 1 << n
-        count = 0
+    exact = n <= max_exact_n
+    if exact:
+        draws = 1 << n
         bit_positions = np.arange(n, dtype=np.uint64)
-        chunk = 1 << 16
-        for start in range(0, total, chunk):
-            masks = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-            signs = (((masks[:, None] >> bit_positions) & 1) * 2.0 - 1.0)
-            stats = signs @ d / n
-            count += int(exceeds(stats).sum())
-        return count / total
-
-    rng = np.random.default_rng(seed)
-    signs = rng.integers(0, 2, size=(n_resamples, n)) * 2.0 - 1.0
-    stats = signs @ d / n
-    count = int(exceeds(stats).sum())
-    return (1 + count) / (n_resamples + 1)
+    else:
+        draws = n_resamples
+        rng = np.random.default_rng(seed)
+    count = 0
+    for b in row_blocks(draws, n):
+        if exact:  # row k flips the units at the set bits of k
+            flips = (np.arange(b.start, b.stop, dtype=np.uint64)[:, None] >> bit_positions) & 1
+        else:
+            flips = rng.integers(0, 2, size=(b.stop - b.start, n))
+        stats = (flips * 2.0 - 1.0) @ d / n
+        count += int(np.count_nonzero(np.abs(stats) >= abs(observed) - slack))
+    if exact:
+        return count / draws
+    return (1 + count) / (draws + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -113,43 +113,47 @@ def pairwise_euclidean(cloud) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-#: Float64 entries of the largest (block, N, N) array a window block makes:
-#: 512 KB.
+#: Float64 entries of the largest block a blocked loop makes: 512 KB.
 BLOCK_ENTRIES = 2**16
 
 
 @functools.lru_cache(maxsize=64)
-def window_blocks(n_windows: int, n_tokens: int) -> tuple[slice, ...]:
-    """Contiguous slices covering ``n_windows`` windows of ``n_tokens`` tokens:
-    the fewest blocks of at most ``BLOCK_ENTRIES // n_tokens**2`` windows,
-    their sizes differing by at most one. A stack that fits in one block
-    gets one slice.
+def row_blocks(n_rows: int, row_entries: int) -> tuple[slice, ...]:
+    """Contiguous slices covering ``n_rows`` rows of ``row_entries`` entries:
+    the fewest blocks of at most ``BLOCK_ENTRIES // row_entries`` rows (at
+    least one row each), their sizes differing by at most one. Rows that fit
+    in one block get one slice.
 
-    Every bias channel and every forward step works per window, so a stack
-    computed one block at a time has the bits of one computed whole, while
-    its (block, N, N) temporaries stay small. A lone window gets those bits
-    too: the z-score sums each window's off-diagonal row in order, whatever
-    the stack's size. A block still holds at least two windows of a larger
-    stack, the block shapes the byte pins were made with; above N = 128
-    (fewer than 4 windows to a block) such a block can exceed the limit.
+    Every loop over rows whose rows are independent runs one block at a
+    time: the window stacks (a window of N tokens is a row of N * N
+    entries), whose bias channels and forward steps work per window, and the
+    audit's resamples (a draw of n units is a row of n entries). A blocked
+    result has the bits of one computed whole, while the temporaries stay
+    at one block's size.
     """
-    limit = max(1, BLOCK_ENTRIES // (n_tokens * n_tokens))
-    count = max(1, min(-(-n_windows // limit), n_windows // 2))
-    bounds = [n_windows * k // count for k in range(count + 1)]
+    limit = max(1, BLOCK_ENTRIES // row_entries)
+    count = max(1, -(-n_rows // limit))
+    bounds = [n_rows * k // count for k in range(count + 1)]
     return tuple(slice(start, stop) for start, stop in zip(bounds, bounds[1:]))
 
 
 def stacked_euclidean(windows: np.ndarray) -> np.ndarray:
     """Euclidean distance matrices (W, N, N) of a (W, N, p) window stack,
-    computed one :func:`window_blocks` block at a time."""
+    computed one :func:`row_blocks` block at a time.
+
+    The result is exactly symmetric with a zero diagonal without a
+    :func:`symmetrize` pass: (i, j) and (j, i) sum the same squares in one
+    order, and x - x is exactly 0 for a finite x.
+    """
     n_windows, n_tokens, _ = windows.shape
-    blocks = window_blocks(n_windows, n_tokens)
+    blocks = row_blocks(n_windows, n_tokens * n_tokens)
     if len(blocks) > 1:
         out = np.empty((n_windows, n_tokens, n_tokens))
         for b in blocks:
             out[b] = stacked_euclidean(windows[b])
         return out
-    return symmetrize(np.sqrt(_squared_distances(windows)))
+    out = _squared_distances(windows)
+    return np.sqrt(out, out=out)
 
 
 def _squared_distances(windows: np.ndarray) -> np.ndarray:

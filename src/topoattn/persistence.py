@@ -274,6 +274,18 @@ def path_sublevel_h0(series) -> PersistenceDiagram:
 
 #: Length of the per-diagram feature vector.
 DIAGRAM_VECTOR_LEN = 9
+#: Lifetimes below this magnitude have a finite total and squared deviation
+#: sum for any count that fits in memory: (2e100)^2 * 2^64 < 1.8e308.
+_SAFE_LIFETIME = 1e100
+
+
+def _sum_and_spread(lifetimes: np.ndarray) -> tuple[float, float]:
+    """The total of ``lifetimes`` and the sum of their squared deviations
+    from the mean, in numpy's steps for ``sum`` and ``std``."""
+    total = float(np.add.reduce(lifetimes))
+    deviation = lifetimes - total / lifetimes.size
+    deviation *= deviation
+    return total, float(np.add.reduce(deviation))
 
 
 def vectorize_diagram(lifetimes) -> np.ndarray:
@@ -285,8 +297,9 @@ def vectorize_diagram(lifetimes) -> np.ndarray:
     ``dgm.in_dim(k).finite_lifetimes()`` for one dimension. The total,
     mean and std take numpy's own summation steps, so each entry has the
     bits of ``sum``, ``mean`` and ``std``. Lifetimes that are not 1-D,
-    or whose total is not finite (a non-finite entry, or finite entries
-    whose sum overflows), raise :class:`InvalidInput`.
+    or whose total or summed squared deviation is not finite (a non-finite
+    entry, or finite entries whose sums overflow), raise
+    :class:`InvalidInput`, and no floating-point warning escapes.
     """
     lifetimes = np.asarray(lifetimes, dtype=np.float64)
     if lifetimes.ndim != 1:
@@ -294,14 +307,16 @@ def vectorize_diagram(lifetimes) -> np.ndarray:
     count = lifetimes.size
     if count == 0:
         return np.zeros(DIAGRAM_VECTOR_LEN)
-    total = float(np.add.reduce(lifetimes))
-    if not math.isfinite(total):
-        raise InvalidInput("lifetimes must be finite with a finite total")
     ranked = np.sort(lifetimes)
+    top = ranked[:-5:-1].tolist()  # descending: a NaN, sorted last, comes first
+    if top[0] < _SAFE_LIFETIME and ranked[0] > -_SAFE_LIFETIME:
+        total, spread = _sum_and_spread(lifetimes)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            total, spread = _sum_and_spread(lifetimes)
+        if not (math.isfinite(total) and math.isfinite(spread)):
+            raise InvalidInput("lifetimes must be finite, with finite sums")
     mean = total / count
-    deviation = lifetimes - mean
-    deviation *= deviation
-    std = math.sqrt(float(np.add.reduce(deviation)) / count)
-    top = ranked[:-5:-1].tolist()
+    std = math.sqrt(spread / count)
     top += [0.0] * (4 - len(top))
     return np.array([*top, total, mean, std, top[0], float(count)])

@@ -25,9 +25,9 @@ from .geometry import (
     hilbert_distance,
     pairwise_euclidean,
     pooled_sigma,
+    row_blocks,
     stacked_euclidean,
     symmetrize,
-    window_blocks,
     window_sigma,
     zscore_offdiagonal,
 )
@@ -71,6 +71,11 @@ class AetParams:
 
 # ---------------------------------------------------------------------------
 # channel values; d has shape (..., N, N), sigma broadcasts over (...)
+#
+# H0 and H2 are elementwise in the symmetric distances and radii, then
+# z-scored with a zero diagonal, so they come out exactly symmetric and need
+# no symmetrize pass. H1's batched matmul and AET's einsum sum (i, j) and
+# (j, i) in other orders, so those two are symmetrized.
 
 
 def _h0_values(d: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -78,7 +83,7 @@ def _h0_values(d: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     acc = np.zeros_like(d)
     for w, f in zip(H0_WEIGHTS, H0_SCALES):
         acc += w * np.exp(-(d * d) / (2.0 * (f * s) ** 2))
-    return symmetrize(zscore_offdiagonal(acc))
+    return zscore_offdiagonal(acc)
 
 
 def _soft_adjacency_values(d: np.ndarray, eps, tau) -> np.ndarray:
@@ -127,7 +132,7 @@ def _h2_values(d: np.ndarray, tokens: np.ndarray, sigma: np.ndarray) -> np.ndarr
     diff = radii[..., :, None] - radii[..., None, :]
     gauss = np.exp(-(diff * diff) / (2.0 * scale[..., None, None] ** 2))
     rho = 0.5 * (sparsity[..., :, None] + sparsity[..., None, :])
-    return symmetrize(zscore_offdiagonal(gauss * rho))
+    return zscore_offdiagonal(gauss * rho)
 
 
 #: The H0/H1/H2 formulas over (distances, sigmas, windows). KHk is the Hk
@@ -223,7 +228,7 @@ def bias_stacks(
     AET channels require ``aet_params``; KH channels require ``kernel_spec``.
     ``euclidean`` is ``(stacked_euclidean(windows), its window_sigma)`` for
     a caller that keeps them; without it they are computed here. A stack of
-    more than one :func:`~topoattn.geometry.window_blocks` block is built one
+    more than one :func:`~topoattn.geometry.row_blocks` block is built one
     block at a time, its distances, sigmas and kernel-Hilbert distances too,
     into one (W, N, N) output per channel, so no temporary of a formula
     holds more than one block; each block is checked for finite, symmetric
@@ -231,7 +236,7 @@ def bias_stacks(
     """
     windows = np.asarray(windows, dtype=np.float64)
     n_windows, n_tokens = windows.shape[:2]
-    blocks = window_blocks(n_windows, n_tokens)
+    blocks = row_blocks(n_windows, n_tokens * n_tokens)
     if len(blocks) > 1:
         out = {c: np.empty((n_windows, n_tokens, n_tokens)) for c in channels}
         for b in blocks:

@@ -31,7 +31,7 @@ from topoattn.attention import (
 from topoattn.datasets import gen_cyclic_h1, gen_higher_topology
 from topoattn.errors import CalibrationMissing, InvalidInput, TrainingDiverged
 from topoattn import geometry
-from topoattn.geometry import KernelSpec, stacked_euclidean, symmetrize, window_blocks
+from topoattn.geometry import KernelSpec, row_blocks, stacked_euclidean, symmetrize
 from topoattn.protocol import SplitContext
 from topoattn.topo_bias import CHANNELS, aet_calibrate, bias_stacks
 
@@ -609,6 +609,11 @@ class TestSummaryPath:
         assert info["epochs_run"] == len(history) - 1
 
 
+def wide_cyclic(seed):
+    """Three cyclic windows of 150 tokens: 2**16 // 150**2 = 2 windows a block."""
+    return gen_cyclic_h1(seed, n_windows=3, n_tokens=150)
+
+
 class TestWindowBlocks:
     """forward_features runs one window block at a time; the bits are those of
     the pass over the whole stack as one block."""
@@ -616,6 +621,7 @@ class TestWindowBlocks:
     @pytest.mark.parametrize(("make", "n_windows"), [
         (gen_higher_topology, 1), (gen_higher_topology, 65), (gen_higher_topology, 300),  # N = 32: at most 64 a block
         (gen_cyclic_h1, 114), (gen_cyclic_h1, 260),  # N = 24: at most 113 a block
+        (wide_cyclic, 3),  # N = 150: at most 2 a block, so blocks of 1 and 2
     ])
     def test_blocked_forward_matches_one_block(self, make, n_windows, monkeypatch):
         windows = make(1).windows[:n_windows]
@@ -629,7 +635,7 @@ class TestWindowBlocks:
             one_block = attention_feature_matrix(
                 windows, row_softmax(biased_logits(base, stacks, strengths)), summary=given)
             assert same_bits(forward_features(windows, base, stacks, strengths, summary=given), one_block)
-        blocks = window_blocks(*windows.shape[:2])
+        blocks = row_blocks(n_windows, windows.shape[1] ** 2)
         assert len(softmax_calls) == 2 * len(blocks)
         assert (len(blocks) > 1) == (n_windows > 1)  # every case but W = 1 spans blocks
 
@@ -661,6 +667,7 @@ class TestBlockedTrainer:
         ((61, 40, 6), ("H0", "AET")),  # odd W at N = 40, einsum products
         ((260, 24, 3), ("H2",)),
         ((7, 16, 1), ()),
+        ((3, 150, 2), CHANNELS),  # N = 150: blocks of 1 and 2
     ])
     def test_matches_whole_array_reference(self, shape, channels):
         rng = np.random.default_rng(sum(shape))
@@ -678,7 +685,7 @@ class TestBlockedTrainer:
             assert all(same_bits(params[k], kept[k]) for k in TRAIN_PARAMS)
             assert all(same_bits(stacks[c], kept_stacks[c]) for c in stacks)
             assert same_bits(windows, windows_before)
-        assert len(window_blocks(*shape[:2])) == -(-shape[0] // max(1, 2**16 // shape[1] ** 2))
+        assert len(row_blocks(shape[0], shape[1] ** 2)) == -(-shape[0] // max(1, 2**16 // shape[1] ** 2))
 
     def test_tree_sum_matches_np_sum(self):
         # every split of numpy's pairwise tree above SUM_LEAF_ENTRIES, and
@@ -757,6 +764,12 @@ class TestPredict:
         model2.kernel_spec = None
         with pytest.raises(CalibrationMissing):
             predict(np.random.default_rng(21).normal(size=(8, 2)), model2)
+
+    def test_no_ridge_head(self):
+        model = self.make_model({})
+        model.ridge = None
+        with pytest.raises(CalibrationMissing, match="no fitted ridge head"):
+            predict(np.random.default_rng(25).normal(size=(8, 2)), model)
 
     def test_aet_prediction_works_with_calibration(self):
         rng = np.random.default_rng(22)

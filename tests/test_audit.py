@@ -1,10 +1,13 @@
 """Paired audit statistics: exactness, determinism, invariances."""
 
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import reference_audit
 from topoattn import audit
 from topoattn.audit import (
     PairedUnit,
@@ -19,6 +22,7 @@ from topoattn.audit import (
     unit_counts,
 )
 from topoattn.errors import InvalidInput
+from topoattn.protocol import RESULT_HEADER
 
 
 def unit(baseline, guarded, dataset="d", seed=1, offset=0.0):
@@ -91,6 +95,11 @@ class TestEffectSize:
         assert effect_size_dz(imps) == pytest.approx(-effect_size_dz(-imps))
 
 
+    def test_all_zero_improvements_give_zero(self):
+        with pytest.warns(UserWarning, match="zero-variance"):
+            assert effect_size_dz(np.zeros(4)) == 0.0
+
+
 class TestSignFlip:
     def test_exact_all_positive_equal(self):
         p = signflip_p(np.full(10, 0.3))
@@ -118,6 +127,77 @@ class TestSignFlip:
         rng = np.random.default_rng(7)
         d = rng.normal(size=11)
         assert signflip_p(d) == signflip_p(17.0 * d)
+
+
+def improvements_and_units(n, seed, tied):
+    """n paired units and their improvements; ``tied`` rounds both RMSEs to
+    two decimals, so that improvement magnitudes and reductions tie."""
+    rmse = np.random.default_rng(1000 * n + seed).uniform(0.2, 1.0, size=(n, 2))
+    if tied:
+        rmse = np.round(rmse, 2)
+    units = [unit(b, g) for b, g in rmse]
+    return np.array([u.baseline_rmse - u.guarded_rmse for u in units]), units
+
+
+class TestBlockedDraws:
+    """signflip_p and bootstrap_ci draw one row block at a time; their values
+    are those of the whole-matrix bodies in reference_audit."""
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+    def test_exact_and_forced_monte_carlo_match_reference(self, tied):
+        for n in range(1, 21):
+            for seed in (0, 3):
+                d, units = improvements_and_units(n, seed, tied)
+                if seed == 0:
+                    assert signflip_p(d) == reference_audit.signflip_p(d), n  # exact
+                assert (signflip_p(d, max_exact_n=0, seed=seed)
+                        == reference_audit.signflip_p(d, max_exact_n=0, seed=seed)), (n, seed)
+                assert bootstrap_ci(units, seed=seed) == reference_audit.bootstrap_ci(units, seed=seed), (n, seed)
+
+    @pytest.mark.parametrize("n", [21, 27, 63, 189])
+    def test_monte_carlo_matches_reference(self, n):
+        # the reference's whole 189-unit sign matrix would be 144 MiB at the
+        # default 100,000 resamples
+        resamples = {"n_resamples": 10_000} if n == 189 else {}
+        for tied in (False, True):
+            for seed in (0, 3):
+                d, units = improvements_and_units(n, seed, tied)
+                assert (signflip_p(d, seed=seed, **resamples)
+                        == reference_audit.signflip_p(d, seed=seed, **resamples)), (n, tied, seed)
+                assert bootstrap_ci(units, seed=seed) == reference_audit.bootstrap_ci(units, seed=seed), (n, tied, seed)
+
+    def test_audit_peak_memory_bounded(self):
+        # the paper's three architectures x 63 units; the whole sign and
+        # index matrices peaked at 288.5 MiB traced
+        _, units = improvements_and_units(189, 0, False)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            audit_units(units)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= 4 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+AUDIT_CHECKS = {
+    "dz_one_unit": (lambda tmp: effect_size_dz([0.3]), "d_z needs at least two paired units"),
+    "signflip_no_units": (lambda tmp: signflip_p([]), "sign-flip test needs at least one paired unit"),
+    "no_results_csv": (audit_results_dir, "no results.csv under {tmp}"),
+    "empty_results_csv": (
+        lambda tmp: (tmp / "results.csv").write_text(RESULT_HEADER + "\n") and audit_results_dir(tmp),
+        "{tmp}/results.csv contains no result rows",
+    ),
+}
+
+
+@pytest.mark.parametrize(("call", "message"), AUDIT_CHECKS.values(), ids=AUDIT_CHECKS)
+def test_audit_input_checks(tmp_path, call, message):
+    with pytest.raises(InvalidInput, match="^" + re.escape(message.format(tmp=tmp_path)) + "$"):
+        call(tmp_path)
 
 
 class TestReports:

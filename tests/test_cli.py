@@ -129,6 +129,17 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "missing columns split_offset" in err
 
+    @pytest.mark.parametrize(("config", "flags", "code", "message"), [
+        ("datasets = stress\nseeds 1\n", (), 1, "{config}:2: expected 'key = value'"),
+        ("", ("--datasets", "nope"), 2, "unknown dataset 'nope'"),
+    ], ids=["line_without_equals", "unknown_dataset"])
+    def test_bad_input_exits_before_running(self, tmp_path, capsys, config, flags, code, message):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(config)
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "runs"), *flags) == code
+        assert capsys.readouterr().err.startswith("error: " + message.format(config=cfg))
+        assert not (tmp_path / "runs").exists()
+
     def test_bad_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.txt"
         cfg.write_text("nonsense = 1\n")

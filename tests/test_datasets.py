@@ -1,5 +1,6 @@
 """Generators, real loaders, splits, scaling: shapes, determinism, leakage."""
 
+import functools
 import re
 
 import numpy as np
@@ -152,6 +153,13 @@ class TestSeriesCsv:
             load_series_csv(path)
 
 
+    def test_iso_dates_load_in_order(self, tmp_path):
+        # string timestamps are compared as strings, which orders ISO dates
+        path = tmp_path / "series.csv"
+        path.write_text("timestamp,value\n2024-01-30,1.5\n2024-02-01,2.5\n2024-02-15,3.5\n")
+        assert np.array_equal(load_series_csv(path), [1.5, 2.5, 3.5])
+
+
 class TestCo2Windows:
     def test_shape_and_season(self):
         series = np.linspace(300.0, 360.0, 90)
@@ -300,6 +308,53 @@ class TestIms:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetSkipped):
             load_ims_set(path, groups=((1,),), name="flat")
+
+
+# Input checks of the loaders and builders, one case each. The loaders name
+# the file, and the 1-based data row where their docstrings promise it.
+load_one_bearing = functools.partial(load_ims_set, groups=((1,),))
+LOADER_CHECKS = {
+    "series_empty_file": (load_series_csv, "", "empty file"),
+    "series_iso_out_of_order": (
+        load_series_csv, "timestamp,value\n2024-01-01,1\n2024-01-03,2\n2024-01-02,3\n",
+        "row 3: timestamp out of order",
+    ),
+    "series_non_finite_value": (load_series_csv, "timestamp,value\n1,10\n2,inf\n", "row 2: value is not finite"),
+    "series_mixed_timestamps": (
+        load_series_csv, "timestamp,value\n1,10\n2024-01-01,11\n", "row 2: mixed timestamp types",
+    ),
+    "ims_missing_columns": (load_one_bearing, "snapshot,channel,rms\n0,1,1.0\n", "expected columns"),
+    "ims_non_numeric_entry": (
+        load_one_bearing, "snapshot,channel,rms,std,kurt\n0,1,1.0,1.0,3.0\n1,1,1.0,x,3.0\n",
+        "row 2: non-numeric entry",
+    ),
+}
+
+
+@pytest.mark.parametrize(("load", "body", "message"), LOADER_CHECKS.values(), ids=LOADER_CHECKS)
+def test_loader_input_checks(tmp_path, load, body, message):
+    path = tmp_path / "input.csv"
+    path.write_text(body)
+    with pytest.raises(InvalidInput, match="^" + re.escape(f"{path}: {message}")):
+        load(path)
+
+
+BUILDER_CHECKS = {
+    "windows_not_3d": (lambda: WindowedDataset("d", np.zeros((4, 3)), np.zeros(4)), InvalidInput,
+                       "windows must be W x N x p"),
+    "target_count": (lambda: WindowedDataset("d", np.zeros((4, 3, 2)), np.zeros(3)), InvalidInput,
+                     "one target per window required"),
+    "too_few_returns": (lambda: build_volatility_windows(np.exp(np.linspace(0.0, 1.0, VOL_WINDOW + VOL_HORIZON))),
+                        InvalidInput, f"{VOL_WINDOW + VOL_HORIZON - 1} returns too short"),
+    "too_few_snapshots": (lambda: ims_health_indicator(*[np.linspace(1.0, 2.0, IMS_WINDOW)] * 3, name="short"),
+                          DatasetSkipped, f"short: only {IMS_WINDOW} snapshots"),
+}
+
+
+@pytest.mark.parametrize(("build", "error", "message"), BUILDER_CHECKS.values(), ids=BUILDER_CHECKS)
+def test_builder_input_checks(build, error, message):
+    with pytest.raises(error, match="^" + re.escape(message)):
+        build()
 
 
 class TestSplits:

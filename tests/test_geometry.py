@@ -427,18 +427,22 @@ class TestCachedTablesAndDirectFormulas:
 
 
 def test_window_blocks_rule():
-    # the fewest blocks of at most 2**16 // N**2 windows (one (block, N, N)
-    # float64 array is at most 512 KB), sizes within one of each other, and
-    # never a single window of a larger stack
-    for n_tokens, limit in ((32, 64), (24, 113), (40, 40), (8, 1024), (300, 1)):
-        for n_windows in (1, 2, 3, limit, limit + 1, 2 * limit + 1, 300, 2555):
-            blocks = geometry.window_blocks(n_windows, n_tokens)
+    # the fewest blocks of at most 2**16 // row_entries rows, at least one
+    # row each (one block of float64 rows is at most 512 KB), sizes within
+    # one of each other; windows of N tokens are rows of N * N entries, the
+    # audit's draws of n units rows of n entries
+    windows = [(n_tokens * n_tokens, limit) for n_tokens, limit in ((32, 64), (24, 113), (40, 40), (8, 1024),
+                                                                    (150, 2), (300, 1))]
+    draws = [(units, 2**16 // units) for units in (9, 27, 63, 189)]
+    for row_entries, limit in windows + draws:
+        for n_rows in (1, 2, 3, limit, limit + 1, 2 * limit + 1, 300, 2555, 10_000, 100_000):
+            blocks = geometry.row_blocks(n_rows, row_entries)
             sizes = [b.stop - b.start for b in blocks]
-            assert blocks[0].start == 0 and blocks[-1].stop == n_windows
+            assert blocks[0].start == 0 and blocks[-1].stop == n_rows
             assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
-            assert max(sizes) - min(sizes) <= 1
-            assert min(sizes) >= 2 or n_windows == 1
-            if limit >= 4:
-                assert max(sizes) <= limit and len(blocks) == -(-n_windows // limit)
-    assert geometry.window_blocks(300, 32) == tuple(slice(60 * k, 60 * k + 60) for k in range(5))
-    assert geometry.window_blocks(1, 32) == (slice(0, 1),)
+            assert max(sizes) - min(sizes) <= 1 and min(sizes) >= 1
+            assert max(sizes) <= limit and len(blocks) == -(-n_rows // limit), (row_entries, n_rows)
+    assert geometry.row_blocks(300, 32 * 32) == tuple(slice(60 * k, 60 * k + 60) for k in range(5))
+    assert geometry.row_blocks(3, 150 * 150) == (slice(0, 1), slice(1, 3))
+    assert geometry.row_blocks(2, 300 * 300) == (slice(0, 1), slice(1, 2))
+    assert geometry.row_blocks(1, 32 * 32) == (slice(0, 1),)

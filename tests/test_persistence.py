@@ -1,5 +1,6 @@
 """Vietoris-Rips persistence: oracle equivalence, known shapes, path H0."""
 
+import warnings
 from math import comb
 
 import numpy as np
@@ -480,9 +481,13 @@ class TestNonFiniteInput:
             vectorize_diagram(lifetimes)
 
     def test_vectorize_overflowing_total_raises(self):
-        # finite lifetimes whose sum is not finite have no finite summary
-        with pytest.raises(InvalidInput), np.errstate(over="ignore"):
-            vectorize_diagram([1e308, 1e308])
+        # finite lifetimes whose total, or whose summed squared deviation,
+        # is not finite have no finite summary; no overflow warning escapes
+        for lifetimes in ([1e308, 1e308], [0.0, 1e160]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidInput):
+                    vectorize_diagram(lifetimes)
 
     @pytest.mark.parametrize("lifetimes", [np.ones((2, 3)), np.float64(1.0)])
     def test_vectorize_not_1d_raises(self, lifetimes):

@@ -16,9 +16,17 @@ from topoattn import topo_bias
 from topoattn.attention import window_bias_stack
 from topoattn.datasets import gen_cyclic_h1, gen_higher_topology, gen_shell_h2
 from topoattn.errors import InvalidInput
-from topoattn.geometry import KernelSpec, hilbert_distance, pairwise_euclidean, stacked_euclidean, window_sigma
+from topoattn.geometry import (
+    KernelSpec,
+    hilbert_distance,
+    pairwise_euclidean,
+    stacked_euclidean,
+    symmetrize,
+    window_sigma,
+)
 from topoattn.topo_bias import (
     CHANNELS,
+    AetParams,
     H0_SCALES,
     H0_WEIGHTS,
     H1_SCALES,
@@ -255,6 +263,14 @@ class TestAet:
         # two-by-two determinant identity
         assert np.isclose(b[0, 1] * b[2, 3], b[0, 3] * b[2, 1], atol=1e-10)
 
+    @pytest.mark.parametrize(("directions", "thresholds", "message"), [
+        ([[0.6, 0.6]], [[0.0, 1.0]], "AET directions must be unit vectors"),
+        ([[0.6, 0.8]], [[0.0, 1.0, 0.5]], "AET thresholds must be nondecreasing per direction"),
+    ], ids=["non_unit_direction", "decreasing_thresholds"])
+    def test_params_input_checks(self, directions, thresholds, message):
+        with pytest.raises(InvalidInput, match=message):
+            AetParams(directions, thresholds, temperature=1.0, adjacency_scale=1.0)
+
     def test_dimension_mismatch(self):
         params = aet_calibrate([random_cloud(0, n=6, p=2)], seed=0)
         with pytest.raises(InvalidInput):
@@ -430,6 +446,20 @@ def test_cached_diagonal_and_sorted_medians_match_oracles(n_windows):
                     assert got.tobytes() == expected.tobytes(), (n_windows, n_tokens)
 
 
+@pytest.mark.parametrize("n_windows", [1, 7, 300])
+def test_h0_and_h2_need_no_symmetrize(n_windows):
+    # H0 and H2 are elementwise in symmetric distances and radii, then
+    # z-scored with a zero diagonal, so a symmetrize pass changes no bit
+    stacks = [w for n_tokens in (2, 3, 8, 16, 24, 32) for w in token_stacks(n_windows, n_tokens, seed=n_tokens)]
+    stacks += [gen(n_windows).windows[:n_windows] for gen in (gen_higher_topology, gen_cyclic_h1, gen_shell_h2)]
+    for windows in stacks:
+        d = stacked_euclidean(windows)
+        for dist in (d, hilbert_distance(d, 0.7)):
+            sigma = window_sigma(dist)
+            for values in (topo_bias._h0_values(dist, sigma), topo_bias._h2_values(dist, windows, sigma)):
+                assert values.tobytes() == symmetrize(values).tobytes(), windows.shape
+
+
 def test_sorted_median_is_np_median():
     rng = np.random.default_rng(3)
     for n in (1, 2, 3, 4, 5, 8, 24, 32):
@@ -437,9 +467,15 @@ def test_sorted_median_is_np_median():
             assert topo_bias._median(x).tobytes() == np.median(x, axis=-1).tobytes()
 
 
+def wide_cyclic(seed):
+    """Three cyclic windows of 150 tokens: 2**16 // 150**2 = 2 windows a block."""
+    return gen_cyclic_h1(seed, n_windows=3, n_tokens=150)
+
+
 @pytest.mark.parametrize(("gen", "n_windows"), [
     (gen_higher_topology, 1), (gen_higher_topology, 65), (gen_higher_topology, 300),  # N = 32: at most 64 a block
     (gen_cyclic_h1, 114), (gen_cyclic_h1, 260),  # N = 24: at most 113 a block
+    (wide_cyclic, 3),  # N = 150: at most 2 a block, so blocks of 1 and 2
 ])
 def test_blocked_stacks_match_one_block(gen, n_windows):
     # bias_stacks runs the formulas one window block at a time; the oracle
