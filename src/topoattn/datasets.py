@@ -25,6 +25,10 @@ SPLIT_OFFSETS = (-0.05, 0.0, 0.05)
 CO2_WINDOW = 30
 VOL_WINDOW, VOL_HORIZON, VOL_ROLL = 40, 5, 5
 IMS_WINDOW = 24
+#: Share of a bearing's windows whose snapshots fit its IMS z-scores: the
+#: training prefix that every split offset shares,
+#: SPLIT_FRACTIONS[0] + min(SPLIT_OFFSETS).
+IMS_FIT_FRACTION = 0.65
 HI_WEIGHTS = (0.55, 0.25, 0.20)  # RMS, STD, KURT
 HI_MEDIAN_WINDOW = 5
 HI_ROLLING_WINDOW = 7
@@ -269,12 +273,10 @@ def _rolling_windows(tokens: np.ndarray, window: int, n_windows: int) -> np.ndar
     return np.ascontiguousarray(view[:n_windows])
 
 
-def _median_smooth(x: np.ndarray, window: int) -> np.ndarray:
-    half = window // 2
+def _trailing_median(x: np.ndarray, window: int) -> np.ndarray:
     out = np.empty_like(x)
     for i in range(len(x)):
-        lo, hi = max(0, i - half), min(len(x), i + half + 1)
-        out[i] = np.median(x[lo:hi])
+        out[i] = np.median(x[max(0, i - window + 1) : i + 1])
     return out
 
 
@@ -290,30 +292,36 @@ def _trailing_mean(x: np.ndarray, window: int) -> np.ndarray:
 def ims_health_indicator(rms: np.ndarray, std: np.ndarray, kurt: np.ndarray, name: str = "ims_bearing") -> WindowedDataset:
     """IMS_WINDOW-snapshot windows and next-snapshot targets of one bearing.
 
-    The health indicator weighs the channel-averaged z-scores of RMS, STD
-    and KURT by HI_WEIGHTS, is median-smoothed over HI_MEDIAN_WINDOW and
-    trailing-averaged over HI_ROLLING_WINDOW snapshots, and gets a
-    nonnegative trend via the cumulative max of the positive part. Raises
-    :class:`DatasetSkipped` when the target variance is below 1e-6
-    (near-degenerate bearing).
+    The RMS, STD and KURT z-scores are fitted on the snapshots of the first
+    floor(IMS_FIT_FRACTION * W) windows and their targets (the first
+    IMS_WINDOW + floor(IMS_FIT_FRACTION * W) snapshots, W = n - IMS_WINDOW),
+    the training prefix of every split offset, and applied to all. The
+    health indicator weighs their channel averages by HI_WEIGHTS, takes the
+    trailing median over HI_MEDIAN_WINDOW and the trailing mean over
+    HI_ROLLING_WINDOW snapshots, and gets a nonnegative trend via the
+    cumulative max of the positive part. So no token or target reads a
+    later snapshot, and no window or target inside the prefix reads one
+    after it. Raises :class:`DatasetSkipped` when the target variance is
+    below 1e-6 (near-degenerate bearing).
     """
     rms = np.atleast_2d(np.asarray(rms, dtype=np.float64).T).T
     std = np.atleast_2d(np.asarray(std, dtype=np.float64).T).T
     kurt = np.atleast_2d(np.asarray(kurt, dtype=np.float64).T).T
-    z_rms, z_std, z_kurt = (apply_scaler(fit_scaler(x), x) for x in (rms, std, kurt))
+    n = len(rms)
+    window = IMS_WINDOW
+    if n <= window:
+        raise DatasetSkipped(f"{name}: only {n} snapshots for window {window}")
+    fit = window + int(IMS_FIT_FRACTION * (n - window))
+    z_rms, z_std, z_kurt = (apply_scaler(fit_scaler(x[:fit]), x) for x in (rms, std, kurt))
     hi = (
         HI_WEIGHTS[0] * z_rms.mean(axis=1)
         + HI_WEIGHTS[1] * z_std.mean(axis=1)
         + HI_WEIGHTS[2] * z_kurt.mean(axis=1)
     )
-    hi = _median_smooth(hi, HI_MEDIAN_WINDOW)
+    hi = _trailing_median(hi, HI_MEDIAN_WINDOW)
     hi = _trailing_mean(hi, HI_ROLLING_WINDOW)
     hi = np.maximum.accumulate(np.maximum(hi, 0.0))
 
-    n = len(hi)
-    window = IMS_WINDOW
-    if n <= window:
-        raise DatasetSkipped(f"{name}: only {n} snapshots for window {window}")
     tokens = np.concatenate([hi[:, None], z_rms, z_std, z_kurt], axis=1)
     windows = _rolling_windows(tokens, window, n - window)
     targets = hi[window:].copy()

@@ -304,11 +304,11 @@ class SplitContext:
 
     # -- bias stacks -------------------------------------------------------
     def stack_key(self, channel: str, seed: int, bandwidth: float | None = None) -> tuple:
-        """(channel, seed if AET, rounded bandwidth if KH): what one channel's
-        bias stack depends on; ``bandwidth`` defaults to the train kernel scale."""
+        """(channel, seed if AET, bandwidth if KH): what one channel's bias
+        stack depends on; ``bandwidth`` defaults to the train kernel scale,
+        which the grid's 1.0 x bandwidth equals bit for bit."""
         bw = self.kernel_bandwidth if bandwidth is None else bandwidth
-        return (channel, seed if channel == "AET" else None,
-                round(bw, 12) if channel in RKHS_CHANNELS else None)
+        return (channel, seed if channel == "AET" else None, bw if channel in RKHS_CHANNELS else None)
 
     def stack_for(self, channel: str, seed: int, bandwidth: float | None = None) -> np.ndarray:
         """One channel's bias stack, cached by :meth:`stack_key`."""
@@ -347,23 +347,19 @@ class SplitContext:
         return self._local_phi
 
 
-def _calibration_needs(modes: list[TopologyMode]) -> tuple[bool, bool, bool]:
-    """(needs_aet, needs_kernel_scale, needs_local_projection) of a mode set."""
-    needs_aet = any("AET" in m.channels for m in modes)
-    needs_local = any(m.with_residual for m in modes)
-    uses_phi = needs_local or any(m.mode_id.startswith("zeng") for m in modes)
-    needs_kernel = uses_phi or any(c in RKHS_CHANNELS for m in modes for c in m.channels)
-    return needs_aet, needs_kernel, needs_local
-
-
 def calibrate_cell(ctx: SplitContext, seed: int, modes: list[TopologyMode] | None = None) -> CellCalibration:
-    """Fit and hash the train-only calibrations one cell's modes require."""
+    """Fit and hash the train-only calibrations one cell's modes require:
+    AET parameters for an AET channel, the local projection for a residual
+    mode, and the kernel scale for a KH channel or the local features."""
     if modes is None:
         modes = MODE_REGISTRY
-    needs_aet, needs_kernel, needs_local = _calibration_needs(modes)
-    projection = None
-    if needs_local:
-        projection = fit_local_projection(ctx.local_phi()[ctx.train_idx], ctx.ds.targets[ctx.train_idx], seed=seed)
+    needs_aet = any("AET" in m.channels for m in modes)
+    needs_local = any(m.with_residual for m in modes)
+    needs_kernel = needs_local or any(
+        m.mode_id.startswith("zeng") or any(c in RKHS_CHANNELS for c in m.channels) for m in modes
+    )
+    tr = ctx.train_idx
+    projection = fit_local_projection(ctx.local_phi()[tr], ctx.ds.targets[tr], seed=seed) if needs_local else None
     calib = CellCalibration(
         dataset=ctx.ds.name,
         seed=seed,
@@ -386,35 +382,43 @@ def _mae(pred, y) -> float:
     return float(np.mean(np.abs(np.asarray(pred) - np.asarray(y))))
 
 
+def _ridge_head(ctx: SplitContext, x: np.ndarray, ridge=None):
+    """(ridge, validation predictions, test predictions) of a Ridge head on
+    the feature matrix ``x``. Unless ``ridge`` is given, it is fitted on the
+    train rows with lambda picked on the validation rows."""
+    if ridge is None:
+        y = ctx.ds.targets
+        ridge = ridge_fit(x[ctx.train_idx], y[ctx.train_idx], x[ctx.val_idx], y[ctx.val_idx])
+    return ridge, ridge_predict(ridge, x[ctx.val_idx]), ridge_predict(ridge, x[ctx.test_idx])
+
+
 def _fit_head(ctx: SplitContext, base, stacks: dict, strengths: dict):
-    """Forward pass over every window, then Ridge on the train rows with
-    lambda picked on the validation rows. Returns (features, ridge)."""
-    feats = forward_features(ctx.scaled, base, stacks, strengths, summary=ctx.summary)
-    y = ctx.ds.targets
-    return feats, ridge_fit(feats[ctx.train_idx], y[ctx.train_idx], feats[ctx.val_idx], y[ctx.val_idx])
+    """Forward pass over every window, then the Ridge head of
+    :func:`_ridge_head`: (ridge, validation predictions, test predictions)."""
+    return _ridge_head(ctx, forward_features(ctx.scaled, base, stacks, strengths, summary=ctx.summary))
 
 
 def _fit_static(ctx: SplitContext, mode: TopologyMode, seed: int, fits: dict):
     """Greedy per-channel strength search, then a joint grid on the best pair.
 
     A mode with no channels (classical) gets the zero-strength fit. Returns
-    (strengths, features, ridge) of the validation winner. Each grid point's
-    head fit is kept in ``fits`` under (seed, the
-    (stack key, strength) of each channel in the order the logits add
-    them), so a point that another mode or another stage of this search
-    already fitted is not fitted again.
+    (strengths, head fit) of the validation winner. Each grid point's head
+    fit is kept in the cell cache ``fits`` under the (stack key, strength)
+    of each channel in the order the logits add them, so a point that
+    another mode or another stage of this search already fitted is not
+    fitted again.
     """
     base = None
 
     def evaluate(strengths: dict, bandwidth=None):
         nonlocal base
-        key = (seed, tuple((ctx.stack_key(c, seed, bandwidth), s) for c, s in strengths.items()))
+        key = tuple((ctx.stack_key(c, seed, bandwidth), s) for c, s in strengths.items())
         if key not in fits:
             if base is None:
                 base = attention_logits_batch(ctx.scaled, init_attention_params(ctx.scaled.shape[2], seed))
             stacks = ctx.stacks_for([c for c, s in strengths.items() if s != 0.0], seed, bandwidth)
-            feats, ridge = _fit_head(ctx, base, stacks, strengths)
-            fits[key] = ridge.val_rmse, strengths, feats, ridge
+            fit = _fit_head(ctx, base, stacks, strengths)
+            fits[key] = fit[0].val_rmse, strengths, fit
         return fits[key]
 
     zero = evaluate({})
@@ -455,20 +459,23 @@ def _fit_static(ctx: SplitContext, mode: TopologyMode, seed: int, fits: dict):
 
 def _fit_global_stage(ctx: SplitContext, mode: TopologyMode, seed: int, fits: dict):
     """Global attention + ridge fit of a mode, independent of the residual
-    flag. Returns (strengths, features, ridge, raw learned temperatures);
-    ``fits`` is the static grid's head-fit cache (see :func:`_fit_static`)."""
+    flag: (strengths, head fit, raw learned temperatures). ``fits`` is the
+    cell cache: the static grid's points (see :func:`_fit_static`) and,
+    under ("learned-eta", channels), each learned-eta stage."""
     if mode.strength_source != "learned-eta":
         return (*_fit_static(ctx, mode, seed, fits), {})
-    stacks = ctx.stacks_for(mode.channels, seed)
-    tr, va, y = ctx.train_rows, ctx.val_rows, ctx.ds.targets
-    alpha, attn, _info = train_temperatures(
-        ctx.scaled[tr], y[tr], ctx.scaled[va], y[va],
-        {c: b[tr] for c, b in stacks.items()}, {c: b[va] for c, b in stacks.items()},
-        mode.channels, seed,
-    )
-    strengths = {c: float(np.logaddexp(0.0, a)) for c, a in alpha.items()}
-    feats, ridge = _fit_head(ctx, attention_logits_batch(ctx.scaled, attn), stacks, strengths)
-    return strengths, feats, ridge, alpha
+    key = ("learned-eta", mode.channels)
+    if key not in fits:
+        stacks = ctx.stacks_for(mode.channels, seed)
+        tr, va, y = ctx.train_rows, ctx.val_rows, ctx.ds.targets
+        alpha, attn, _info = train_temperatures(
+            ctx.scaled[tr], y[tr], ctx.scaled[va], y[va],
+            {c: b[tr] for c, b in stacks.items()}, {c: b[va] for c, b in stacks.items()},
+            mode.channels, seed,
+        )
+        strengths = {c: float(np.logaddexp(0.0, a)) for c, a in alpha.items()}
+        fits[key] = strengths, _fit_head(ctx, attention_logits_batch(ctx.scaled, attn), stacks, strengths), alpha
+    return fits[key]
 
 
 def run_mode_detailed(
@@ -484,56 +491,43 @@ def run_mode_detailed(
     Returns (RunResult, final test predictions). Test targets enter the
     metrics only, at the very end.
 
-    ``global_cache`` is one cell's cache, for one seed and calibration.
-    Under (residual-stripped mode id, seed) it keeps each global fit, which
-    the mode's residual variant reuses; the static-grid modes share the
-    head fits of their grid points through it (see :func:`_fit_static`);
-    and under ("_resid", seed) it keeps the residual stage that every
-    residual mode of the cell shares: the local representation, its Ridge
-    head and that head's validation and test predictions. Each residual
-    mode still runs its own guard. When ``model_sink`` is given, the fitted
-    model state (head weights, temperatures, strengths, predictions) is
-    stored under the mode id.
+    ``global_cache`` is one cell's cache, for one seed and calibration. It
+    keeps each head fit that the cell's modes share, as (ridge, validation
+    predictions, test predictions), under what the fit depends on: a static
+    grid point under its (stack key, strength) pairs, a learned-eta stage
+    under ("learned-eta", channels), and the residual stage (the local
+    representation's head) under "residual". So a mode's residual variant
+    re-enters its global search and finds every fit there, and each
+    residual mode runs only its own guard. When ``model_sink`` is given,
+    the fitted model state (head weights, temperatures, strengths,
+    predictions) is stored under the mode id.
     """
     if calibration is None:
         raise CalibrationMissing(f"no calibration ledger entry for {ctx.ds.name} seed {seed}")
-    train_idx, val_idx, test_idx = ctx.train_idx, ctx.val_idx, ctx.test_idx
     targets = ctx.ds.targets
-    train_y, val_y = targets[train_idx], targets[val_idx]
     cache = {} if global_cache is None else global_cache
 
     if mode.mode_id.startswith("zeng"):
         # controlled baseline: flat D0+/D0- path blocks, nothing else
-        phi = ctx.local_phi()
-        ridge = fit_local_head(phi[train_idx], train_y, phi[val_idx], val_y)
-        feats = zeng_features(phi)
+        phi, tr, va = ctx.local_phi(), ctx.train_idx, ctx.val_idx
+        fit = _ridge_head(ctx, zeng_features(phi), fit_local_head(phi[tr], targets[tr], phi[va], targets[va]))
         strengths, alpha_raw = {}, {}
     else:
-        base_id = mode.mode_id[: -len("_resid")] if mode.with_residual else mode.mode_id
-        key = (base_id, seed)
-        if key not in cache:
-            cache[key] = _fit_global_stage(ctx, mode, seed, cache)
-        strengths, feats, ridge, alpha_raw = cache[key]
-
-    y_val = ridge_predict(ridge, feats[val_idx])
-    y_test = ridge_predict(ridge, feats[test_idx])
+        strengths, fit, alpha_raw = _fit_global_stage(ctx, mode, seed, cache)
+    ridge, y_val, y_test = fit
     val_rmse = ridge.val_rmse
     alpha_loc: float | None = None
     local_ridge = None
 
     if mode.with_residual:
         if calibration.local_projection is None:
-            raise CalibrationMissing(
-                f"mode {mode.mode_id} needs a local projection absent from the ledger"
-            )
-        key = ("_resid", seed)
-        if key not in cache:
+            raise CalibrationMissing(f"mode {mode.mode_id} needs a local projection absent from the ledger")
+        if "residual" not in cache:
             scores, cstats = contrast_features(ctx.local_phi())
             rep = local_representation_matrix(ctx.local_phi(), calibration.local_projection, scores, cstats)
-            head = ridge_fit(rep[train_idx], train_y, rep[val_idx], val_y)
-            cache[key] = head, ridge_predict(head, rep[val_idx]), ridge_predict(head, rep[test_idx])
-        local_ridge, y_local_val, y_local_test = cache[key]
-        state, y_test = guarded_blend(y_val, y_local_val, val_y, y_test, y_local_test)
+            cache["residual"] = _ridge_head(ctx, rep)
+        local_ridge, y_local_val, y_local_test = cache["residual"]
+        state, y_test = guarded_blend(y_val, y_local_val, targets[ctx.val_idx], y_test, y_local_test)
         alpha_loc = state.alpha_loc
         if state.accepted:
             val_rmse = state.val_rmse_blend
@@ -544,8 +538,8 @@ def run_mode_detailed(
         seed=seed,
         split_offset=ctx.offset,
         val_rmse=val_rmse,
-        test_rmse=rmse(y_test, targets[test_idx]),
-        test_mae=_mae(y_test, targets[test_idx]),
+        test_rmse=rmse(y_test, targets[ctx.test_idx]),
+        test_mae=_mae(y_test, targets[ctx.test_idx]),
         alpha_loc=alpha_loc,
         penalty=ridge.penalty,
         strengths={k: float(v) for k, v in strengths.items()},
@@ -558,7 +552,7 @@ def run_mode_detailed(
             "head_intercept": float(ridge.intercept),
             "strengths": {k: float(v) for k, v in strengths.items()},
             "alpha_raw": {k: float(v) for k, v in alpha_raw.items()},
-            "test_indices": list(test_idx),
+            "test_indices": list(ctx.test_idx),
             "y_test_pred": [float(v) for v in y_test],
         }
         if local_ridge is not None:
@@ -726,7 +720,9 @@ def run_campaign(
     ``existing`` rows are kept and their mode fits skipped when the ledger
     hash still matches; the calibrations are still recomputed to check
     that hash, and each cell is calibrated for the modes of its existing
-    rows too, so those rows keep their ledger. The (dataset, offset)
+    rows too, so those rows keep their ledger. An existing row of a mode
+    the registry does not have raises :class:`InvalidInput`, as an
+    unknown id in ``mode_ids`` does. The (dataset, offset)
     blocks run in a pool of ``n_workers`` processes when that is above 1,
     else in this process; each block builds its own split contexts, so
     no state carries from one call to the next. Repeated seeds, offsets
@@ -741,12 +737,13 @@ def run_campaign(
     cells. An interrupted run thus leaves every finished block on disk for
     a rerun with ``existing``.
     """
-    if mode_ids is None:
-        mode_ids = [m.mode_id for m in MODE_REGISTRY]
-    mode_ids = tuple(mode_ids)
+    mode_ids = tuple(m.mode_id for m in MODE_REGISTRY) if mode_ids is None else tuple(mode_ids)
     unknown = [m for m in mode_ids if m not in MODE_ORDER]
     if unknown:
         raise InvalidInput(f"unknown mode ids {unknown}; known: {sorted(MODE_ORDER)}")
+    stale = sorted({r.mode_id for r in existing or ()} - MODE_ORDER.keys())
+    if stale:
+        raise InvalidInput(f"existing rows of unknown mode ids {stale}; known: {sorted(MODE_ORDER)}")
     workers = max(1, n_workers or 1)
     seeds = tuple(int(s) for s in seeds)  # file names and CSV cells print Python ints
     if len(set(seeds)) != len(seeds):

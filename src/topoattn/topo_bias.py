@@ -74,8 +74,10 @@ class AetParams:
 #
 # H0 and H2 are elementwise in the symmetric distances and radii, then
 # z-scored with a zero diagonal, so they come out exactly symmetric and need
-# no symmetrize pass. H1's batched matmul and AET's einsum sum (i, j) and
-# (j, i) in other orders, so those two are symmetrized.
+# no symmetrize pass. AET's last einsum sums the same products in one order
+# for (i, j) and (j, i), so it only zeroes its diagonal. H1's batched matmul
+# is not bitwise symmetric at every window size (with OpenBLAS, N = 17-20,
+# 25-28, ... for N mod 8 in 1-4), so H1 and KH1 are symmetrized.
 
 
 def _h0_values(d: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -158,8 +160,7 @@ def _aet_values(tokens: np.ndarray, d: np.ndarray, sigma: np.ndarray, params: Ae
     coverage = np.einsum("...ij,...jrq->...irq", adj, m)
     c = m * (1.0 - coverage)
     r, q = params.thresholds.shape
-    bias = np.einsum("...irq,...jrq->...ij", c, c) / (r * q)
-    return symmetrize(bias)
+    return _zero_diagonal(np.einsum("...irq,...jrq->...ij", c, c) / (r * q))
 
 
 def aet_calibrate(train_windows, seed: int = 0) -> AetParams:

@@ -96,6 +96,10 @@ def test_traced_call_pattern(traced_ctx):
     assert calls("predict", "topo_bias.stack.") == 0
     assert calls("zeng_local_h0", "local_residual.zeng_head") == 1
     assert calls("static_h0_resid", "local_residual.zeng_head") == 0
+    # the global and residual heads reach ridge_fit through the protocol
+    # module's attribute, which the traced run wraps; a fit bound to the
+    # function at import time would hide every one of them
+    assert calls("static_h0_resid", "attention.ridge_fit") >= 1
 
 
 def test_traced_persistence_counts():

@@ -129,6 +129,20 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "missing columns split_offset" in err
 
+    def test_resume_with_row_of_unknown_mode_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        args = ("run", "--datasets", "cyclic", "--modes", "classical,static_h0",
+                "--seeds", "1", "--offsets", "0.0", "--out", str(out))
+        assert run_cli(*args) == 0
+        results = out / "results.csv"
+        results.write_text(results.read_text() + "cyclic,static_h9,1,0.0,0.0,0.0,0.0,,1.0,{}," + "0" * 64 + "\r\n")
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert run_cli(*args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: existing rows of unknown mode ids ['static_h9']")
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
     @pytest.mark.parametrize(("config", "flags", "code", "message"), [
         ("datasets = stress\nseeds 1\n", (), 1, "{config}:2: expected 'key = value'"),
         ("", ("--datasets", "nope"), 2, "unknown dataset 'nope'"),

@@ -1,25 +1,30 @@
 """Generators, real loaders, splits, scaling: shapes, determinism, leakage."""
 
+import csv
 import functools
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from topoattn.datasets import (
     CO2_WINDOW,
     HI_MEDIAN_WINDOW,
     HI_ROLLING_WINDOW,
     HI_WEIGHTS,
+    IMS_FIT_FRACTION,
     IMS_WINDOW,
     VOL_HORIZON,
     VOL_ROLL,
     VOL_WINDOW,
     ScalerState,
+    SPLIT_FRACTIONS,
     SPLIT_OFFSETS,
     WindowedDataset,
-    _median_smooth,
     _trailing_mean,
+    _trailing_median,
     apply_scaler,
     build_co2_windows,
     build_volatility_windows,
@@ -222,15 +227,59 @@ class TestIms:
         ds = ims_health_indicator(rms, std, kurt, name="b1")
         assert ds.windows.shape[1] == 24
         assert ds.windows.shape[2] == 1 + 3  # HI + z-features for one channel
-        # replicate the documented HI chain as an oracle
+        # replicate the documented HI chain as an oracle: z-scores fitted on
+        # the snapshots of the first 65% of windows, then trailing filters
+        fit = 24 + int(0.65 * (len(rms) - 24))
+
         def z(x):
-            return (x - x.mean()) / max(x.std(), 1e-8)
+            return (x - x[:fit].mean()) / max(x[:fit].std(), 1e-8)
 
         hi = 0.55 * z(rms) + 0.25 * z(std) + 0.20 * z(kurt)
-        sm = np.array([np.median(hi[max(0, i - 2): i + 3]) for i in range(len(hi))])
+        sm = np.array([np.median(hi[max(0, i - 4): i + 1]) for i in range(len(hi))])
         roll = np.array([sm[max(0, i - 6): i + 1].mean() for i in range(len(sm))])
         trend = np.maximum.accumulate(np.maximum(roll, 0.0))
         assert np.allclose(ds.targets, trend[24:], atol=1e-12)
+
+    def test_no_window_reads_a_later_snapshot(self):
+        # perturbing every raw snapshot after window k's target moves
+        # neither window k's tokens nor its target, for each k whose target
+        # is at or after the last snapshot the z-scores are fitted on
+        rms, std, kurt = self.make_features(n=150)
+        ds = ims_health_indicator(rms, std, kurt, name="b1")
+        n_windows = len(ds.targets)
+        fit = IMS_WINDOW + int(IMS_FIT_FRACTION * n_windows)
+        rng = np.random.default_rng(5)
+        moved_later = []
+        for k in range(fit - IMS_WINDOW - 1, n_windows - 1):
+            later = slice(k + IMS_WINDOW + 1, None)
+            moved = [x.copy() for x in (rms, std, kurt)]
+            for x in moved:
+                x[later] *= rng.uniform(1.5, 3.0, len(x[later]))
+            perturbed = ims_health_indicator(*moved, name="b1")
+            assert perturbed.windows[k].tobytes() == ds.windows[k].tobytes(), k
+            assert perturbed.targets[k] == ds.targets[k], k
+            moved_later.append(not np.array_equal(perturbed.targets[k + 1 :], ds.targets[k + 1 :]))
+        assert sum(moved_later) > len(moved_later) // 2  # the perturbations reach later targets
+
+    def test_training_rows_ignore_the_last_snapshots(self, tmp_path):
+        # the snapshots after the z-score prefix (the targets of the last
+        # 35% of windows) move no training row of the earliest split
+        # offset of an interleaved two-bearing set
+        assert IMS_FIT_FRACTION == pytest.approx(SPLIT_FRACTIONS[0] + min(SPLIT_OFFSETS))
+        n_snapshots = len(IMS_ROWS) // 4
+        fit = IMS_WINDOW + int(IMS_FIT_FRACTION * (n_snapshots - IMS_WINDOW))
+        rng = np.random.default_rng(8)
+        moved = [
+            row[:2] + [repr(float(v) * rng.uniform(1.5, 3.0)) for v in row[2:]] if int(row[0]) >= fit else row
+            for row in IMS_ROWS
+        ]
+        clean = load_two_bearings(write_ims_csv(tmp_path / "clean.csv", IMS_ROWS))
+        perturbed = load_two_bearings(write_ims_csv(tmp_path / "moved.csv", moved))
+        train = chronological_split(len(clean.targets), min(SPLIT_OFFSETS))[0]
+        rows = slice(train.start, train.stop)
+        assert perturbed.windows[rows].tobytes() == clean.windows[rows].tobytes()
+        assert perturbed.targets[rows].tobytes() == clean.targets[rows].tobytes()
+        assert not np.array_equal(perturbed.targets, clean.targets)
 
     def test_zero_variance_feature_contributes_nothing(self):
         rms, std, kurt = self.make_features()
@@ -355,6 +404,75 @@ BUILDER_CHECKS = {
 def test_builder_input_checks(build, error, message):
     with pytest.raises(error, match="^" + re.escape(message)):
         build()
+
+
+IMS_COLUMNS = ("snapshot", "channel", "rms", "std", "kurt")
+
+
+def two_bearing_ims_rows(n=60):
+    """Data rows of a valid IMS CSV of ``n`` snapshots and channels 1-4:
+    channels 1 and 2 wear fast, 3 and 4 slowly."""
+    rng = np.random.default_rng(12)
+    rows = []
+    for snap in range(n):
+        for chan in (1, 2, 3, 4):
+            level = snap / n * (2.0 if chan <= 2 else 0.5)
+            values = (1 + level, 1 + 0.5 * level, 3 + 0.2 * level) + rng.normal(0.0, 0.05, 3)
+            rows.append([str(snap), str(chan), *map(repr, values.tolist())])
+    return rows
+
+
+def write_ims_csv(path, rows):
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(IMS_COLUMNS)
+        writer.writerows(rows)
+    return path
+
+
+IMS_ROWS = two_bearing_ims_rows()
+load_two_bearings = functools.partial(load_ims_set, groups=((1, 2), (3, 4)), name="ims_pair")
+
+
+def _not_a_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.fixture(scope="module")
+def ims_pair(tmp_path_factory):
+    """A temporary directory and the set the clean rows load to."""
+    directory = tmp_path_factory.mktemp("ims_pair")
+    return directory, load_two_bearings(write_ims_csv(directory / "clean.csv", IMS_ROWS))
+
+
+class TestImsLoaderProperties:
+    @given(order=st.permutations(range(len(IMS_ROWS))))
+    def test_any_row_order_loads_the_same_set(self, ims_pair, order):
+        directory, clean = ims_pair
+        ds = load_two_bearings(write_ims_csv(directory / "shuffled.csv", [IMS_ROWS[i] for i in order]))
+        assert ds.windows.tobytes() == clean.windows.tobytes()
+        assert ds.targets.tobytes() == clean.targets.tobytes()
+
+    @given(
+        row=st.integers(0, len(IMS_ROWS) - 1),
+        column=st.integers(0, len(IMS_COLUMNS) - 1),
+        entry=st.one_of(
+            st.text(st.characters(codec="ascii"), max_size=5).filter(_not_a_float),
+            st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"]),
+        ),
+    )
+    def test_one_corrupted_row_is_named(self, ims_pair, row, column, entry):
+        # a non-numeric entry in any column, or a non-finite rms/std/kurt
+        directory, _ = ims_pair
+        rows = [list(r) for r in IMS_ROWS]
+        rows[row][column] = entry
+        path = write_ims_csv(directory / "corrupted.csv", rows)
+        with pytest.raises(InvalidInput, match="^" + re.escape(f"{path}: row {row + 1}: ")):
+            load_two_bearings(path)
 
 
 class TestSplits:
@@ -488,17 +606,20 @@ def volatility_oracle(prices):
     return windows, targets
 
 
-def zscore_columns_oracle(x):
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
+def zscore_columns_oracle(x, fit_rows=None):
+    """Column z-scores of ``x`` with the mean and std of its first
+    ``fit_rows`` rows (all by default)."""
+    mean = x[:fit_rows].mean(axis=0)
+    std = x[:fit_rows].std(axis=0)
     std = np.maximum(std, 1e-8)
     return (x - mean) / std
 
 
 def ims_oracle(rms, std, kurt):
-    z_rms, z_std, z_kurt = (zscore_columns_oracle(np.atleast_2d(x.T).T) for x in (rms, std, kurt))
+    fit = IMS_WINDOW + int(IMS_FIT_FRACTION * (len(rms) - IMS_WINDOW))
+    z_rms, z_std, z_kurt = (zscore_columns_oracle(np.atleast_2d(x.T).T, fit) for x in (rms, std, kurt))
     hi = HI_WEIGHTS[0] * z_rms.mean(axis=1) + HI_WEIGHTS[1] * z_std.mean(axis=1) + HI_WEIGHTS[2] * z_kurt.mean(axis=1)
-    hi = _median_smooth(hi, HI_MEDIAN_WINDOW)
+    hi = _trailing_median(hi, HI_MEDIAN_WINDOW)
     hi = _trailing_mean(hi, HI_ROLLING_WINDOW)
     hi = np.maximum.accumulate(np.maximum(hi, 0.0))
     n = len(hi)

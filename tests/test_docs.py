@@ -18,7 +18,10 @@ from topoattn.attention import (
 )
 from topoattn.datasets import (
     CO2_WINDOW,
+    HI_MEDIAN_WINDOW,
+    HI_ROLLING_WINDOW,
     HI_WEIGHTS,
+    IMS_FIT_FRACTION,
     IMS_WINDOW,
     SPLIT_FRACTIONS,
     SPLIT_OFFSETS,
@@ -63,6 +66,8 @@ PHRASES = {
     "DELTA_LOC": f"margin {DELTA_LOC:g} × max(1, global validation RMSE)",
     "AET": f"AET calibration ({AET_DIRECTIONS} directions × {AET_THRESHOLDS} thresholds)",
     "HI_WEIGHTS": f"{HI_WEIGHTS[0]:.2f} z_RMS + {HI_WEIGHTS[1]:.2f} z_STD + {HI_WEIGHTS[2]:.2f} z_KURT",
+    "IMS_FIT_FRACTION": f"snapshots of the first {IMS_FIT_FRACTION * 100:g}% of windows",
+    "HI_*_WINDOW": f"trailing {HI_MEDIAN_WINDOW}-snapshot median, a trailing {HI_ROLLING_WINDOW}-snapshot mean",
     "windows": (
         f"windows of {CO2_WINDOW} (monthly CO2 value + seasonal sine/cosine), "
         f"{VOL_WINDOW} (log-return features with trailing {VOL_ROLL}-day statistics, "

@@ -3,7 +3,7 @@
 import json
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields as dataclass_fields, is_dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -130,7 +130,8 @@ class TestRunMode:
         def leaky(ctx, base, stacks, strengths):
             feats = forward_features(ctx.scaled, base, stacks, strengths, summary=ctx.summary)
             rows, y = ctx.train_idx + ctx.test_idx, ctx.ds.targets
-            return feats, ridge_fit(feats[rows], y[rows], feats[ctx.val_idx], y[ctx.val_idx])
+            ridge = ridge_fit(feats[rows], y[rows], feats[ctx.val_idx], y[ctx.val_idx])
+            return ridge, ridge_predict(ridge, feats[ctx.val_idx]), ridge_predict(ridge, feats[ctx.test_idx])
 
         monkeypatch.setattr(protocol, "_fit_head", leaky)
         assert any(line.startswith("val_rmse changed") for line in leakage_differences())
@@ -273,6 +274,21 @@ class TestCampaign:
         with pytest.raises(InvalidInput):
             run_campaign([gen_cyclic_h1(1, n_windows=60, n_tokens=16)], mode_ids=["nope"])
 
+    def test_existing_rows_of_unknown_mode_rejected(self, tmp_path, monkeypatch):
+        # a resumed row of a mode no registry entry produced would be kept
+        # unchecked and could win its cell's selection
+        from topoattn import protocol
+
+        kwargs = dict(seeds=(1,), offsets=(0.0,), mode_ids=["classical", "static_h0"], out_dir=tmp_path)
+        rows, _ = run_campaign([SMALL_CYCLIC], **kwargs)
+        stray = replace(rows[0], mode_id="static_h9", val_rmse=0.0, ledger_hash="0" * 64)
+        before = _tree_bytes(tmp_path)
+        fits = []
+        monkeypatch.setattr(protocol, "run_mode_detailed", lambda *a, **k: fits.append(a[1]))
+        with pytest.raises(InvalidInput, match=r"existing rows of unknown mode ids \['static_h9'\]"):
+            run_campaign([SMALL_CYCLIC], existing=[*rows, stray], **kwargs)
+        assert fits == [] and _tree_bytes(tmp_path) == before
+
     def test_two_runs_give_equal_rows(self):
         datasets = [gen_shell_h2(2, n_windows=60, n_tokens=12)]
         kwargs = dict(seeds=(1,), offsets=(0.0,), mode_ids=["classical", "static_h2"])
@@ -348,6 +364,44 @@ def test_cell_fit_cache_shares_static_grid_points(monkeypatch):
     for result in results:
         alone, _ = run_mode_detailed(ctx, BY_ID[result.mode_id], 1, calibration, global_cache={})
         assert alone.to_csv_fields() == result.to_csv_fields()
+
+
+def _arrays(value):
+    """Every numpy array inside a cache value: tuples, dicts and dataclasses
+    (the Ridge heads) are searched."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays(item)
+    elif is_dataclass(value):
+        for f in dataclass_fields(value):
+            yield from _arrays(getattr(value, f.name))
+
+
+def test_cell_cache_keeps_predictions_not_features(monkeypatch):
+    # one cache for a cell's 12 global modes and their 12 residual twins
+    # holds each head fit as its ridge and its validation and test
+    # predictions, never a feature matrix with a row per window; each
+    # learned-eta stage trains once for the mode and its twin
+    from topoattn import protocol
+
+    ds = gen_cyclic_h1(3, n_windows=60, n_tokens=16)
+    ctx = SplitContext(ds, 0.0)
+    modes = [m for m in MODE_REGISTRY if not m.mode_id.startswith("zeng")]
+    assert len(modes) == 24
+    calibration = calibrate_cell(ctx, 1, modes)
+    train, trained = protocol.train_temperatures, []
+    monkeypatch.setattr(protocol, "train_temperatures", lambda *a: trained.append(a[-2]) or train(*a))
+    cache: dict = {}
+    for mode in modes:
+        run_mode_detailed(ctx, mode, 1, calibration, global_cache=cache)
+    assert len(trained) == 3 and len(set(trained)) == 3
+    held = [a for value in cache.values() for a in _arrays(value)]
+    assert held and all(a.ndim == 1 and len(a) != len(ds.targets) for a in held)
 
 
 def test_residual_stage_runs_once_per_cell(monkeypatch):

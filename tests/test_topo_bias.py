@@ -460,6 +460,27 @@ def test_h0_and_h2_need_no_symmetrize(n_windows):
                 assert values.tobytes() == symmetrize(values).tobytes(), windows.shape
 
 
+@pytest.mark.parametrize("n_tokens", [17, 25, 33])
+def test_h1_symmetrized_where_matmul_is_not_symmetric(n_tokens):
+    # the batched matmul of a symmetric adjacency is not bitwise symmetric
+    # at these window sizes (N mod 8 in 1-4 from N = 17), so without H1's
+    # symmetrize pass bias_stacks raises "lost symmetry" for H1 and KH1
+    windows = np.random.default_rng(n_tokens).normal(size=(64, n_tokens, 3))
+    stacks = bias_stacks(windows, ("H1", "KH1"), kernel_spec=KernelSpec(0.7))
+    for stack in stacks.values():
+        assert stack.tobytes() == np.swapaxes(stack, -1, -2).tobytes()
+
+
+def test_aet_needs_no_symmetrize():
+    # AET's last einsum sums the same products in one order for (i, j) and
+    # (j, i), so zeroing its diagonal gives the bits of a symmetrize pass
+    rng = np.random.default_rng(11)
+    for n_tokens in range(2, 45):
+        windows = rng.normal(size=(9, n_tokens, 3))
+        stack = bias_stacks(windows, ("AET",), aet_params=aet_calibrate(windows, seed=n_tokens))["AET"]
+        assert stack.tobytes() == symmetrize(stack).tobytes(), n_tokens
+
+
 def test_sorted_median_is_np_median():
     rng = np.random.default_rng(3)
     for n in (1, 2, 3, 4, 5, 8, 24, 32):
