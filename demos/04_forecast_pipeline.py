@@ -11,7 +11,8 @@ from topoattn.protocol import SplitContext, select_by_validation
 by_id = {m.mode_id: m for m in MODE_REGISTRY}
 ds = gen_higher_topology(seed=1)
 ctx = SplitContext(ds, offset=0.0)
-print(f"{ds.name} {ds.shape}; split sizes {len(ctx.train_idx)}/{len(ctx.val_idx)}/{len(ctx.test_idx)}")
+sizes = "/".join(str(rows.stop - rows.start) for rows in (ctx.train_rows, ctx.val_rows, ctx.test_rows))
+print(f"{ds.name} {ds.shape}; split sizes {sizes}")
 print(f"pooled train sigma {ctx.kernel_bandwidth:.3f}; cover has {len(ctx.cover)} elements\n")
 
 calibration = calibrate_cell(ctx, seed=1)

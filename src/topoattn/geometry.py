@@ -91,7 +91,8 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 # Two Euclidean formulas stay on purpose: the kernel bandwidth, the AET
 # adjacency scale and the local diagrams sum the squared coordinate
 # differences in column order (the bits of scipy's ``cdist``), while the
-# bias stacks keep einsum's order, in which p = 3 sums (d0^2 + d2^2) + d1^2.
+# bias stacks keep einsum's two-lane order (even columns, then odd ones,
+# then the two sums added), in which p = 3 sums (d0^2 + d2^2) + d1^2.
 # They differ by 1 ulp on about 11% of the entries of the cyclic and shell
 # windows (seeds 1-10), and merging them would move the campaign's pinned
 # output digests.
@@ -158,18 +159,21 @@ def stacked_euclidean(windows: np.ndarray) -> np.ndarray:
 
 def _squared_distances(windows: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances (W, N, N): the bits of
-    ``einsum("wnmp,wnmp->wnm", diff, diff)`` over the pairwise differences.
+    ``einsum("wnmp,wnmp->wnm", diff, diff)`` over the pairwise differences
+    for token widths p = 1-7, every width the builders and loaders make.
 
-    For p = 2 and p = 3 the sum is written out in einsum's own order,
-    d0*d0 + d1*d1 and (d0*d0 + d2*d2) + d1*d1, one coordinate's differences
-    at a time, so the (W, N, N, p) difference array is never made. Any other
-    width goes through einsum.
+    The sum runs in two lanes, as einsum's does: the even columns in order,
+    then the odd columns in order, then the odd lane's sum added to the even
+    lane's (d0*d0 + d1*d1 at p = 2, (d0*d0 + d2*d2) + d1*d1 at p = 3). One
+    coordinate's differences are made at a time, so the (W, N, N, p)
+    difference array is never made. From p = 8 einsum sums runs of four
+    columns in another order, so there the bits may differ from einsum's.
     """
     p = windows.shape[-1]
-    if p not in (2, 3):
-        diff = windows[:, :, None, :] - windows[:, None, :, :]
-        return np.einsum("wnmp,wnmp->wnm", diff, diff)
-    return _sum_of_squares(windows, (0, 2, 1) if p == 3 else (0, 1))
+    out = _sum_of_squares(windows, range(0, p, 2))
+    if p > 1:
+        out += _sum_of_squares(windows, range(1, p, 2))
+    return out
 
 
 def _sum_of_squares(tokens: np.ndarray, columns) -> np.ndarray:

@@ -277,12 +277,12 @@ class SplitContext:
     def __init__(self, ds: WindowedDataset, offset: float):
         self.ds = ds
         self.offset = offset
-        split = chronological_split(len(ds.targets), offset)
-        self.train_idx, self.val_idx, self.test_idx = (list(r) for r in split)
-        # the train and validation rows as slices, which index views:
-        # chronological splits are contiguous
-        self.train_rows, self.val_rows = (slice(r.start, r.stop) for r in split[:2])
-        self.scaler = fit_scaler(ds.windows[self.train_idx])
+        # the train, validation and test rows as slices: chronological
+        # splits are contiguous, so every fit reads views, never row copies
+        self.train_rows, self.val_rows, self.test_rows = (
+            slice(r.start, r.stop) for r in chronological_split(len(ds.targets), offset)
+        )
+        self.scaler = fit_scaler(ds.windows[self.train_rows])
         self.scaled = apply_scaler(self.scaler, ds.windows)
         self.kernel_bandwidth = pooled_sigma(pairwise_euclidean(self.scaled[self.train_rows]))
         self.bandwidth_grid = tuple(f * self.kernel_bandwidth for f in BANDWIDTH_FACTORS)
@@ -358,7 +358,7 @@ def calibrate_cell(ctx: SplitContext, seed: int, modes: list[TopologyMode] | Non
     needs_kernel = needs_local or any(
         m.mode_id.startswith("zeng") or any(c in RKHS_CHANNELS for c in m.channels) for m in modes
     )
-    tr = ctx.train_idx
+    tr = ctx.train_rows
     projection = fit_local_projection(ctx.local_phi()[tr], ctx.ds.targets[tr], seed=seed) if needs_local else None
     calib = CellCalibration(
         dataset=ctx.ds.name,
@@ -386,10 +386,10 @@ def _ridge_head(ctx: SplitContext, x: np.ndarray, ridge=None):
     """(ridge, validation predictions, test predictions) of a Ridge head on
     the feature matrix ``x``. Unless ``ridge`` is given, it is fitted on the
     train rows with lambda picked on the validation rows."""
+    tr, va, y = ctx.train_rows, ctx.val_rows, ctx.ds.targets
     if ridge is None:
-        y = ctx.ds.targets
-        ridge = ridge_fit(x[ctx.train_idx], y[ctx.train_idx], x[ctx.val_idx], y[ctx.val_idx])
-    return ridge, ridge_predict(ridge, x[ctx.val_idx]), ridge_predict(ridge, x[ctx.test_idx])
+        ridge = ridge_fit(x[tr], y[tr], x[va], y[va])
+    return ridge, ridge_predict(ridge, x[va]), ridge_predict(ridge, x[ctx.test_rows])
 
 
 def _fit_head(ctx: SplitContext, base, stacks: dict, strengths: dict):
@@ -509,7 +509,7 @@ def run_mode_detailed(
 
     if mode.mode_id.startswith("zeng"):
         # controlled baseline: flat D0+/D0- path blocks, nothing else
-        phi, tr, va = ctx.local_phi(), ctx.train_idx, ctx.val_idx
+        phi, tr, va = ctx.local_phi(), ctx.train_rows, ctx.val_rows
         fit = _ridge_head(ctx, zeng_features(phi), fit_local_head(phi[tr], targets[tr], phi[va], targets[va]))
         strengths, alpha_raw = {}, {}
     else:
@@ -527,7 +527,7 @@ def run_mode_detailed(
             rep = local_representation_matrix(ctx.local_phi(), calibration.local_projection, scores, cstats)
             cache["residual"] = _ridge_head(ctx, rep)
         local_ridge, y_local_val, y_local_test = cache["residual"]
-        state, y_test = guarded_blend(y_val, y_local_val, targets[ctx.val_idx], y_test, y_local_test)
+        state, y_test = guarded_blend(y_val, y_local_val, targets[ctx.val_rows], y_test, y_local_test)
         alpha_loc = state.alpha_loc
         if state.accepted:
             val_rmse = state.val_rmse_blend
@@ -538,8 +538,8 @@ def run_mode_detailed(
         seed=seed,
         split_offset=ctx.offset,
         val_rmse=val_rmse,
-        test_rmse=rmse(y_test, targets[ctx.test_idx]),
-        test_mae=_mae(y_test, targets[ctx.test_idx]),
+        test_rmse=rmse(y_test, targets[ctx.test_rows]),
+        test_mae=_mae(y_test, targets[ctx.test_rows]),
         alpha_loc=alpha_loc,
         penalty=ridge.penalty,
         strengths={k: float(v) for k, v in strengths.items()},
@@ -552,7 +552,7 @@ def run_mode_detailed(
             "head_intercept": float(ridge.intercept),
             "strengths": {k: float(v) for k, v in strengths.items()},
             "alpha_raw": {k: float(v) for k, v in alpha_raw.items()},
-            "test_indices": list(ctx.test_idx),
+            "test_indices": list(range(ctx.test_rows.start, ctx.test_rows.stop)),
             "y_test_pred": [float(v) for v in y_test],
         }
         if local_ridge is not None:
@@ -655,7 +655,7 @@ def _run_split_block(
             run_mode_detailed(ctx, mode, seed, calibration, global_cache=global_cache, model_sink=sink)
         if chosen is not None and chosen.mode_id in sink:
             # a narrower rerun that did not fit the selected mode keeps the earlier files
-            files.update(_selected_files(chosen, sink[chosen.mode_id], ctx.ds.targets[ctx.test_idx]))
+            files.update(_selected_files(chosen, sink[chosen.mode_id], ctx.ds.targets[ctx.test_rows]))
         # ledger immutability: the hash recorded before the runs must still
         # describe the calibration after them
         if calibration.compute_hash() != calibration.content_hash:

@@ -8,15 +8,20 @@
 - ``real_shape_campaign.json``: co2-, spx_vol- and IMS-shaped datasets,
   built through the CSV loaders from series that :func:`real_shape_csvs`
   draws from a fixed seed, full registry at seed 1 and offset 0.
+- ``real_shape_values/``: that campaign's ``results.csv`` and
+  ``selected.csv`` as written, the values a run at another SIMD dispatch
+  level is compared with, within :data:`VALUE_RTOL` (:func:`value_differences`).
 
-Each manifest holds the numpy version it was made with, because the bytes
-depend on numpy's summation order and SIMD paths; BLAS runs one thread
+Each manifest holds the numpy version and the SIMD dispatch set
+(:func:`dispatch`) it was made with, because the bytes depend on numpy's
+summation order and SIMD paths: with its AVX-512 kernels off, numpy moves
+every file of the real-shape campaign by a few ulps. BLAS runs one thread
 here and in Tier-1, because the bits of the Zeng baseline's wide Ridge
-predictions depend on OpenBLAS's thread count. The Tier-1 tests compare
-a fresh tree with the manifests through :func:`manifest_differences`, which
-reports another numpy version as a difference of its own. A change that
-moves a byte regenerates both manifests with this script and says which
-files moved and why.
+predictions depend on OpenBLAS's thread count. The Tier-1 tests compare a
+fresh tree with the manifests through :func:`manifest_differences`, which
+reports another numpy version or another dispatch set as a difference of
+its own. A change that moves a byte regenerates both manifests and the
+values with this script and says which files moved and why.
 """
 
 from __future__ import annotations
@@ -24,7 +29,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -32,6 +39,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # one BLAS thread, as in Tier-1 (tests/conftest.py)
 
 import numpy as np  # noqa: E402
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__  # noqa: E402
 
 from topoattn.datasets import (  # noqa: E402
     SPLIT_OFFSETS,
@@ -48,6 +56,12 @@ from topoattn.protocol import run_campaign  # noqa: E402
 HERE = Path(__file__).resolve().parent
 PINNED_MANIFEST = HERE / "pinned_campaign.json"
 REAL_SHAPE_MANIFEST = HERE / "real_shape_campaign.json"
+REAL_SHAPE_VALUES = HERE / "real_shape_values"
+#: the files checked in as values, each with the columns that key its rows
+VALUE_FILES = {"results.csv": ("dataset", "mode", "seed", "split_offset"),
+               "selected.csv": ("dataset", "seed", "split_offset")}
+#: relative tolerance of every value a run at another dispatch level writes
+VALUE_RTOL = 1e-9
 PINNED_SOURCES = (gen_higher_topology, gen_cyclic_h1, gen_shell_h2)  # as the acceptance fixture runs them
 PINNED_SEEDS = (1, 2, 3)
 REAL_SHAPE_SEED = 20260  # draws the three real-shape series
@@ -116,20 +130,32 @@ def tree_digests(root) -> dict[str, str]:
     }
 
 
+def dispatch() -> list[str]:
+    """The SIMD feature groups numpy dispatches kernels to on this host: the
+    entries of its dispatch list that the CPU supports and that
+    ``NPY_DISABLE_CPU_FEATURES`` did not turn off, in numpy's order."""
+    return [feature for feature in __cpu_dispatch__ if __cpu_features__.get(feature)]
+
+
 def write_manifest(path, root) -> None:
-    manifest = {"numpy": np.__version__, "files": tree_digests(root)}
+    manifest = {"numpy": np.__version__, "dispatch": dispatch(), "files": tree_digests(root)}
     Path(path).write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
 
 def manifest_differences(path, root) -> list[str]:
     """One line per way the tree under ``root`` differs from the manifest at
-    ``path``: another numpy version, and each changed, missing or extra file."""
+    ``path``: another numpy version, another SIMD dispatch set, and each
+    changed, missing or extra file."""
     manifest = json.loads(Path(path).read_text())
     pinned, found = manifest["files"], tree_digests(root)
     lines = []
     if manifest["numpy"] != np.__version__:
         lines.append(f"numpy {np.__version__} here, but {Path(path).name} was made with numpy "
                      f"{manifest['numpy']}: regenerate it with {Path(__file__).name}")
+    if manifest["dispatch"] != dispatch():
+        lines.append(f"SIMD dispatch {' '.join(dispatch()) or 'none'} here, but {Path(path).name} was "
+                     f"made with {' '.join(manifest['dispatch']) or 'none'}: the bytes hold on one "
+                     f"dispatch level; compare values with value_differences")
     for rel in sorted(pinned.keys() | found.keys()):
         if rel not in found:
             lines.append(f"{rel}: missing")
@@ -137,6 +163,51 @@ def manifest_differences(path, root) -> list[str]:
             lines.append(f"{rel}: not in the manifest")
         elif found[rel] != pinned[rel]:
             lines.append(f"{rel}: sha256 {found[rel]} differs from the pinned {pinned[rel]}")
+    return lines
+
+
+def _rows(path, key_columns) -> dict[tuple, dict]:
+    with Path(path).open(newline="") as fh:
+        return {tuple(row[c] for c in key_columns): row for row in csv.DictReader(fh)}
+
+
+def _numbers(cell: str) -> dict:
+    """A results cell of numbers by name: a JSON object of floats (the
+    strengths), one float under "", or nothing for an empty cell."""
+    if cell.startswith("{"):
+        return json.loads(cell)
+    return {"": float(cell)} if cell else {}
+
+
+def _moved(pinned: str, found: str) -> bool:
+    """Whether two cells of numbers name other numbers, or one that moved
+    by more than :data:`VALUE_RTOL`, relative."""
+    a, b = _numbers(pinned), _numbers(found)
+    return a.keys() != b.keys() or any(
+        not math.isclose(a[k], b[k], rel_tol=VALUE_RTOL, abs_tol=0.0) for k in a
+    )
+
+
+def value_differences(values_dir, root) -> list[str]:
+    """One line per way the ``results.csv`` and ``selected.csv`` under
+    ``root`` differ from the ones in ``values_dir`` as values: a missing or
+    extra row, another selected mode, and each number that moved by more
+    than :data:`VALUE_RTOL`, relative. Ledger hashes are not compared: the
+    ledgers' bytes move with the dispatch level."""
+    lines = []
+    for name, key_columns in VALUE_FILES.items():
+        pinned, found = _rows(Path(values_dir) / name, key_columns), _rows(Path(root) / name, key_columns)
+        for key in sorted(pinned.keys() | found.keys()):
+            if key not in found or key not in pinned:
+                lines.append(f"{name} {key}: {'missing' if key not in found else 'not in the values'}")
+                continue
+            for column, value in pinned[key].items():
+                if column in key_columns or column == "ledger_hash":
+                    continue
+                moved = (value != found[key][column] if column == "selected_mode"
+                         else _moved(value, found[key][column]))
+                if moved:
+                    lines.append(f"{name} {key} {column}: {found[key][column]} against the pinned {value}")
     return lines
 
 
@@ -150,9 +221,12 @@ def main() -> None:
         (tmp / "csv").mkdir()
         run_real_shape_campaign(tmp / "real_shape", tmp / "csv")
         write_manifest(REAL_SHAPE_MANIFEST, tmp / "real_shape")
+        REAL_SHAPE_VALUES.mkdir(exist_ok=True)
+        for name in VALUE_FILES:
+            shutil.copyfile(tmp / "real_shape" / name, REAL_SHAPE_VALUES / name)
     for path in (PINNED_MANIFEST, REAL_SHAPE_MANIFEST):
         count = len(json.loads(path.read_text())["files"])
-        print(f"{path.name}: {count} files, numpy {np.__version__}")
+        print(f"{path.name}: {count} files, numpy {np.__version__}, dispatch {' '.join(dispatch())}")
 
 
 if __name__ == "__main__":

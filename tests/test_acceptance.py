@@ -162,11 +162,12 @@ def test_criterion_04_containment_reproduces_zeng():
 def test_criterion_05_temperature_gradients():
     ctx = offset0_context(gen_higher_topology, 1)
     rng = np.random.default_rng(55)
-    idx = rng.choice(len(ctx.train_idx), size=20, replace=False)
-    windows = ctx.scaled[ctx.train_idx][idx]
-    targets = ctx.ds.targets[ctx.train_idx][idx]
+    train = ctx.train_rows
+    idx = rng.choice(train.stop - train.start, size=20, replace=False)
+    windows = ctx.scaled[train][idx]
+    targets = ctx.ds.targets[train][idx]
     stacks_full = ctx.stacks_for(CHANNELS, seed=1)
-    stacks = {c: stacks_full[c][ctx.train_idx][idx] for c in CHANNELS}
+    stacks = {c: stacks_full[c][train][idx] for c in CHANNELS}
     attn = init_attention_params(windows.shape[2], seed=1)
     alpha = rng.normal(scale=0.4, size=len(CHANNELS))
     head_w = rng.normal(scale=0.1, size=5 * windows.shape[2])

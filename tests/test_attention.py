@@ -482,9 +482,10 @@ class TestEinsumPins:
                         failures.append((n_windows, n_tokens, label))
         assert not failures, f"width {width}: differs from einsum at (W, N, input) {failures}"
 
-    @pytest.mark.parametrize("width", [2, 3, 6])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7])
     def test_stacked_euclidean_matches_einsum(self, width):
-        # widths 2 and 3 sum written-out squares, others run einsum per block
+        # every width sums its squares in two written-out lanes, even columns
+        # then odd ones; 1-7 covers every width the builders and loaders make
         rng = np.random.default_rng(44)
         failures = []
         for n_windows in CAMPAIGN_WINDOWS:
@@ -496,6 +497,7 @@ class TestEinsumPins:
                     "normal": rng.normal(size=shape),
                     "signed zeros": with_signed_zeros(rng, shape),
                     "constant window": constant,
+                    "row-slice view": rng.normal(size=(n_windows + 3, n_tokens, width))[3:],
                 }
                 for label, windows in cases.items():
                     diff = windows[:, :, None, :] - windows[:, None, :, :]
@@ -577,11 +579,12 @@ class TestSummaryPath:
         assert same_bits(forward_features(ctx.scaled, base, stacks, strengths, summary=ctx.summary),
                          forward_features(ctx.scaled, base, stacks, strengths))
         tr = ctx.train_rows
+        ti = np.arange(len(ctx.scaled))[tr]
         train_stacks = {c: b[tr] for c, b in stacks.items()}
         assert same_bits(
             forward_features(ctx.scaled[tr], base[tr], train_stacks, strengths, summary=ctx.summary[tr]),
-            forward_features(ctx.scaled[ctx.train_idx], base[ctx.train_idx],
-                             {c: b[ctx.train_idx] for c, b in stacks.items()}, strengths),
+            # the same rows as index copies
+            forward_features(ctx.scaled[ti], base[ti], {c: b[ti] for c, b in stacks.items()}, strengths),
         )
 
     @pytest.mark.parametrize("make", [
@@ -598,7 +601,7 @@ class TestSummaryPath:
             ctx.scaled[tr], y[tr], ctx.scaled[va], y[va],
             {c: b[tr] for c, b in stacks.items()}, {c: b[va] for c, b in stacks.items()}, channels, 3,
         )
-        ti, vi = ctx.train_idx, ctx.val_idx
+        ti, vi = np.arange(len(y))[tr], np.arange(len(y))[va]  # the same rows as index copies
         best, history = old_train_temperatures(
             ctx.scaled[ti], y[ti], ctx.scaled[vi], y[vi],
             {c: b[ti] for c, b in stacks.items()}, {c: b[vi] for c, b in stacks.items()}, channels, 3,

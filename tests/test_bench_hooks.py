@@ -148,7 +148,7 @@ def test_model_sink_payload_rebuilds_predictions(traced_ctx):
         kernel_spec=KernelSpec(ctx.kernel_bandwidth),
         aet_params=ctx.aet_params(1),
     )
-    assert payload["strengths"] and payload["test_indices"] == ctx.test_idx
+    assert payload["strengths"] and payload["test_indices"] == list(range(ctx.test_rows.start, ctx.test_rows.stop))
     predicted = [attention.predict(ctx.scaled[i], model) for i in payload["test_indices"]]
     np.testing.assert_allclose(predicted, payload["y_test_pred"], rtol=0, atol=1e-9)
 

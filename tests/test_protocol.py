@@ -41,7 +41,7 @@ def restricted_phi_refit(ctx: SplitContext) -> np.ndarray:
     """
     phi = ctx.local_phi()[:, :, : 2 * DIAGRAM_VECTOR_LEN]
     x = phi.reshape(phi.shape[0], -1)
-    tr, va, te = ctx.train_idx, ctx.val_idx, ctx.test_idx
+    tr, va, te = ctx.train_rows, ctx.val_rows, ctx.test_rows
     y = ctx.ds.targets
     ridge = ridge_fit(x[tr], y[tr], x[va], y[va])
     return ridge_predict(ridge, x[te])
@@ -97,6 +97,48 @@ class TestRegistry:
             assert m.with_residual == m.mode_id.endswith("_resid")
 
 
+class TestSplit:
+    def test_three_slices_tile_the_windows(self, small_ctx):
+        split = (small_ctx.train_rows, small_ctx.val_rows, small_ctx.test_rows)
+        assert all(isinstance(rows, slice) and rows.step is None for rows in split)
+        n = len(small_ctx.ds.targets)
+        assert [range(n)[rows] for rows in split] == list(chronological_split(n, small_ctx.offset))
+        assert [i for rows in split for i in range(n)[rows]] == list(range(n))  # in order, no gap or overlap
+        assert not any(hasattr(small_ctx, name) for name in ("train_idx", "val_idx", "test_idx"))
+
+    def test_fits_read_views(self, monkeypatch):
+        # every row selection a fit receives is a view of the array it was
+        # cut from, never a copy made by indexing with a list of rows
+        from topoattn import protocol
+
+        ctx = SplitContext(gen_cyclic_h1(3, n_windows=80, n_tokens=16), 0.0)
+        calls = []
+
+        def capture(name):
+            fit = getattr(protocol, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append((name, args))
+                return fit(*args, **kwargs)
+            monkeypatch.setattr(protocol, name, wrapped)
+
+        for name in ("ridge_fit", "fit_local_projection", "fit_local_head"):
+            capture(name)
+        modes = [BY_ID["classical"], BY_ID["zeng_local_h0"], BY_ID["classical_resid"]]
+        calibration = calibrate_cell(ctx, 1, modes)
+        cache: dict = {}
+        for mode in modes:
+            run_mode_detailed(ctx, mode, 1, calibration, global_cache=cache)
+        assert Counter(name for name, _ in calls) == {"ridge_fit": 2, "fit_local_projection": 1, "fit_local_head": 1}
+        for name, args in calls:
+            rows = [a for a in args if isinstance(a, np.ndarray)]
+            assert len(rows) == (2 if name == "fit_local_projection" else 4)
+            assert all(a.base is not None for a in rows), f"{name} received a row copy"
+            assert all(np.shares_memory(a, ctx.ds.targets) for a in rows if a.ndim == 1)
+            if name != "ridge_fit":
+                assert all(np.shares_memory(a, ctx.local_phi()) for a in rows if a.ndim == 3)
+
+
 class TestRunMode:
     def test_classical_finite_no_alpha(self, small_ctx, small_calib):
         r = run_mode_detailed(small_ctx, BY_ID["classical"], 1, small_calib)[0]
@@ -129,9 +171,9 @@ class TestRunMode:
 
         def leaky(ctx, base, stacks, strengths):
             feats = forward_features(ctx.scaled, base, stacks, strengths, summary=ctx.summary)
-            rows, y = ctx.train_idx + ctx.test_idx, ctx.ds.targets
-            ridge = ridge_fit(feats[rows], y[rows], feats[ctx.val_idx], y[ctx.val_idx])
-            return ridge, ridge_predict(ridge, feats[ctx.val_idx]), ridge_predict(ridge, feats[ctx.test_idx])
+            rows, y = np.r_[ctx.train_rows, ctx.test_rows], ctx.ds.targets
+            ridge = ridge_fit(feats[rows], y[rows], feats[ctx.val_rows], y[ctx.val_rows])
+            return ridge, ridge_predict(ridge, feats[ctx.val_rows]), ridge_predict(ridge, feats[ctx.test_rows])
 
         monkeypatch.setattr(protocol, "_fit_head", leaky)
         assert any(line.startswith("val_rmse changed") for line in leakage_differences())
@@ -146,8 +188,7 @@ class TestZeng:
     def test_containment_restriction(self, small_ctx, small_calib):
         base = run_mode_detailed(small_ctx, BY_ID["zeng_local_h0"], 1, small_calib)[0]
         restricted = restricted_phi_refit(small_ctx)
-        te = small_ctx.test_idx
-        y = small_ctx.ds.targets[te]
+        y = small_ctx.ds.targets[small_ctx.test_rows]
         zeng_rmse = float(np.sqrt(np.mean((restricted - y) ** 2)))
         assert abs(zeng_rmse - base.test_rmse) <= 1e-12
 
