@@ -129,8 +129,7 @@ class _UsageError(Exception):
 def cmd_generate(args) -> int:
     if args.dataset not in SYNTHETIC_GENERATORS:
         known = ", ".join(sorted(SYNTHETIC_GENERATORS))
-        print(f"error: unknown dataset {args.dataset!r}; synthetic datasets: {known}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"unknown dataset {args.dataset!r}; synthetic datasets: {known}")
     ds = SYNTHETIC_GENERATORS[args.dataset](args.seed)
     manifest = export_dataset(ds, args.out, seed=args.seed)
     print(f"wrote {ds.name} {manifest['shape']} to {args.out}")
@@ -148,11 +147,7 @@ def cmd_run(args) -> int:
 
     unknown_modes = [m for m in cfg.modes if m not in MODE_ORDER]
     if unknown_modes:
-        print(
-            f"error: unknown modes {unknown_modes}; known: {', '.join(MODE_ORDER)}",
-            file=sys.stderr,
-        )
-        return 2
+        raise _UsageError(f"unknown modes {unknown_modes}; known: {', '.join(MODE_ORDER)}")
     datasets = _build_datasets(cfg)
 
     out_dir = Path(cfg.out)
@@ -179,8 +174,7 @@ def cmd_audit(args) -> int:
 
     results_dir = Path(args.results)
     if not (results_dir / "results.csv").exists():
-        print(f"error: no results.csv under {results_dir}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"no results.csv under {results_dir}")
     summary, breakdown = audit_results_dir(results_dir, out_dir=args.out or results_dir)
     print(
         f"{summary.architecture}: {summary.units} units, "

@@ -219,7 +219,7 @@ def _pls_directions(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return proj
 
 
-def fit_local_projection(phi_train: np.ndarray, train_targets: np.ndarray, seed: int = 0) -> LocalProjection:
+def fit_local_projection(phi_train: np.ndarray, train_targets: np.ndarray, seed: int) -> LocalProjection:
     """Train the attention layer: supervised directions + position scores.
 
     Stage 1 fits shared partial-least-squares directions over all cover
@@ -228,6 +228,11 @@ def fit_local_projection(phi_train: np.ndarray, train_targets: np.ndarray, seed:
     the best-scoring position alone, so the pooled vector keeps that
     position's predictive coordinates intact. All statistics come from the
     training split only. The layer is :data:`PROJECTION_DIM` wide.
+
+    The pooling query is the unit vector drawn from ``SeedSequence([29,
+    seed])``. The mean of the projected training elements is no query:
+    the features are centred over those same elements, so it is zero up
+    to rounding.
     """
     n_windows, m, n_features = phi_train.shape
     flat = phi_train.reshape(-1, n_features)
@@ -255,22 +260,13 @@ def fit_local_projection(phi_train: np.ndarray, train_targets: np.ndarray, seed:
     proj = _pls_directions(z[:, focus, :], y)
     if not np.any(proj):
         proj = shared  # degenerate target on the focus position
-    projected = z @ proj
-    position_scores = position_r2(projected)
-
-    query = projected.reshape(-1, PROJECTION_DIM).mean(axis=0)
-    norm = np.linalg.norm(query)
-    if norm < 1e-12:
-        rng = np.random.default_rng(np.random.SeedSequence([29, seed]))
-        query = rng.normal(size=PROJECTION_DIM)
-        norm = np.linalg.norm(query)
-    query = query / norm
+    query = np.random.default_rng(np.random.SeedSequence([29, seed])).normal(size=PROJECTION_DIM)
     return LocalProjection(
         feature_mean=mean,
         feature_std=std,
         proj=proj,
-        query=query,
-        position_scores=position_scores,
+        query=query / np.linalg.norm(query),
+        position_scores=position_r2(z @ proj),
     )
 
 
@@ -309,14 +305,14 @@ def zeng_features(phi: np.ndarray) -> np.ndarray:
 
 
 def fit_local_head(
-    train_phi: np.ndarray,
+    train_x: np.ndarray,
     train_y: np.ndarray,
-    val_phi: np.ndarray,
+    val_x: np.ndarray,
     val_y: np.ndarray,
 ) -> RidgeModel:
-    """The Zeng-style baseline head: Ridge on :func:`zeng_features`,
+    """The Zeng-style baseline head: Ridge on rows of :func:`zeng_features`,
     lambda selected on validation."""
-    return ridge_fit(zeng_features(train_phi), train_y, zeng_features(val_phi), val_y)
+    return ridge_fit(train_x, train_y, val_x, val_y)
 
 
 # ---------------------------------------------------------------------------

@@ -509,8 +509,8 @@ def run_mode_detailed(
 
     if mode.mode_id.startswith("zeng"):
         # controlled baseline: flat D0+/D0- path blocks, nothing else
-        phi, tr, va = ctx.local_phi(), ctx.train_rows, ctx.val_rows
-        fit = _ridge_head(ctx, zeng_features(phi), fit_local_head(phi[tr], targets[tr], phi[va], targets[va]))
+        x, tr, va = zeng_features(ctx.local_phi()), ctx.train_rows, ctx.val_rows
+        fit = _ridge_head(ctx, x, fit_local_head(x[tr], targets[tr], x[va], targets[va]))
         strengths, alpha_raw = {}, {}
     else:
         strengths, fit, alpha_raw = _fit_global_stage(ctx, mode, seed, cache)

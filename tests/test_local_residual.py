@@ -258,6 +258,15 @@ class TestRepresentation:
         with pytest.raises(InvalidInput, match="non-finite"):
             local_representation_matrix(phi, proj, scores, cstats)
 
+    def test_query_is_the_seeded_unit_vector(self):
+        # features far from zero leave the projected training mean at a
+        # rounding-noise norm of about 5e-12; the query must not depend on it
+        rng = np.random.default_rng(5)
+        phi = rng.normal(size=(200, 9, 20)) + 1e3
+        y = rng.normal(size=200)
+        draw = np.random.default_rng(np.random.SeedSequence([29, 4])).normal(size=16)
+        assert fit_local_projection(phi, y, seed=4).query.tobytes() == (draw / np.linalg.norm(draw)).tobytes()
+
     def test_deterministic(self, small_phi):
         _, phi, targets = small_phi
         a = fit_local_projection(phi[:20], targets[:20], seed=3)
@@ -278,8 +287,9 @@ class TestLocalHead:
             [block(i, name) for i in range(phi.shape[1]) for name in ("d0_plus", "d0_minus")],
             axis=1,
         )
-        assert np.array_equal(zeng_features(phi), expected)
-        ridge = fit_local_head(phi[:20], targets[:20], phi[20:], targets[20:])
+        x = zeng_features(phi)
+        assert np.array_equal(x, expected)
+        ridge = fit_local_head(x[:20], targets[:20], x[20:], targets[20:])
         assert ridge.weights.shape == (expected.shape[1],)
 
 

@@ -118,25 +118,35 @@ class TestSplit:
             fit = getattr(protocol, name)
 
             def wrapped(*args, **kwargs):
-                calls.append((name, args))
-                return fit(*args, **kwargs)
+                out = fit(*args, **kwargs)
+                calls.append((name, args, out))
+                return out
             monkeypatch.setattr(protocol, name, wrapped)
 
-        for name in ("ridge_fit", "fit_local_projection", "fit_local_head"):
+        for name in ("ridge_fit", "fit_local_projection", "fit_local_head", "zeng_features"):
             capture(name)
         modes = [BY_ID["classical"], BY_ID["zeng_local_h0"], BY_ID["classical_resid"]]
         calibration = calibrate_cell(ctx, 1, modes)
         cache: dict = {}
         for mode in modes:
             run_mode_detailed(ctx, mode, 1, calibration, global_cache=cache)
-        assert Counter(name for name, _ in calls) == {"ridge_fit": 2, "fit_local_projection": 1, "fit_local_head": 1}
-        for name, args in calls:
+        assert Counter(name for name, _, _ in calls) == {
+            "ridge_fit": 2, "fit_local_projection": 1, "fit_local_head": 1, "zeng_features": 1,
+        }
+        (zeng_x,) = [out for name, _, out in calls if name == "zeng_features"]
+        for name, args, _ in calls:
+            if name == "zeng_features":
+                continue
             rows = [a for a in args if isinstance(a, np.ndarray)]
             assert len(rows) == (2 if name == "fit_local_projection" else 4)
             assert all(a.base is not None for a in rows), f"{name} received a row copy"
             assert all(np.shares_memory(a, ctx.ds.targets) for a in rows if a.ndim == 1)
-            if name != "ridge_fit":
-                assert all(np.shares_memory(a, ctx.local_phi()) for a in rows if a.ndim == 3)
+            if name == "fit_local_projection":
+                assert rows[0].ndim == 3 and np.shares_memory(rows[0], ctx.local_phi())
+            if name == "fit_local_head":
+                # the train and validation rows are two views of the one Zeng matrix
+                x_rows = [a for a in rows if a.ndim == 2]
+                assert len(x_rows) == 2 and all(np.shares_memory(a, zeng_x) for a in x_rows)
 
 
 class TestRunMode:
@@ -191,6 +201,19 @@ class TestZeng:
         y = small_ctx.ds.targets[small_ctx.test_rows]
         zeng_rmse = float(np.sqrt(np.mean((restricted - y) ** 2)))
         assert abs(zeng_rmse - base.test_rmse) <= 1e-12
+
+    def test_one_zeng_matrix_per_fit(self, small_ctx, small_calib, monkeypatch):
+        from topoattn import local_residual, protocol
+
+        calls = []
+
+        def counted(phi):
+            calls.append(phi.shape)
+            return zeng_features(phi)
+        for module in (protocol, local_residual):
+            monkeypatch.setattr(module, "zeng_features", counted)
+        run_mode_detailed(small_ctx, BY_ID["zeng_local_h0"], 1, small_calib)
+        assert calls == [small_ctx.local_phi().shape]
 
     def test_deterministic(self, small_ctx, small_calib):
         zeng = BY_ID["zeng_local_h0"]
